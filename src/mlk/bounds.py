@@ -26,6 +26,7 @@ from .quadrature import (
     SCHEME_QMC_SHIFTED,
     SCHEME_TENSOR_GAUSS,
     QuadratureResult,
+    _integrate_rows,
     integral_ln_f,
     integrate_cube,
 )
@@ -219,18 +220,13 @@ def archimedean_invariant(om: PeriodMatrix, scheme: str = SCHEME_QMC_SHIFTED,
     clip_floor = math.exp(_LOG_CLIP)
     clipped = 0
 
-    def f_log(P):
+    def f_log_and_sq(P):
         nonlocal clipped
         vals, _ = cube_norm_batch(om, P)
         clipped += int(np.count_nonzero(vals < clip_floor))
-        return np.log(np.maximum(vals, clip_floor))
+        return np.stack([np.log(np.maximum(vals, clip_floor)), vals * vals])
 
-    def f_sq(P):
-        vals, _ = cube_norm_batch(om, P)
-        return vals * vals
-
-    r_log = integrate_cube(f_log, d, scheme, budget, seed)
-    r_sq = integrate_cube(f_sq, d, scheme, budget, seed)
+    r_log, r_sq = _integrate_rows(f_log_and_sq, d, scheme, budget, seed)
     if r_sq.value <= 0.0:
         raise BoundsError("norm-square integral evaluated non-positive")
     value = -r_log.value + 0.5 * math.log(r_sq.value)
@@ -240,7 +236,7 @@ def archimedean_invariant(om: PeriodMatrix, scheme: str = SCHEME_QMC_SHIFTED,
     return QuadratureResult(
         value=value,
         error_estimate=err,
-        n_points=r_log.n_points + r_sq.n_points,
+        n_points=r_log.n_points,
         scheme=scheme,
         n_clipped=clipped,
     )

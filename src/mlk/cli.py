@@ -9,8 +9,9 @@ Subcommands:
 
 Input is a strict JSON document; unknown fields are rejected. Reports go to
 stdout, diagnostics to stderr. Exit codes: 0 success, 1 a verify check
-failed, 2 parse error, 3 invalid matrix data. MLK_THREADS caps internal
-per-embedding parallelism.
+failed, 2 parse error, 3 invalid matrix data, 4 a lattice enumeration
+exceeded its cap (the input is valid but too large to certify). MLK_THREADS
+caps internal per-embedding parallelism.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .bounds import (
     verify_chain,
 )
 from .lattice import (
+    EnumerationLimitError,
     GramMatrix,
     LatticeError,
     bezout_deep_point,
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVALID = 3
+EXIT_LIMIT = 4
 
 _SUITES = ("lattice", "integrals", "chain", "oracle", "all")
 
@@ -122,6 +125,8 @@ def _parse_document(raw: bytes):
         im = _as_matrix(emb["im"], g, f"embedding {i}: 'im'")
         try:
             periods.append(validate_period_matrix(re, im))
+        except EnumerationLimitError:
+            raise
         except (SiegelError, LatticeError) as exc:
             raise DataError(f"embedding {i}: {exc}") from exc
     if len(periods) > degree:
@@ -158,6 +163,7 @@ def _check_dict(e: CheckEntry) -> dict:
         "rhs": e.rhs,
         "slack": e.slack,
         "tolerance": e.tolerance,
+        "error_estimate": e.error_estimate,
         "pass": e.passed,
     }
 
@@ -455,6 +461,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except EnumerationLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (DataError, BoundsError, SiegelError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

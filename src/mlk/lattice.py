@@ -28,6 +28,7 @@ from scipy.stats import qmc
 
 __all__ = [
     "LatticeError",
+    "EnumerationLimitError",
     "GramMatrix",
     "IntervalEstimate",
     "ShortestVector",
@@ -51,6 +52,10 @@ _RADIUS_SAFETY = 1 + 1e-12  # inflation so fp rounding cannot lose the minimizer
 
 class LatticeError(ValueError):
     """Invalid Gram matrix, or an enumeration that cannot be certified."""
+
+
+class EnumerationLimitError(LatticeError):
+    """A certified enumeration box holds more candidates than the cap allows."""
 
 
 class GramMatrix:
@@ -256,7 +261,7 @@ def _int_box(lows, highs):
         raise LatticeError("empty enumeration box")
     total = int(np.prod(sizes.astype(object)))
     if total > _BOX_CAP:
-        raise LatticeError(f"enumeration box of {total} points exceeds cap {_BOX_CAP}")
+        raise EnumerationLimitError(f"enumeration box of {total} points exceeds cap {_BOX_CAP}")
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(lows, highs)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
@@ -371,6 +376,26 @@ def bezout_deep_point(Y: GramMatrix) -> DeepPoint:
     return DeepPoint(x=x, certified_lo=1.0 / (2.0 * lam_dual))
 
 
+def _candidate_box(Y: GramMatrix, radius: float, lo=0.0, hi=1.0) -> np.ndarray:
+    """Integer points (float, (M, g)) of the box that covers the ellipsoid
+    ||. - p||_Y <= radius around every point p of the box [lo, hi]."""
+    w = radius * np.sqrt(np.diag(Y.inverse().entries))
+    return _int_box(np.ceil(lo - w - 1e-12), np.floor(hi + w + 1e-12)).astype(float)
+
+
+def _sq_dist_blocks(Y: GramMatrix, P: np.ndarray, cand: np.ndarray):
+    """Yield ``(rows, D)`` with D[i, j] = ||P[rows][i] - cand[j]||_Y^2, in row
+    blocks of at most 2^22 entries. D is not clipped at 0, so rounding can
+    leave tiny negative entries; callers clip or reduce as they need."""
+    qm = np.einsum("ij,ij->i", cand, cand @ Y.entries)
+    chunk = max(1, (1 << 22) // max(1, cand.shape[0]))
+    for k in range(0, P.shape[0], chunk):
+        S = P[k : k + chunk]
+        G1 = S @ Y.entries
+        qx = np.einsum("ij,ij->i", S, G1)
+        yield slice(k, k + chunk), qx[:, None] - 2.0 * (G1 @ cand.T) + qm[None, :]
+
+
 def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
     """psi_Y(x)^2 for many points at once (exact, vectorized).
 
@@ -384,19 +409,10 @@ def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
     if P.shape[1] != Y.g:
         raise LatticeError(f"points of dimension {P.shape[1]} incompatible with g={Y.g}")
     P = P - np.floor(P)
-    mu_hi = Y.covering_upper()
-    w = mu_hi * np.sqrt(np.diag(Y.inverse().entries))
-    cand = _int_box(np.ceil(-w - 1e-12), np.floor(1 + w + 1e-12)).astype(float)
-    Yc = cand @ Y.entries
-    qm = np.einsum("ij,ij->i", cand, Yc)
+    cand = _candidate_box(Y, Y.covering_upper())
     out = np.empty(P.shape[0])
-    chunk = max(1, (1 << 22) // max(1, cand.shape[0]))
-    for k in range(0, P.shape[0], chunk):
-        S = P[k : k + chunk]
-        G1 = S @ Y.entries
-        qx = np.einsum("ij,ij->i", S, G1)
-        D = qx[:, None] - 2.0 * (G1 @ cand.T) + qm[None, :]
-        out[k : k + chunk] = D.min(axis=1)
+    for rows, D in _sq_dist_blocks(Y, P, cand):
+        out[rows] = D.min(axis=1)
     np.maximum(out, 0.0, out=out)
     return out
 

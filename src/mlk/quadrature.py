@@ -54,8 +54,8 @@ class QuadratureResult:
 
 
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(points), dtype=float).reshape(-1)
-    if vals.shape[0] != points.shape[0]:
+    vals = np.asarray(f(points), dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != points.shape[0]:
         raise QuadratureError("integrand returned a wrong number of values")
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced a non-finite value (singularity?)")
@@ -75,9 +75,39 @@ def _tensor_rule(n: int, d: int):
     return pts, wts
 
 
-def _gauss_value(f, d: int, n: int) -> float:
+def _gauss_values(f, d: int, n: int) -> list[float]:
     pts, wts = _tensor_rule(n, d)
-    return float(wts @ _evaluate(f, pts))
+    return [float(wts @ row) for row in _evaluate(f, pts)]
+
+
+def _integrate_rows(f, d: int, scheme: str, budget: int | None,
+                    seed: int) -> list[QuadratureResult]:
+    """Integrate a vectorized f: (N, d) -> (k, N) over [0,1]^d, one result per
+    row. Every row is sampled at the same points and reduced on its own, so
+    each result equals ``integrate_cube`` of that row alone.
+    """
+    if d < 1:
+        raise QuadratureError("dimension must be >= 1")
+    if scheme == SCHEME_TENSOR_GAUSS:
+        if d > 2:
+            raise QuadratureError("tensor-gauss is available for d <= 2 only")
+        n = min(max(int(budget or _MAX_GAUSS_NODES), 2), _MAX_GAUSS_NODES)
+        coarse = max(n // 2, 2)
+        fine = _gauss_values(f, d, n)
+        return [QuadratureResult(v, abs(v - c), n**d + coarse**d, scheme)
+                for v, c in zip(fine, _gauss_values(f, d, coarse))]
+    if scheme == SCHEME_QMC_SHIFTED:
+        m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
+        base = qmc.Sobol(d=d, scramble=False).random(m)
+        shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
+        per_shift = [[float(np.mean(row)) for row in _evaluate(f, (base + s) % 1.0)]
+                     for s in shifts]
+        return [
+            QuadratureResult(float(np.mean(est)), 3.0 * float(np.std(est, ddof=1)),
+                             _N_SHIFTS * m, scheme)
+            for est in np.array(per_shift).T
+        ]
+    raise QuadratureError(f"unknown scheme {scheme!r}")
 
 
 def integrate_cube(f, d: int, scheme: str = SCHEME_QMC_SHIFTED, budget: int | None = None,
@@ -87,27 +117,7 @@ def integrate_cube(f, d: int, scheme: str = SCHEME_QMC_SHIFTED, budget: int | No
     ``budget`` is nodes per axis for tensor-gauss (clamped to 256) and points
     per shift for qmc-shifted (rounded down to a power of two).
     """
-    if d < 1:
-        raise QuadratureError("dimension must be >= 1")
-    if scheme == SCHEME_TENSOR_GAUSS:
-        if d > 2:
-            raise QuadratureError("tensor-gauss is available for d <= 2 only")
-        n = min(max(int(budget or _MAX_GAUSS_NODES), 2), _MAX_GAUSS_NODES)
-        coarse = max(n // 2, 2)
-        value = _gauss_value(f, d, n)
-        err = abs(value - _gauss_value(f, d, coarse))
-        return QuadratureResult(value, err, n**d + coarse**d, scheme)
-    if scheme == SCHEME_QMC_SHIFTED:
-        m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
-        base = qmc.Sobol(d=d, scramble=False).random(m)
-        shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
-        estimates = np.array(
-            [float(np.mean(_evaluate(f, (base + s) % 1.0))) for s in shifts]
-        )
-        value = float(np.mean(estimates))
-        err = 3.0 * float(np.std(estimates, ddof=1))
-        return QuadratureResult(value, err, _N_SHIFTS * m, scheme)
-    raise QuadratureError(f"unknown scheme {scheme!r}")
+    return _integrate_rows(lambda P: np.reshape(f(P), (1, -1)), d, scheme, budget, seed)[0]
 
 
 def integral_psi_sq(Y: GramMatrix, scheme: str = SCHEME_QMC_SHIFTED,

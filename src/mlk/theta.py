@@ -7,13 +7,16 @@ Three closely related series are evaluated:
 * the cube-metric section norm
   ||s||(z) = det(Y)^{1/4} exp(-pi y^T Y^{-1} y) |theta_Omega(z)|,  y = Im z.
 
-Each sum is truncated to a box that covers the ellipsoid ||. ||_Y <= R
-around the Gaussian center, with the omitted mass bounded rigorously: balls
-of radius lambda_1(Y)/2 around lattice points are disjoint, so the tail sum
-is dominated by a continuous Gaussian integral over the outside of the
-ellipsoid, an explicit incomplete-gamma expression. theta evaluation
-recenters at the Gaussian peak c = Y^{-1} Im z so term counts stay small
-for large imaginary parts.
+All three are exp-sums over one kernel, ``lattice._sq_dist_blocks``: the
+squared distances ||p - m||_Y^2 from a point p to the lattice points m of a
+box covering the truncation ellipsoid around p. Theta sums use m = -n, so
+with Im z = Y c the terms are exp(pi c^T Y c) exp(-pi ||c - m||_Y^2
++ i pi (m^T X m - 2 m . Re z)): the Gaussian peak sits at p = c, and term
+counts stay small for large imaginary parts. ||s|| at z = x + Omega y is the
+same sum at p = y with Re z -> x + X y, where exp(-pi y^T Y^{-1} y) cancels.
+The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
+lattice points are disjoint, so the tail sum is dominated by a continuous
+Gaussian integral outside the ellipsoid, an incomplete-gamma expression.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import gammaincc
 
-from .lattice import GramMatrix, _int_box
+from .lattice import GramMatrix, _candidate_box, _sq_dist_blocks
 from .siegel import PeriodMatrix
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0    # |log| cap before exp() under/overflows
-_CHUNK = 1 << 22    # max points x terms entries per vectorized block
 _DENORMAL = 5e-324
 
 
@@ -56,7 +58,7 @@ class ThetaValue:
     terms_used: int
 
 
-def _tail_bound(g: int, det_sqrt: float, lam1: float, t: float, radius: float) -> float:
+def _tail_bound(Y: GramMatrix, det_sqrt: float, t: float, radius: float) -> float:
     """Upper bound on det_sqrt * sum over ||x - m||_Y > radius of
     exp(-pi t ||x - m||_Y^2), uniform in x.
 
@@ -64,6 +66,7 @@ def _tail_bound(g: int, det_sqrt: float, lam1: float, t: float, radius: float) -
     continuous radial integral; the binomial expansion of (rho + lam1/2)^(g-1)
     reduces it to upper incomplete gamma functions.
     """
+    g, lam1 = Y.g, Y.lambda1()
     a = radius - lam1
     if a <= 0.0:
         return math.inf
@@ -76,13 +79,26 @@ def _tail_bound(g: int, det_sqrt: float, lam1: float, t: float, radius: float) -
     return det_sqrt * g * (2.0 / lam1) ** g * total
 
 
-def _radius_for(g, det_sqrt, lam1, t, target, r_init) -> float:
-    r = max(r_init, 1.5 * lam1)
+def _radius_for(Y: GramMatrix, det_sqrt: float, t: float, target: float) -> float:
+    """Smallest tried radius whose certified tail is at most ``target``."""
+    r = max(Y.covering_upper() * 1.01, 1.5 * Y.lambda1())
     for _ in range(500):
-        if _tail_bound(g, det_sqrt, lam1, t, r) <= target:
+        if _tail_bound(Y, det_sqrt, t, r) <= max(target, _DENORMAL):
             return r
         r *= 1.15
     raise ThetaError("tolerance unreachable before the enumeration cap (pathological Y)")
+
+
+def _torus_points(points, dim: int, label: str) -> np.ndarray:
+    """Finite points of dimension ``dim`` as an (N, dim) array, reduced mod 1."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim == 1:
+        P = P.reshape(1, -1)
+    if P.shape[1] != dim:
+        raise ThetaError(f"points of dimension {P.shape[1]} incompatible with {label}")
+    if not np.all(np.isfinite(P)):
+        raise ThetaError("points must be finite")
+    return P - np.floor(P)
 
 
 def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
@@ -97,34 +113,19 @@ def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
         raise ThetaError("t must be positive")
     if tol <= 0.0:
         raise ThetaError("tol must be positive")
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P.reshape(1, -1)
-    if P.shape[1] != Y.g:
-        raise ThetaError(f"points of dimension {P.shape[1]} incompatible with g={Y.g}")
-    if not np.all(np.isfinite(P)):
-        raise ThetaError("points must be finite")
-    P = P - np.floor(P)  # the series is Z^g-periodic
-    g, det_sqrt, lam1 = Y.g, Y.det_sqrt, Y.lambda1()
+    P = _torus_points(points, Y.g, f"g={Y.g}")  # the series is Z^g-periodic
+    det_sqrt = Y.det_sqrt
     mu_hi = Y.covering_upper()
     # f >= det_sqrt * exp(-pi t mu^2) everywhere; certify the tail against it.
     target = tol * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
-    R = _radius_for(g, det_sqrt, lam1, t, max(target, _DENORMAL), mu_hi * 1.01)
-    w = R * np.sqrt(np.diag(Y.inverse().entries))
-    cand = _int_box(np.ceil(-w), np.floor(1 + w)).astype(float)
-    Yc = cand @ Y.entries
-    qm = np.einsum("ij,ij->i", cand, Yc)
+    R = _radius_for(Y, det_sqrt, t, target)
+    cand = _candidate_box(Y, R)
     values = np.empty(P.shape[0])
-    chunk = max(1, _CHUNK // max(1, cand.shape[0]))
-    for k in range(0, P.shape[0], chunk):
-        S = P[k : k + chunk]
-        G1 = S @ Y.entries
-        qx = np.einsum("ij,ij->i", S, G1)
-        D = qx[:, None] - 2.0 * (G1 @ cand.T) + qm[None, :]
+    for rows, D in _sq_dist_blocks(Y, P, cand):
         np.maximum(D, 0.0, out=D)
-        values[k : k + chunk] = np.exp(-math.pi * t * D).sum(axis=1)
+        values[rows] = np.exp(-math.pi * t * D).sum(axis=1)
     values *= det_sqrt
-    return values, _tail_bound(g, det_sqrt, lam1, t, R), cand.shape[0]
+    return values, _tail_bound(Y, det_sqrt, t, R), cand.shape[0]
 
 
 def f_series(Y: GramMatrix, t: float, x, tol: float = 1e-12) -> ThetaValue:
@@ -133,23 +134,19 @@ def f_series(Y: GramMatrix, t: float, x, tol: float = 1e-12) -> ThetaValue:
     return ThetaValue(value=float(values[0]), tail_bound=tail, terms_used=terms)
 
 
-def _recentered_terms(om: PeriodMatrix, center: np.ndarray, tol_abs: float):
-    """Lattice points n with ||n + center||_Y <= R plus their Y-quadratic and
-    X-phase data; tail of the recentered Gaussian sum <= tol_abs."""
-    Y = om.Y
-    g, lam1 = Y.g, Y.lambda1()
-    R = _radius_for(g, 1.0, lam1, 1.0, max(tol_abs, _DENORMAL), Y.covering_upper() * 1.01)
-    w = R * np.sqrt(np.diag(Y.inverse().entries))
-    lows = np.ceil(-center - w)
-    highs = np.floor(-center + w)
-    cand = _int_box(lows, np.maximum(highs, lows)).astype(float)
-    tail = _tail_bound(g, 1.0, lam1, 1.0, R)
-    return cand, tail
+def _theta_sums(om: PeriodMatrix, p: np.ndarray, u: np.ndarray, cand: np.ndarray):
+    """Per row i: sum over the rows m of ``cand`` of
+    exp(-pi ||p_i - m||_Y^2 + i pi (m^T X m - 2 m . u_i))."""
+    pm = np.einsum("ij,ij->i", cand, cand @ om.X)
+    out = np.empty(p.shape[0], dtype=complex)
+    for rows, D in _sq_dist_blocks(om.Y, p, cand):
+        np.maximum(D, 0.0, out=D)
+        phase = pm[None, :] - 2.0 * (u[rows] @ cand.T)
+        out[rows] = np.exp(-math.pi * D + 1j * math.pi * phase).sum(axis=1)
+    return out
 
 
-def theta_siegel(om: PeriodMatrix, z, tol: float = 1e-12) -> ThetaValue:
-    """theta_Omega(z), truncated over a shifted ellipsoid around the Gaussian
-    center c = Y^{-1} Im z; certified |omitted| <= tol * (|value| + tol)."""
+def _as_z(om: PeriodMatrix, z, tol: float) -> np.ndarray:
     if tol <= 0.0:
         raise ThetaError("tol must be positive")
     z = np.asarray(z, dtype=complex).reshape(-1)
@@ -157,44 +154,38 @@ def theta_siegel(om: PeriodMatrix, z, tol: float = 1e-12) -> ThetaValue:
         raise ThetaError(f"z of dimension {z.shape[0]} incompatible with g={om.g}")
     if not np.all(np.isfinite(z)):
         raise ThetaError("z must be finite")
+    return z
+
+
+def theta_siegel(om: PeriodMatrix, z, tol: float = 1e-12) -> ThetaValue:
+    """theta_Omega(z), truncated over a shifted ellipsoid around the Gaussian
+    center c = Y^{-1} Im z; certified |omitted| <= tol * (|value| + tol)."""
+    z = _as_z(om, z, tol)
     a, b = z.real, z.imag
     c = cho_solve((om.Y.chol, True), b)
     q = float(b @ c)  # b^T Y^{-1} b
     if math.pi * q > _EXP_CAP:
         raise ThetaError("imaginary part of z too large for a stable evaluation")
-    target = tol * tol * math.exp(-min(math.pi * q, _EXP_CAP))
-    cand, tail = _recentered_terms(om, c, target)
-    shifted = cand + c
-    quad = np.einsum("ij,ij->i", shifted, shifted @ om.Y.entries)
-    phase = np.einsum("ij,ij->i", cand, cand @ om.X) + 2.0 * (cand @ a)
-    s = complex(np.sum(np.exp(-math.pi * quad + 1j * math.pi * phase)))
+    R = _radius_for(om.Y, 1.0, 1.0, tol * tol * math.exp(-min(math.pi * q, _EXP_CAP)))
+    cand = _candidate_box(om.Y, R, c, c)
+    s = complex(_theta_sums(om, c.reshape(1, -1), a.reshape(1, -1), cand)[0])
     scale = math.exp(math.pi * q)
+    tail = _tail_bound(om.Y, 1.0, 1.0, R)
     return ThetaValue(value=scale * s, tail_bound=scale * tail, terms_used=cand.shape[0])
 
 
 def cube_norm_s(om: PeriodMatrix, z, tol: float = 1e-12) -> float:
     """Cube-metric section norm ||s||(z) >= 0.
 
-    Evaluated in the numerically stable recentered form
-    det(Y)^{1/4} |sum_n exp(-pi ||n + c||_Y^2 + i phase_n)|, in which the
-    exp(-pi y^T Y^{-1} y) prefactor cancels exactly; absolute truncation
-    error <= det(Y)^{1/4} * tol^2.
+    Evaluated as ``cube_norm_batch`` at the torus coordinates y = Y^{-1} Im z,
+    x = Re z - X y, with its tolerance tol^2; absolute truncation error
+    <= det(Y)^{1/4} * tol^2.
     """
-    if tol <= 0.0:
-        raise ThetaError("tol must be positive")
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != om.g:
-        raise ThetaError(f"z of dimension {z.shape[0]} incompatible with g={om.g}")
-    if not np.all(np.isfinite(z)):
-        raise ThetaError("z must be finite")
-    a, b = z.real, z.imag
-    c = cho_solve((om.Y.chol, True), b)
-    cand, _ = _recentered_terms(om, c, tol * tol)
-    shifted = cand + c
-    quad = np.einsum("ij,ij->i", shifted, shifted @ om.Y.entries)
-    phase = np.einsum("ij,ij->i", cand, cand @ om.X) + 2.0 * (cand @ a)
-    s = complex(np.sum(np.exp(-math.pi * quad + 1j * math.pi * phase)))
-    return float(om.Y.det_sqrt ** 0.5 * abs(s))
+    z = _as_z(om, z, tol)
+    y = cho_solve((om.Y.chol, True), z.imag)
+    xy = np.concatenate([z.real - om.X @ y, y]).reshape(1, -1)
+    values, _ = cube_norm_batch(om, xy, max(tol * tol, _DENORMAL))  # tol^2 may underflow
+    return float(values[0])
 
 
 def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
@@ -206,34 +197,11 @@ def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
     """
     if tol <= 0.0:
         raise ThetaError("tol must be positive")
-    XY = np.asarray(xy, dtype=float)
-    if XY.ndim == 1:
-        XY = XY.reshape(1, -1)
     g = om.g
-    if XY.shape[1] != 2 * g:
-        raise ThetaError(f"points of dimension {XY.shape[1]} incompatible with 2g={2 * g}")
-    if not np.all(np.isfinite(XY)):
-        raise ThetaError("points must be finite")
-    xs = XY[:, :g] - np.floor(XY[:, :g])
-    ys = XY[:, g:] - np.floor(XY[:, g:])
-    Y, X = om.Y, om.X
-    lam1 = Y.lambda1()
-    R = _radius_for(g, 1.0, lam1, 1.0, max(tol, _DENORMAL), Y.covering_upper() * 1.01)
-    w = R * np.sqrt(np.diag(Y.inverse().entries))
-    cand = _int_box(np.ceil(-w - 1), np.floor(w)).astype(float)  # covers n = v - y, y in [0,1]
-    Yn = cand @ Y.entries
-    qn = np.einsum("ij,ij->i", cand, Yn)
-    pn = np.einsum("ij,ij->i", cand, cand @ X)
-    det4 = Y.det_sqrt ** 0.5
-    values = np.empty(XY.shape[0])
-    chunk = max(1, _CHUNK // max(1, cand.shape[0]))
-    for k in range(0, XY.shape[0], chunk):
-        xk, yk = xs[k : k + chunk], ys[k : k + chunk]
-        qy = np.einsum("ij,ij->i", yk, yk @ Y.entries)
-        quad = qn[None, :] + 2.0 * (yk @ Yn.T) + qy[:, None]
-        np.maximum(quad, 0.0, out=quad)
-        phase = pn[None, :] + 2.0 * ((xk + yk @ X) @ cand.T)
-        total = np.exp(-math.pi * quad + 1j * math.pi * phase).sum(axis=1)
-        values[k : k + chunk] = np.abs(total)
-    values *= det4
-    return values, det4 * _tail_bound(g, 1.0, lam1, 1.0, R)
+    XY = _torus_points(xy, 2 * g, f"2g={2 * g}")
+    xs, ys = XY[:, :g], XY[:, g:]
+    R = _radius_for(om.Y, 1.0, 1.0, tol)
+    cand = _candidate_box(om.Y, R)
+    det4 = om.Y.det_sqrt ** 0.5
+    values = det4 * np.abs(_theta_sums(om, ys, xs + ys @ om.X, cand))
+    return values, det4 * _tail_bound(om.Y, 1.0, 1.0, R)

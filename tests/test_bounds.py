@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mlk.bounds
 from mlk.bounds import (
     BoundsError,
     EmbeddingSet,
@@ -194,6 +195,44 @@ class TestArchimedeanInvariant:
     def test_requires_reduced(self):
         with pytest.raises(BoundsError, match="reduced"):
             archimedean_invariant(om_of(0.7 + 2j))
+
+    @pytest.mark.parametrize("g, scheme, budget", [(1, "qmc-shifted", 2048),
+                                                   (1, "tensor-gauss", 32),
+                                                   (2, "qmc-shifted", 256)])
+    def test_one_evaluation_per_point_set(self, monkeypatch, rng, g, scheme, budget):
+        om = om_of(0.2 + 1.3j) if g == 1 else make_reduced_period(rng, g)
+        clip_floor = math.exp(-40.0)
+        clipped = 0
+
+        def f_log(P):
+            nonlocal clipped
+            vals, _ = cube_norm_batch(om, P)
+            clipped += int(np.count_nonzero(vals < clip_floor))
+            return np.log(np.maximum(vals, clip_floor))
+
+        def f_sq(P):
+            vals, _ = cube_norm_batch(om, P)
+            return vals * vals
+
+        # the invariant as two separate integrals, one evaluation pass each
+        r_log = integrate_cube(f_log, 2 * g, scheme, budget, 3)
+        r_sq = integrate_cube(f_sq, 2 * g, scheme, budget, 3)
+        value = -r_log.value + 0.5 * math.log(r_sq.value)
+        err = r_log.error_estimate + 0.5 * r_sq.error_estimate / max(
+            r_sq.value - r_sq.error_estimate, 1e-300
+        )
+
+        calls = []
+
+        def counted(om_, P):
+            calls.append(P.shape[0])
+            return cube_norm_batch(om_, P)
+
+        monkeypatch.setattr(mlk.bounds, "cube_norm_batch", counted)
+        inv = archimedean_invariant(om, scheme, budget, 3)
+        assert len(calls) == (8 if scheme == "qmc-shifted" else 2)
+        assert inv.n_points == sum(calls) == r_log.n_points
+        assert (inv.value, inv.error_estimate, inv.n_clipped) == (value, err, clipped)
 
     def test_orbit_invariance(self):
         tau0 = 0.2 + 1.3j

@@ -141,6 +141,16 @@ class TestRhoCommand:
         assert ra == pytest.approx(rb, rel=1e-9)
 
 
+    def test_enumeration_cap_in_input_exits_4(self, tmp_path, capsys):
+        # the first minimum of I_14 needs a 3^14-point box, above the cap
+        eye = [[float(i == j) for j in range(14)] for i in range(14)]
+        doc = {"g": 14, "embeddings": [{"re": [[0.0] * 14] * 14, "im": eye}]}
+        code, out, err = run(capsys, ["rho", write(tmp_path, "g14.json", doc)])
+        assert code == 4
+        assert out == ""
+        assert "exceeds cap" in err
+
+
 class TestVerifyCommand:
     def test_lattice_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "lattice", "--random", "20",
@@ -165,6 +175,10 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["all_passed"] is True
         assert all(c["slack"] >= -1e-6 for c in report["checks"])
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["parseval[0,0]"]["error_estimate"] > 0.0
+        assert by_name["theta_invariant_lower[0]"]["error_estimate"] > 0.0
+        assert all("error_estimate" in c for c in report["checks"])
 
     def test_reruns_are_bit_identical(self, capsys):
         _, out_a, _ = run(capsys, ["verify", "--suite", "lattice", "--random", "5",
@@ -178,3 +192,11 @@ class TestVerifyCommand:
                                  "--seed", "1", "--dim", "2"])
         doc = json.loads(out)
         assert {"tool", "input_digest", "checks", "all_passed"} <= set(doc)
+        assert all(c["error_estimate"] > 0.0 for c in doc["checks"])
+
+    def test_enumeration_cap_exits_4(self, capsys):
+        code, out, err = run(capsys, ["verify", "--suite", "lattice", "--dim", "10",
+                                      "--random", "3"])
+        assert code == 4
+        assert out == ""
+        assert "exceeds cap" in err

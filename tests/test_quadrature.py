@@ -6,6 +6,7 @@ import pytest
 from mlk.lattice import GramMatrix, mu_interval, psi_sq_batch
 from mlk.quadrature import (
     QuadratureError,
+    _integrate_rows,
     integral_ln_f,
     integral_psi_sq,
     integrate_cube,
@@ -61,6 +62,18 @@ class TestIntegrateCube:
         assert a == b
         c = integral_psi_sq(Y, "qmc-shifted", 4096, seed=12)
         assert c.value != a.value
+
+    @pytest.mark.parametrize("scheme, budget", [("tensor-gauss", 48), ("qmc-shifted", 1024)])
+    def test_rows_equal_separate_integrals_bit_for_bit(self, rng, scheme, budget):
+        Y = make_spd(rng, 2)
+        rows = [
+            lambda P: psi_sq_batch(Y, P),
+            lambda P: np.cos(7.0 * P[:, 0]) * P[:, 1] ** 3,
+            lambda P: np.minimum(P[:, 0], 1.0 - P[:, 1]) ** 2,
+        ]
+        together = _integrate_rows(lambda P: np.stack([f(P) for f in rows]), 2, scheme,
+                                   budget, 5)
+        assert together == [integrate_cube(f, 2, scheme, budget, 5) for f in rows]
 
 
 class TestIntegralPsiSq:

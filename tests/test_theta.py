@@ -183,6 +183,25 @@ class TestCubeNorm:
         np.testing.assert_allclose(batch, singles, rtol=1e-10, atol=1e-12)
         assert err >= 0.0
 
+    @pytest.mark.parametrize("taus, U", [
+        ((0.3 + 1.1j, -0.2 + 1.4j), [[1, 1], [0, 1]]),
+        ((0.3 + 1.1j, -0.2 + 1.4j, 0.45 + 0.95j), [[1, 1, 0], [0, 1, -1], [0, 0, 1]]),
+    ])
+    def test_batch_factors_over_diagonal_omega(self, rng, taus, U):
+        # ||s|| of diag(tau_1, ..., tau_g) is the product of the g = 1 norms;
+        # U^T Omega U at (U^T x, U^{-1} y) is the same point of the same torus
+        g = len(taus)
+        xy = rng.uniform(0, 1, (200, 2 * g))
+        want = np.ones(len(xy))
+        for k, tau in enumerate(taus):
+            want *= cube_norm_batch(om_of(tau), xy[:, [k, g + k]])[0]
+        X, Y = np.diag([t.real for t in taus]), np.diag([t.imag for t in taus])
+        for V in (np.eye(g), np.array(U, dtype=float)):
+            om = validate_period_matrix(V.T @ X @ V, V.T @ Y @ V)
+            pts = np.hstack([xy[:, :g] @ V, xy[:, g:] @ np.linalg.inv(V).T])
+            got, _ = cube_norm_batch(om, pts)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_batch_tail_bound_is_honest(self, rng):
         om = om_of(0.3 + 1.1j)
         xy = rng.uniform(0, 1, (20, 2))

@@ -376,11 +376,17 @@ def bezout_deep_point(Y: GramMatrix) -> DeepPoint:
     return DeepPoint(x=x, certified_lo=1.0 / (2.0 * lam_dual))
 
 
-def _candidate_box(Y: GramMatrix, radius: float, lo=0.0, hi=1.0) -> np.ndarray:
-    """Integer points (float, (M, g)) of the box that covers the ellipsoid
-    ||. - p||_Y <= radius around every point p of the box [lo, hi]."""
+def _candidate_range(Y: GramMatrix, radius: float, lo=0.0, hi=1.0):
+    """Lowest and highest corner (float (g,) arrays) of the integer box that
+    covers the ellipsoid ||. - p||_Y <= radius around every point p of the
+    box [lo, hi]."""
     w = radius * np.sqrt(np.diag(Y.inverse().entries))
-    return _int_box(np.ceil(lo - w - 1e-12), np.floor(hi + w + 1e-12)).astype(float)
+    return np.ceil(lo - w - 1e-12), np.floor(hi + w + 1e-12)
+
+
+def _candidate_box(Y: GramMatrix, radius: float, lo=0.0, hi=1.0) -> np.ndarray:
+    """Integer points (float, (M, g)) of the box of ``_candidate_range``."""
+    return _int_box(*_candidate_range(Y, radius, lo, hi)).astype(float)
 
 
 def _sq_dist_blocks(Y: GramMatrix, P: np.ndarray, cand: np.ndarray):
@@ -408,6 +414,8 @@ def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
         P = P.reshape(1, -1)
     if P.shape[1] != Y.g:
         raise LatticeError(f"points of dimension {P.shape[1]} incompatible with g={Y.g}")
+    if not np.all(np.isfinite(P)):
+        raise LatticeError("points must be finite")
     P = P - np.floor(P)
     cand = _candidate_box(Y, Y.covering_upper())
     out = np.empty(P.shape[0])

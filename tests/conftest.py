@@ -1,10 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.linalg import cho_solve
 
-from mlk.lattice import GramMatrix
+from mlk.lattice import GramMatrix, _candidate_box
+from mlk.theta import _radius_for
 
 settings.register_profile(
     "mlk",
@@ -77,6 +80,43 @@ def brute_closest(Y: GramMatrix, x, box: int = 5) -> float:
         v = x - (center + np.asarray(off))
         best = min(best, float(v @ Y.entries @ v))
     return float(np.sqrt(best))
+
+
+def theta_box_sum(om, p, u, radius, lo=0.0, hi=1.0) -> np.ndarray:
+    """Theta-sum oracle: for each row i, the direct sum over every lattice
+    point m of ``_candidate_box(Y, radius, lo, hi)`` of
+    exp(-pi ||p_i - m||_Y^2 + i pi (m^T X m - 2 m . u_i)), one complex exp
+    per (point, term) pair, with ||p - m||_Y^2 formed from p - m (accurate
+    also for large Y)."""
+    cand = _candidate_box(om.Y, radius, lo, hi)
+    diff = np.asarray(p, dtype=float)[:, None, :] - cand[None, :, :]
+    D = ((diff @ om.Y.entries) * diff).sum(axis=-1)
+    phase = np.einsum("ij,ij->i", cand, cand @ om.X)[None, :] - 2.0 * (u @ cand.T)
+    return np.exp(-math.pi * D + 1j * math.pi * phase).sum(axis=1)
+
+
+def oracle_cube_norm(om, xy, tol: float = 1e-12) -> np.ndarray:
+    """||s|| at torus coordinates (x, y) by ``theta_box_sum``, over the box
+    of the library's truncation radius for ``tol``."""
+    g = om.g
+    xy = np.asarray(xy, dtype=float)
+    xy = xy - np.floor(xy)
+    xs, ys = xy[:, :g], xy[:, g:]
+    R = _radius_for(om.Y, 1.0, 1.0, tol)
+    return om.Y.det_sqrt ** 0.5 * np.abs(theta_box_sum(om, ys, xs + ys @ om.X, R))
+
+
+def oracle_theta(om, z, tol: float = 1e-12):
+    """(theta_Omega(z), exp(pi q)) by ``theta_box_sum`` around c = Y^{-1} Im z,
+    q = Im z . c, over the box of the library's truncation radius. c and q
+    are formed as the library forms them: near q = _EXP_CAP / pi, a last-bit
+    change of q moves exp(pi q) by ~1e-13 relative, which would hide the sum."""
+    z = np.asarray(z, dtype=complex)
+    c = cho_solve((om.Y.chol, True), z.imag)
+    q = float(z.imag @ c)
+    R = _radius_for(om.Y, 1.0, 1.0, tol * tol * math.exp(-math.pi * q))
+    scale = math.exp(math.pi * q)
+    return scale * complex(theta_box_sum(om, c[None, :], z.real[None, :], R, c, c)[0]), scale
 
 
 @pytest.fixture

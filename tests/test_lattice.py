@@ -239,3 +239,10 @@ class TestReduction:
         batch = psi_sq_batch(Y, pts)
         singles = np.array([closest_vector(Y, p).value ** 2 for p in pts])
         np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [
+        [[np.nan, 0.0]], [[np.inf, 0.2]], [[0.1, 0.2], [0.3, -np.inf]],
+    ])
+    def test_psi_batch_rejects_non_finite_points(self, bad):
+        with pytest.raises(LatticeError, match="points must be finite"):
+            psi_sq_batch(GramMatrix(np.eye(2)), bad)

@@ -9,14 +9,17 @@ from mlk.lattice import GramMatrix, closest_vector
 from mlk.quadrature import integrate_cube
 from mlk.siegel import validate_period_matrix
 from mlk.theta import (
+    _EXP_CAP,
     ThetaError,
+    _radius_for,
+    _tail_bound,
     cube_norm_batch,
     cube_norm_s,
     f_series,
     theta_siegel,
 )
 
-from conftest import make_spd
+from conftest import make_reduced_period, make_spd, oracle_cube_norm, oracle_theta
 
 spd = st.integers(0, 10**9).map(lambda s: np.random.default_rng(s))
 
@@ -225,3 +228,121 @@ class TestParsevalSlice:
         lhs = integrate_cube(f, 1, "tensor-gauss", 256).value
         rhs = f_series(Y, 2.0, [y]).value
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+UNIMODULAR = {
+    1: [[1]],
+    2: [[1, 1], [0, 1]],
+    3: [[1, 1, 0], [0, 1, -1], [0, 0, 1]],
+}
+
+
+def _period_matrices(rng, g):
+    """A random reduced period matrix and its conjugate U^T Omega U (for g = 1,
+    the same tau with Re tau moved by 2), which is not reduced."""
+    om = make_reduced_period(rng, g)
+    U = np.array(UNIMODULAR[g], dtype=float)
+    X = U.T @ om.X @ U + (2.0 if g == 1 else 0.0)
+    Y = U.T @ om.Y.entries @ U
+    return om, validate_period_matrix((X + X.T) / 2.0, (Y + Y.T) / 2.0)
+
+
+def _assert_agrees(got, ref, floor=1e-15):
+    """|got - ref| <= 1e-13 |ref| + floor, elementwise."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    excess = np.abs(got - ref) - (1e-13 * np.abs(ref) + floor)
+    assert np.all(excess <= 0.0), f"worst excess {excess.max():.3g}"
+
+
+class TestContractionOracle:
+    """The separable contraction against the direct box-exp sum of conftest."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_cube_norm_batch(self, rng, g):
+        for om in _period_matrices(rng, g):
+            xy = rng.uniform(0, 1, (200, 2 * g))
+            got, err = cube_norm_batch(om, xy)
+            _assert_agrees(got, oracle_cube_norm(om, xy))
+            assert 0.0 < err < 1e-10
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_cube_norm_s(self, rng, g):
+        # against det(Y)^{1/4} exp(-pi b^T Y^{-1} b) |theta(z)|, evaluated
+        # around Y^{-1} Im z rather than on the torus
+        for om in _period_matrices(rng, g):
+            det4 = om.Y.det_sqrt ** 0.5
+            for _ in range(5):
+                z = rng.uniform(-1, 1, g) + 1j * (om.Y.entries @ rng.uniform(-1.5, 1.5, g))
+                theta, scale = oracle_theta(om, z)
+                _assert_agrees(cube_norm_s(om, z), det4 * abs(theta) / scale)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_theta_siegel(self, rng, g):
+        # the floor scales with the Gaussian envelope exp(pi Im z^T Y^{-1} Im z)
+        for om in _period_matrices(rng, g):
+            for _ in range(5):
+                z = rng.uniform(-1, 1, g) + 1j * (om.Y.entries @ rng.uniform(-1.5, 1.5, g))
+                got = theta_siegel(om, z)
+                theta, scale = oracle_theta(om, z)
+                _assert_agrees(got.value, theta, 1e-15 * scale)
+                assert got.tail_bound > 0.0
+
+    @pytest.mark.parametrize("X, Y", [
+        ([[0.1]], [[300.0]]),
+        ([[0.1]], [[1000.0]]),
+        ([[0.2, -0.1], [-0.1, 0.4]], [[1.3, 0.4], [0.4, 500.0]]),
+    ])
+    def test_large_imaginary_part(self, rng, X, Y):
+        # the powers of one centre would overflow here; the points' box is
+        # split into cells. Rows at y = 0 and y -> 1 sit on the Gaussian peak.
+        om = validate_period_matrix(X, Y)
+        assert om.is_reduced
+        g = om.g
+        xy = rng.uniform(0, 1, (300, 2 * g))
+        xy[:10, g:] = 0.0
+        xy[10:20, g:] = 1.0 - 1e-9
+        got, err = cube_norm_batch(om, xy)
+        ref = oracle_cube_norm(om, xy)
+        _assert_agrees(got, ref)
+        assert ref.max() > 1.0 and np.all(np.isfinite(got)) and math.isfinite(err)
+
+    @pytest.mark.parametrize("X, Y, direction", [
+        ([[0.3]], [[1.1]], [1.0]),
+        ([[0.2, 0.1], [0.1, -0.3]], [[1.3, 0.4], [0.4, 1.1]], [1.0, -0.7]),
+    ])
+    def test_theta_siegel_near_exp_cap(self, X, Y, direction):
+        om = validate_period_matrix(X, Y)
+        c = np.array(direction)
+        c *= math.sqrt(0.99 * _EXP_CAP / math.pi / float(c @ om.Y.entries @ c))
+        z = np.linspace(0.1, 0.4, om.g) + 1j * (om.Y.entries @ c)
+        got = theta_siegel(om, z)
+        theta, scale = oracle_theta(om, z)
+        assert scale > 1e298
+        _assert_agrees(got.value, theta, 1e-15 * scale)
+        assert math.isfinite(got.tail_bound)
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_err_covers_mpmath(self, rng, tol):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 1.6))
+        om = om_of(tau)
+        xy = rng.uniform(0, 1, (12, 2))
+        got, err = cube_norm_batch(om, xy, tol=tol)
+        mp.mp.dps = 30
+        q = mp.exp(1j * mp.pi * mp.mpc(tau))
+        for (x, y), v in zip(xy, got):
+            z = mp.mpf(x) + mp.mpc(tau) * mp.mpf(y)
+            want = (mp.mpf(tau.imag) ** 0.25 * mp.exp(-mp.pi * mp.mpf(y) ** 2 * tau.imag)
+                    * abs(mp.jtheta(3, mp.pi * z, q)))
+            assert abs(v - float(want)) <= err
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_err_adds_rounding_to_truncation(self, rng, g):
+        # err = det(Y)^{1/4} (tail + rounding): never below the truncation bound
+        om = make_reduced_period(rng, g)
+        det4 = om.Y.det_sqrt ** 0.5
+        for tol in (1e-4, 1e-12):
+            _, err = cube_norm_batch(om, rng.uniform(0, 1, (4, 2 * g)), tol=tol)
+            tail = _tail_bound(om.Y, 1.0, 1.0, _radius_for(om.Y, 1.0, 1.0, tol))
+            assert det4 * tail < err <= det4 * (tail + 1e-10)

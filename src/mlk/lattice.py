@@ -9,9 +9,14 @@ integer lattice Z^g is studied through four quantities:
 * the Bezout deep point: an explicit x = m/2 with the certified bound
   psi_Y(x) >= 1 / (2 lambda_1(Y^{-1})).
 
-Minima are found by exhaustive enumeration of a box that provably contains
-the search ellipsoid of an LLL-reduced basis, so the returned vectors are
-exact minimizers (up to floating-point evaluation of the norm itself).
+Minima are found by Fincke-Pohst ellipsoid enumeration on the Cholesky
+factor R of an LLL-reduced basis (one vectorized enumerator, level by level
+for many target points at once). The squared radius is min_j ||b_j||^2 for
+the first minimum and the nearest-plane distance for closest vectors, each
+inflated against rounding, so the returned vectors are exact minimizers (up
+to floating-point evaluation of the norm itself); a search tree that
+outgrows its cap raises EnumerationLimitError. LLL runs on the Gram matrix,
+updating the Gram-Schmidt data from its Cholesky factor incrementally.
 mu(Y) is NP-hard to compute exactly and is returned only as a certified
 two-sided enclosure.
 """
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.stats import qmc
 
 __all__ = [
@@ -46,7 +51,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _LLL_DELTA = 0.99
-_BOX_CAP = 1 << 21          # hard cap on enumerated candidates
+_BOX_CAP = 1 << 21          # hard cap on a search tree's nodes (and on a box's points)
 _RADIUS_SAFETY = 1 + 1e-12  # inflation so fp rounding cannot lose the minimizer
 
 
@@ -55,7 +60,7 @@ class LatticeError(ValueError):
 
 
 class EnumerationLimitError(LatticeError):
-    """A certified enumeration box holds more candidates than the cap allows."""
+    """A certified enumeration (search tree or box) is larger than the cap allows."""
 
 
 class GramMatrix:
@@ -127,13 +132,12 @@ class GramMatrix:
         return 0.5 * math.sqrt(float(np.sum(np.diag(red["R"]) ** 2))) * _RADIUS_SAFETY
 
     def _reduced(self) -> dict:
-        """LLL-reduced data: transform U, Cholesky R of U^T Y U, box widths."""
+        """LLL-reduced data: transform U and its inverse, Cholesky R of U^T Y U."""
         if "reduced" not in self._cache:
             _, U = lll_reduce(self.chol.T)
             G = U.T.astype(float) @ self.entries @ U.astype(float)
             G = (G + G.T) / 2.0
             R = np.linalg.cholesky(G).T  # upper triangular, positive diagonal
-            Rinv = solve_triangular(R, np.eye(self.g))
             Uinv = np.rint(np.linalg.inv(U)).astype(np.int64)
             if not np.array_equal(U @ Uinv, np.eye(self.g, dtype=np.int64)):
                 raise LatticeError("unimodular transform could not be inverted exactly")
@@ -141,7 +145,6 @@ class GramMatrix:
                 "U": U,
                 "Uinv": Uinv,
                 "R": R,
-                "rinv_rows": np.sqrt((Rinv * Rinv).sum(axis=1)),
                 "col_sq": (R * R).sum(axis=0),  # squared lengths of reduced basis vectors
             }
         return self._cache["reduced"]
@@ -187,69 +190,75 @@ def norm(Y: GramMatrix, x) -> float:
     return math.sqrt(q) if q > 0.0 else 0.0
 
 
-def _gso(B):
-    """Gram-Schmidt data of the columns of B: coefficients mu and ||b*_i||^2."""
-    n = B.shape[1]
-    mu = np.zeros((n, n))
-    norms2 = np.zeros(n)
-    Bstar = np.zeros_like(B, dtype=float)
-    for i in range(n):
-        v = B[:, i].astype(float).copy()
-        for j in range(i):
-            mu[i, j] = float(B[:, i] @ Bstar[:, j]) / norms2[j]
-            v -= mu[i, j] * Bstar[:, j]
-        Bstar[:, i] = v
-        norms2[i] = float(v @ v)
-        if norms2[i] <= 0.0:
-            raise LatticeError("basis is numerically degenerate")
-    return mu, norms2
+def _chol_gso(L):
+    """Gram-Schmidt data of a basis from the lower Cholesky factor L of its
+    Gram matrix: mu[i, j] = L_ij / L_jj (unit diagonal) and ||b*_i||^2 = L_ii^2."""
+    d = np.diag(L)
+    return L / d, d * d
 
 
 def lll_reduce(basis, delta: float = _LLL_DELTA):
     """LLL-reduce the columns of ``basis``.
 
     Returns ``(reduced, U)`` with ``reduced = basis @ U`` and U unimodular
-    (int64). Certified quantities downstream are rebuilt from U and the exact
-    Gram matrix, so float drift in ``reduced`` is harmless.
+    (int64). The reduction runs on the Gram matrix G = basis^T basis: its
+    Cholesky factor gives the Gram-Schmidt data, which size reductions of
+    b_k against b_{k-1}, ..., b_0 and swaps at a failed Lovasz test then
+    update in place (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.3). The loop runs on Python floats and ints (rows of
+    mu, columns of U): at these sizes that is faster than numpy, with the
+    same IEEE double arithmetic. Certified quantities downstream are rebuilt
+    from U and the exact Gram matrix.
     """
     B = np.array(basis, dtype=float)
-    n = B.shape[1]
-    U = np.eye(n, dtype=np.int64)
-    mu, norms2 = _gso(B)
+    try:
+        L = np.linalg.cholesky(B.T @ B)
+    except np.linalg.LinAlgError as exc:
+        raise LatticeError("basis is numerically degenerate") from exc
+    mu, norms2 = (a.tolist() for a in _chol_gso(L))
+    n = len(norms2)
+    U = [[int(i == j) for i in range(n)] for j in range(n)]
     k, steps = 1, 0
     while k < n:
         steps += 1
         if steps > 100_000:
             raise LatticeError("LLL failed to converge")
+        mk, uk = mu[k], U[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mk[j])
             if q:
-                B[:, k] -= q * B[:, j]
-                U[:, k] -= q * U[:, j]
-                mu, norms2 = _gso(B)
-        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+                mj, uj = mu[j], U[j]
+                for i in range(j + 1):
+                    mk[i] -= q * mj[i]
+                for i in range(n):
+                    uk[i] -= q * uj[i]
+        m = mk[k - 1]
+        if norms2[k] >= (delta - m * m) * norms2[k - 1]:
             k += 1
-        else:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            U[:, [k - 1, k]] = U[:, [k, k - 1]]
-            mu, norms2 = _gso(B)
-            k = max(k - 1, 1)
-    return B, U
+            continue
+        # swap b_{k-1} and b_k
+        U[k - 1], U[k] = U[k], U[k - 1]
+        mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+        b = norms2[k] + m * m * norms2[k - 1]
+        mu[k][k - 1] = m * norms2[k - 1] / b
+        norms2[k] = norms2[k - 1] * norms2[k] / b
+        norms2[k - 1] = b
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    U = np.array(U, dtype=np.int64).T
+    return B @ U, U
 
 
 def is_lll_reduced(Y: GramMatrix, delta: float = _LLL_DELTA, tol: float = 1e-9) -> bool:
     """True iff the Cholesky basis of Y already satisfies size reduction and
     the Lovasz condition at the given delta."""
-    mu, norms2 = _gso(Y.chol.T)
-    g = Y.g
-    for i in range(g):
-        for j in range(i):
-            if abs(mu[i, j]) > 0.5 + tol:
-                return False
-    for k in range(1, g):
-        if norms2[k] < (delta - mu[k, k - 1] ** 2) * norms2[k - 1] * (1 - tol):
-            return False
-    return True
+    mu, norms2 = _chol_gso(Y.chol)
+    sub = np.diag(mu, -1)
+    return bool(np.all(np.abs(np.tril(mu, -1)) <= 0.5 + tol)
+                and np.all(norms2[1:] >= (delta - sub * sub) * norms2[:-1] * (1 - tol)))
 
 
 def _int_box(lows, highs):
@@ -267,61 +276,143 @@ def _int_box(lows, highs):
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
+def _nearest_plane(R, T):
+    """Babai's nearest-plane point for every row t of T against upper-
+    triangular R. Returns ``(u, s, gap)``: u (float, integral), its squared
+    distance s = ||R (u - t)||^2, formed level by level exactly as
+    ``_closest`` forms the partial sums of the same path, and
+    gap = min_{k >= 1} R_kk^2 (1 - |u_k - c_k|)^2. Every lattice point that
+    leaves the path at a level k >= 1 is at squared distance >= gap, so u
+    is a closest point where s < gap."""
+    N, g = T.shape
+    diag = np.diag(R)
+    u = np.empty((N, g))
+    s = np.zeros(N)
+    gap = np.full(N, np.inf)
+    acc = np.zeros((N, g))
+    for k in range(g - 1, -1, -1):
+        c = T[:, k] - acc[:, k] / diag[k]
+        u[:, k] = np.rint(c)
+        y = diag[k] * (u[:, k] - c)
+        s = s + y * y
+        if k > 0:
+            gap = np.minimum(gap, (diag[k] - np.abs(y)) ** 2)
+            acc[:, :k] += (u[:, k] - T[:, k])[:, None] * R[:k, k]
+    return u, s, gap
+
+
+def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
+    """For every row t of T, an integer u (float, (N, g)) minimizing
+    ||R (u - t)||^2 over the u whose squared distance is at most that row's
+    ``bound``; with ``nonzero`` (for T = 0 only), over the u != 0.
+
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985), level by level for all
+    rows at once: coordinate k runs from g - 1 down to 1, and the children
+    of a node are the integers u_k whose partial sum
+    sum_{j >= k} R_jj^2 (u_j - c_j)^2 stays within its row's bound; at
+    level 0 the nearest integer to c_0 is the best completion of each node.
+    A node's row Z holds the offsets sum_{j > i} R_ij (u_j - t_j) of the
+    levels i <= k still to come and the chosen u_j of the levels above. A
+    frontier of n nodes with at most w children each is expanded in halves,
+    depth first, while n w > 2^22 / g^2, so the frontiers pending at all
+    levels hold at most 2^22 entries. A row whose search tree grows past
+    _BOX_CAP nodes raises EnumerationLimitError, however many rows there
+    are. A row with no lattice point within its bound keeps u = 0.
+    """
+    N, g = T.shape
+    Tt = np.ascontiguousarray(T.T)
+    diag = np.diag(R)
+    block = max(1, (1 << 22) // (g * g))
+    best = np.full(N, np.inf)
+    best_u = np.zeros((N, g))
+    nodes = np.zeros(N)
+    stack = [(g - 1, np.arange(N), np.zeros(N), np.zeros((N, g)))]
+    while stack:
+        k, own, s, Z = stack.pop()
+        c = Tt[k].take(own) - Z[:, k] / diag[k]
+        if k == 0:
+            u0 = np.rint(c)
+            if nonzero:  # at t = 0, s = 0 only on the path u_j = 0 for all j >= 1
+                zero = (u0 == 0.0) & (s == 0.0)
+                u0[zero] = np.where(c[zero] < 0.0, -1.0, 1.0)
+            y = diag[0] * (u0 - c)
+            s = s + y * y
+            Z[:, 0] = u0
+            prev = best.take(own)
+            np.minimum.at(best, own, s)
+            win = np.flatnonzero((s < prev) & (s == best.take(own)))
+            best_u[own.take(win)] = Z.take(win, axis=0)
+            continue
+        w = np.sqrt(np.maximum(bound.take(own) - s, 0.0)) / diag[k]
+        lo = np.ceil(c - w)
+        cnt = np.floor(c + w) - lo + 1.0  # >= 0, as w >= 0
+        width = int(cnt.max())
+        if own.shape[0] * width > block and own.shape[0] > 1:
+            h = own.shape[0] // 2
+            stack.append((k, own[h:], s[h:], Z[h:]))
+            stack.append((k, own[:h], s[:h], Z[:h]))
+            continue
+        nodes += np.bincount(own, weights=cnt, minlength=N)
+        if nodes.max() > _BOX_CAP:
+            raise EnumerationLimitError(
+                f"enumeration tree of {int(nodes.max())} nodes exceeds cap {_BOX_CAP}")
+        # children u_k = lo, lo + 1, ..., grouped by parent
+        par, j = np.nonzero(np.arange(width) < cnt[:, None])
+        uk = lo.take(par) + j
+        y = diag[k] * (uk - c.take(par))
+        own2, Z2 = own.take(par), Z.take(par, axis=0)
+        Z2[:, k] = uk
+        Z2[:, :k] += (uk - Tt[k].take(own2))[:, None] * R[:k, k]
+        if par.shape[0]:
+            stack.append((k - 1, own2, s.take(par) + y * y, Z2))
+    return best_u
+
+
 def shortest_vector(Y: GramMatrix) -> ShortestVector:
     """Exact first minimum: a nonzero m in Z^g minimizing ||m||_Y.
 
-    The search box provably contains the ellipsoid of squared radius
-    min_j ||b_j||^2 over the LLL-reduced basis, so no minimizer is missed.
-    Ties are broken arbitrarily.
+    Ellipsoid enumeration (``_closest`` at t = 0, u != 0) over the
+    LLL-reduced basis, with squared radius min_j ||b_j||^2 (inflated by
+    _RADIUS_SAFETY against rounding), so no minimizer is missed. Ties are
+    broken arbitrarily.
     """
     red = Y._reduced()
-    R = red["R"]
-    C = float(red["col_sq"].min()) * _RADIUS_SAFETY
-    w = np.sqrt(C) * red["rinv_rows"]
-    cand = _int_box(-np.floor(w), np.floor(w))
-    cand = cand[np.any(cand != 0, axis=1)]
-    V = cand.astype(float) @ R.T
-    d2 = np.einsum("ij,ij->i", V, V)
-    u = cand[int(np.argmin(d2))]
-    m = red["U"] @ u
+    bound = np.array([float(red["col_sq"].min()) * _RADIUS_SAFETY])
+    u = _closest(red["R"], np.zeros((1, Y.g)), bound, nonzero=True)[0]
+    m = red["U"] @ u.astype(np.int64)
     return ShortestVector(m=np.asarray(m, dtype=np.int64), value=norm(Y, m.astype(float)))
 
 
-def _babai(R, t):
-    """Nearest-plane rounding of target coefficients t against upper-triangular R."""
-    g = t.shape[0]
-    u = np.zeros(g, dtype=np.int64)
-    for k in range(g - 1, -1, -1):
-        s = float(R[k, k + 1 :] @ (u[k + 1 :] - t[k + 1 :]))
-        u[k] = round(t[k] - s / R[k, k])
-    return u
+def _closest_coords(Y: GramMatrix, P: np.ndarray) -> np.ndarray:
+    """Exact closest lattice points m (float, integral, (N, g)) to the rows
+    of P. The nearest-plane point is kept where it is certified (s < gap);
+    elsewhere its squared distance, inflated by _RADIUS_SAFETY so rounding
+    cannot lose the minimizer, bounds the ellipsoid that ``_closest``
+    enumerates on the LLL-reduced basis."""
+    red = Y._reduced()
+    R = red["R"]
+    T = P @ red["Uinv"].T.astype(float)
+    u, s, gap = _nearest_plane(R, T)
+    bound = s * _RADIUS_SAFETY + 1e-300
+    rows = np.flatnonzero(bound >= gap)
+    if rows.shape[0]:
+        u[rows] = _closest(R, T[rows], bound[rows])
+    return u @ red["U"].T.astype(float)
 
 
 def closest_vector(Y: GramMatrix, x) -> ClosestVector:
     """Exact closest lattice vector: m in Z^g minimizing ||x - m||_Y.
 
-    Seeds the radius with a nearest-plane candidate, then exhausts the
-    certified covering box of the resulting ellipsoid. psi_Y(x) = the
-    returned value is Z^g-periodic in x.
+    Ellipsoid enumeration on the LLL-reduced basis within the nearest-plane
+    distance of x; psi_Y(x) = the returned value is Z^g-periodic in x.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != Y.g:
         raise LatticeError(f"vector of length {x.shape[0]} incompatible with g={Y.g}")
     if not np.all(np.isfinite(x)):
         raise LatticeError("vector entries must be finite")
-    red = Y._reduced()
-    R = red["R"]
-    t = red["Uinv"].astype(float) @ x
-    u0 = _babai(R, t)
-    r = R @ (u0 - t)
-    C = float(r @ r) * _RADIUS_SAFETY + 1e-300
-    w = np.sqrt(C) * red["rinv_rows"]
-    cand = _int_box(np.ceil(t - w), np.floor(t + w))
-    V = (cand - t) @ R.T
-    d2 = np.einsum("ij,ij->i", V, V)
-    u = cand[int(np.argmin(d2))]
-    m = red["U"] @ u
-    return ClosestVector(m=np.asarray(m, dtype=np.int64), value=norm(Y, x - m))
+    m = _closest_coords(Y, x.reshape(1, -1))[0]
+    return ClosestVector(m=m.astype(np.int64), value=norm(Y, x - m))
 
 
 def _xgcd(a: int, b: int):
@@ -376,38 +467,12 @@ def bezout_deep_point(Y: GramMatrix) -> DeepPoint:
     return DeepPoint(x=x, certified_lo=1.0 / (2.0 * lam_dual))
 
 
-def _candidate_range(Y: GramMatrix, radius: float, lo=0.0, hi=1.0):
-    """Lowest and highest corner (float (g,) arrays) of the integer box that
-    covers the ellipsoid ||. - p||_Y <= radius around every point p of the
-    box [lo, hi]."""
-    w = radius * np.sqrt(np.diag(Y.inverse().entries))
-    return np.ceil(lo - w - 1e-12), np.floor(hi + w + 1e-12)
-
-
-def _candidate_box(Y: GramMatrix, radius: float, lo=0.0, hi=1.0) -> np.ndarray:
-    """Integer points (float, (M, g)) of the box of ``_candidate_range``."""
-    return _int_box(*_candidate_range(Y, radius, lo, hi)).astype(float)
-
-
-def _sq_dist_blocks(Y: GramMatrix, P: np.ndarray, cand: np.ndarray):
-    """Yield ``(rows, D)`` with D[i, j] = ||P[rows][i] - cand[j]||_Y^2, in row
-    blocks of at most 2^22 entries. D is not clipped at 0, so rounding can
-    leave tiny negative entries; callers clip or reduce as they need."""
-    qm = np.einsum("ij,ij->i", cand, cand @ Y.entries)
-    chunk = max(1, (1 << 22) // max(1, cand.shape[0]))
-    for k in range(0, P.shape[0], chunk):
-        S = P[k : k + chunk]
-        G1 = S @ Y.entries
-        qx = np.einsum("ij,ij->i", S, G1)
-        yield slice(k, k + chunk), qx[:, None] - 2.0 * (G1 @ cand.T) + qm[None, :]
-
-
 def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
     """psi_Y(x)^2 for many points at once (exact, vectorized).
 
-    Points are reduced mod Z^g; candidates are every lattice point whose
-    ellipsoid of radius mu_hi around any x in [0,1)^g can reach, so the
-    minimum over candidates is the true distance.
+    Points are reduced mod Z^g; each point's closest lattice point is found
+    by the ellipsoid enumeration of ``closest_vector``, all points level by
+    level together, and ||x - m||_Y^2 is formed from x - m.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
@@ -417,12 +482,8 @@ def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
     if not np.all(np.isfinite(P)):
         raise LatticeError("points must be finite")
     P = P - np.floor(P)
-    cand = _candidate_box(Y, Y.covering_upper())
-    out = np.empty(P.shape[0])
-    for rows, D in _sq_dist_blocks(Y, P, cand):
-        out[rows] = D.min(axis=1)
-    np.maximum(out, 0.0, out=out)
-    return out
+    D = P - _closest_coords(Y, P)
+    return np.maximum(np.einsum("ij,ij->i", D, D @ Y.entries), 0.0)
 
 
 def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:

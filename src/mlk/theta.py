@@ -7,7 +7,7 @@ Three closely related series are evaluated:
 * the cube-metric section norm
   ||s||(z) = det(Y)^{1/4} exp(-pi y^T Y^{-1} y) |theta_Omega(z)|,  y = Im z.
 
-f_Y is an exp-sum over ``lattice._sq_dist_blocks``: the squared distances
+f_Y is an exp-sum over ``_sq_dist_blocks``: the squared distances
 ||p - m||_Y^2 from a point p to the lattice points m of a box covering the
 truncation ellipsoid around p. Theta sums use m = -n, so with Im z = Y c the
 terms are exp(pi c^T Y c) exp(-pi ||c - m||_Y^2 + i pi (m^T X m - 2 m . Re z)):
@@ -44,7 +44,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import gammaincc
 
-from .lattice import GramMatrix, _candidate_box, _candidate_range, _int_box, _sq_dist_blocks
+from .lattice import GramMatrix, _int_box
 from .siegel import PeriodMatrix
 
 __all__ = [
@@ -119,6 +119,32 @@ def _torus_points(points, dim: int, label: str) -> np.ndarray:
     if not np.all(np.isfinite(P)):
         raise ThetaError("points must be finite")
     return P - np.floor(P)
+
+
+def _candidate_range(Y: GramMatrix, radius: float, lo=0.0, hi=1.0):
+    """Lowest and highest corner (float (g,) arrays) of the integer box that
+    covers the ellipsoid ||. - p||_Y <= radius around every point p of the
+    box [lo, hi]."""
+    w = radius * np.sqrt(np.diag(Y.inverse().entries))
+    return np.ceil(lo - w - 1e-12), np.floor(hi + w + 1e-12)
+
+
+def _candidate_box(Y: GramMatrix, radius: float, lo=0.0, hi=1.0) -> np.ndarray:
+    """Integer points (float, (M, g)) of the box of ``_candidate_range``."""
+    return _int_box(*_candidate_range(Y, radius, lo, hi)).astype(float)
+
+
+def _sq_dist_blocks(Y: GramMatrix, P: np.ndarray, cand: np.ndarray):
+    """Yield ``(rows, D)`` with D[i, j] = ||P[rows][i] - cand[j]||_Y^2, in row
+    blocks of at most 2^22 entries. D is not clipped at 0, so rounding can
+    leave tiny negative entries."""
+    qm = np.einsum("ij,ij->i", cand, cand @ Y.entries)
+    chunk = max(1, (1 << 22) // max(1, cand.shape[0]))
+    for k in range(0, P.shape[0], chunk):
+        S = P[k : k + chunk]
+        G1 = S @ Y.entries
+        qx = np.einsum("ij,ij->i", S, G1)
+        yield slice(k, k + chunk), qx[:, None] - 2.0 * (G1 @ cand.T) + qm[None, :]
 
 
 def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from scipy.linalg import cho_solve
 
-from mlk.lattice import GramMatrix, _candidate_box
-from mlk.theta import _radius_for
+from mlk.lattice import GramMatrix
+from mlk.theta import _candidate_box, _radius_for
 
 settings.register_profile(
     "mlk",
@@ -58,6 +58,59 @@ def make_lll_gram(rng: np.random.Generator, g: int, lo: float = 0.5,
     Uf = U.astype(float)
     Yr = Uf.T @ Y.entries @ Uf
     return GramMatrix((Yr + Yr.T) / 2.0)
+
+
+def reference_lll(basis, delta: float = 0.99):
+    """LLL reference: the textbook loop with the Gram-Schmidt data of the
+    float basis rebuilt from scratch after every size reduction and swap.
+    Returns ``(reduced, U)`` like ``lattice.lll_reduce``."""
+    def gso(B):
+        n = B.shape[1]
+        mu = np.zeros((n, n))
+        norms2 = np.zeros(n)
+        Bstar = np.zeros_like(B, dtype=float)
+        for i in range(n):
+            v = B[:, i].astype(float).copy()
+            for j in range(i):
+                mu[i, j] = float(B[:, i] @ Bstar[:, j]) / norms2[j]
+                v -= mu[i, j] * Bstar[:, j]
+            Bstar[:, i] = v
+            norms2[i] = float(v @ v)
+        return mu, norms2
+
+    B = np.array(basis, dtype=float)
+    n = B.shape[1]
+    U = np.eye(n, dtype=np.int64)
+    mu, norms2 = gso(B)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q:
+                B[:, k] -= q * B[:, j]
+                U[:, k] -= q * U[:, j]
+                mu, norms2 = gso(B)
+        if norms2[k] >= (delta - mu[k, k - 1] ** 2) * norms2[k - 1]:
+            k += 1
+        else:
+            B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            U[:, [k - 1, k]] = U[:, [k, k - 1]]
+            mu, norms2 = gso(B)
+            k = max(k - 1, 1)
+    return B, U
+
+
+def brute_psi_sq(Y: GramMatrix, x) -> float:
+    """psi_Y(x)^2 in extended precision (``np.longdouble``): the minimum of
+    ||x - m||_Y^2, formed from x - m, over every m of the integer box around
+    x that holds the ellipsoid of radius ``Y.covering_upper()``."""
+    x = np.asarray(x, dtype=np.longdouble)
+    w = Y.covering_upper() * np.sqrt(np.diag(Y.inverse().entries)) + 1e-9
+    axes = [np.arange(math.ceil(float(xk) - wk), math.floor(float(xk) + wk) + 1)
+            for xk, wk in zip(x, w)]
+    m = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+    D = x[None, :] - m.astype(np.longdouble)
+    return float(np.min(((D @ Y.entries.astype(np.longdouble)) * D).sum(axis=1)))
 
 
 def brute_shortest(Y: GramMatrix, box: int = 10) -> float:

@@ -142,10 +142,15 @@ class TestRhoCommand:
 
 
     def test_enumeration_cap_in_input_exits_4(self, tmp_path, capsys):
-        # the first minimum of I_14 needs a 3^14-point box, above the cap
+        # rho of Omega = i I_14 is within reach of the ellipsoid enumeration;
+        # the theta box of its chain (3^14 points and more) is above the cap
         eye = [[float(i == j) for j in range(14)] for i in range(14)]
         doc = {"g": 14, "embeddings": [{"re": [[0.0] * 14] * 14, "im": eye}]}
-        code, out, err = run(capsys, ["rho", write(tmp_path, "g14.json", doc)])
+        path = write(tmp_path, "g14.json", doc)
+        code, out, _ = run(capsys, ["rho", path])
+        assert code == 0
+        assert json.loads(out)["per_embedding"][0]["rho"] == 1.0
+        code, out, err = run(capsys, ["verify", path, "--suite", "chain"])
         assert code == 4
         assert out == ""
         assert "exceeds cap" in err
@@ -194,9 +199,13 @@ class TestVerifyCommand:
         assert {"tool", "input_digest", "checks", "all_passed"} <= set(doc)
         assert all(c["error_estimate"] > 0.0 for c in doc["checks"])
 
-    def test_enumeration_cap_exits_4(self, capsys):
-        code, out, err = run(capsys, ["verify", "--suite", "lattice", "--dim", "10",
-                                      "--random", "3"])
+    def test_enumeration_cap_exits_4(self, tmp_path, capsys):
+        # the lattice and integrals suites pass; the g = 14 chain's theta box
+        # is above the cap, and no partial report is written
+        eye = [[float(i == j) for j in range(14)] for i in range(14)]
+        doc = {"g": 14, "embeddings": [{"re": [[0.0] * 14] * 14, "im": eye}]}
+        code, out, err = run(capsys, ["verify", write(tmp_path, "g14.json", doc),
+                                      "--suite", "all", "--random", "3"])
         assert code == 4
         assert out == ""
         assert "exceeds cap" in err

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mlk import lattice
+from mlk.cli import _random_spd
 from mlk.lattice import (
+    EnumerationLimitError,
     GramMatrix,
     IntervalEstimate,
     LatticeError,
@@ -18,9 +21,24 @@ from mlk.lattice import (
     shortest_vector,
 )
 
-from conftest import brute_closest, brute_shortest, make_spd
+from conftest import (
+    brute_closest,
+    brute_psi_sq,
+    brute_shortest,
+    make_spd,
+    reference_lll,
+)
 
 spd = st.integers(0, 10**9).map(lambda s: np.random.default_rng(s))
+
+
+def disguised_identity(rng, g: int):
+    """(U^T U, U) for a seeded unimodular U: Z^g in a skewed basis."""
+    U = np.eye(g, dtype=np.int64)
+    for _ in range(3 * g):
+        i, j = rng.choice(g, 2, replace=False)
+        U[:, i] += int(rng.integers(-2, 3)) * U[:, j]
+    return GramMatrix((U.T @ U).astype(float)), U
 
 
 class TestGramMatrix:
@@ -106,6 +124,12 @@ class TestShortestVector:
             math.sqrt(c) * shortest_vector(Y).value, rel=1e-12
         )
 
+    def test_identity_in_disguise_g14(self, rng):
+        Y, _ = disguised_identity(rng, 14)
+        m, lam = shortest_vector(Y)
+        assert lam == 1.0
+        assert np.any(m != 0)
+
 
 class TestClosestVector:
     def test_deep_hole_of_z2(self):
@@ -141,6 +165,28 @@ class TestClosestVector:
         a = closest_vector(Y, x).value
         b = closest_vector(Y, x + n).value
         assert b == pytest.approx(a, rel=1e-12, abs=1e-15)
+
+    def test_deep_hole_in_disguise_g14(self, rng):
+        # U x = (1/2, ..., 1/2): 2^14 closest points, all at distance sqrt(14)/2
+        Y, U = disguised_identity(rng, 14)
+        x = np.rint(np.linalg.inv(U)) @ np.full(14, 0.5)
+        m, psi = closest_vector(Y, x)
+        assert psi == pytest.approx(math.sqrt(14) / 2, rel=1e-15)
+        assert np.array_equal(np.abs(2 * (U @ (x - m))), np.ones(14))
+
+    def test_enumeration_cap(self):
+        # (1/2, ..., 1/2) has 2^22 closest points in Z^22: the tree outgrows the cap
+        with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+            closest_vector(GramMatrix(np.eye(22)), np.full(22, 0.5))
+
+    def test_cap_counts_each_point_alone(self, monkeypatch):
+        # each deep hole of Z^6 has a 2^6-leaf tree; many of them pass a cap
+        # of 100 nodes per point, one deep hole of Z^8 does not
+        monkeypatch.setattr(lattice, "_BOX_CAP", 100)
+        P = np.full((500, 6), 0.5)
+        np.testing.assert_allclose(psi_sq_batch(GramMatrix(np.eye(6)), P), 1.5, rtol=1e-15)
+        with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+            psi_sq_batch(GramMatrix(np.eye(8)), np.full((1, 8), 0.5))
 
     @given(spd, st.integers(1, 3), st.floats(0.25, 16.0))
     def test_scaling_covariance(self, r, g, c):
@@ -209,6 +255,14 @@ class TestMuInterval:
         lam_dual = shortest_vector(Y.inverse()).value
         assert 2.0 * iv.lo * lam_dual >= 1.0 - 1e-10
 
+    def test_random_g10_matrices_certify(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            Y = _random_spd(rng, 10)
+            iv = mu_interval(Y)
+            assert iv.lo <= iv.hi
+            assert 2.0 * iv.lo * shortest_vector(Y.inverse()).value >= 1.0 - 1e-10
+
     def test_budget_validation(self):
         with pytest.raises(LatticeError):
             mu_interval(GramMatrix(np.eye(2)), budget=0)
@@ -232,6 +286,32 @@ class TestReduction:
         assert is_lll_reduced(skew)
         bad = np.array([[1.0, 0.9], [0.9, 1.0]])
         assert not is_lll_reduced(GramMatrix(bad))
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_lll_matches_reference(self, g, rng):
+        for cond in (1e1, 1e3, 1e6):
+            for _ in range(4):
+                Y = make_spd(rng, g, cond_max=cond)
+                reduced, U = lll_reduce(Y.chol.T)
+                assert np.array_equal(U, reference_lll(Y.chol.T)[1])
+                np.testing.assert_array_equal(reduced, Y.chol.T @ U)
+                Yr = U.T.astype(float) @ Y.entries @ U.astype(float)
+                assert is_lll_reduced(GramMatrix((Yr + Yr.T) / 2.0))
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_psi_batch_matches_extended_precision(self, g, rng):
+        Y = make_spd(rng, g)
+        lattice_pts = rng.integers(-4, 5, (8, g)).astype(float)
+        P = np.vstack([
+            rng.uniform(0.0, 1.0, (8, g)),
+            rng.uniform(-3.0, 4.0, (8, g)),
+            lattice_pts,
+            lattice_pts + rng.uniform(-1e-9, 1e-9, (8, g)),
+            lattice_pts + rng.uniform(-1e-3, 1e-3, (8, g)),
+        ])
+        got = psi_sq_batch(Y, P)
+        ref = np.array([brute_psi_sq(Y, p) for p in P])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 1e-15)
 
     def test_psi_batch_matches_single(self, rng):
         Y = make_spd(rng, 3)

@@ -40,7 +40,6 @@ from .lattice import (
     bezout_deep_point,
     closest_vector,
     mu_interval,
-    shortest_vector,
 )
 from .oracle import faltings_height_ec, log_abs_delta
 from .quadrature import SCHEME_QMC_SHIFTED, SCHEME_TENSOR_GAUSS, integral_ln_f, integral_psi_sq
@@ -256,7 +255,7 @@ def _suite_lattice(n: int, seed: int, g: int) -> list[CheckEntry]:
     for i in range(n):
         Y = _random_spd(rng, g)
         deep = bezout_deep_point(Y)
-        lam_dual = shortest_vector(Y.inverse()).value
+        lam_dual = Y.inverse().lambda1()
         psi = closest_vector(Y, deep.x).value
         prod = 2.0 * psi * lam_dual
         entries.append(

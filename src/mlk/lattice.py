@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.stats import qmc
 
 __all__ = [
     "LatticeError",
@@ -121,9 +120,7 @@ class GramMatrix:
 
     def lambda1(self) -> float:
         """First minimum lambda_1(Y)."""
-        if "lambda1" not in self._cache:
-            self._cache["lambda1"] = shortest_vector(self).value
-        return self._cache["lambda1"]
+        return shortest_vector(self).value
 
     def covering_upper(self) -> float:
         """Certified upper bound on mu(Y): half the Gram-Schmidt diagonal norm
@@ -374,13 +371,16 @@ def shortest_vector(Y: GramMatrix) -> ShortestVector:
     Ellipsoid enumeration (``_closest`` at t = 0, u != 0) over the
     LLL-reduced basis, with squared radius min_j ||b_j||^2 (inflated by
     _RADIUS_SAFETY against rounding), so no minimizer is missed. Ties are
-    broken arbitrarily.
+    broken arbitrarily. The result is cached on Y, with m read-only.
     """
-    red = Y._reduced()
-    bound = np.array([float(red["col_sq"].min()) * _RADIUS_SAFETY])
-    u = _closest(red["R"], np.zeros((1, Y.g)), bound, nonzero=True)[0]
-    m = red["U"] @ u.astype(np.int64)
-    return ShortestVector(m=np.asarray(m, dtype=np.int64), value=norm(Y, m.astype(float)))
+    if "shortest" not in Y._cache:
+        red = Y._reduced()
+        bound = np.array([float(red["col_sq"].min()) * _RADIUS_SAFETY])
+        u = _closest(red["R"], np.zeros((1, Y.g)), bound, nonzero=True)[0]
+        m = red["U"] @ u.astype(np.int64)
+        m.setflags(write=False)
+        Y._cache["shortest"] = ShortestVector(m=m, value=norm(Y, m.astype(float)))
+    return Y._cache["shortest"]
 
 
 def _closest_coords(Y: GramMatrix, P: np.ndarray) -> np.ndarray:
@@ -500,6 +500,8 @@ def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:
     if g <= 4:
         corners = _int_box(np.zeros(g), np.ones(g)).astype(float) / 2.0
         pts.append(corners)
+    from scipy.stats import qmc  # deferred: scipy.stats dominates `import mlk`
+
     pts.append(qmc.Halton(d=g, scramble=False).random(budget))
     psi2 = psi_sq_batch(Y, np.vstack(pts))
     lo = math.sqrt(float(psi2.max())) * (1 - 1e-12)

@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.stats import qmc
 
 from .lattice import GramMatrix, psi_sq_batch
 from .theta import f_series_batch
@@ -97,6 +96,8 @@ def _integrate_rows(f, d: int, scheme: str, budget: int | None,
         return [QuadratureResult(v, abs(v - c), n**d + coarse**d, scheme)
                 for v, c in zip(fine, _gauss_values(f, d, coarse))]
     if scheme == SCHEME_QMC_SHIFTED:
+        from scipy.stats import qmc  # deferred: scipy.stats dominates `import mlk`
+
         m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
         base = qmc.Sobol(d=d, scramble=False).random(m)
         shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))

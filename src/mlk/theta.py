@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.special import gammaincc
 
 from .lattice import GramMatrix, _int_box
 from .siegel import PeriodMatrix
@@ -86,6 +85,8 @@ def _tail_bound(Y: GramMatrix, det_sqrt: float, t: float, radius: float) -> floa
     continuous radial integral; the binomial expansion of (rho + lam1/2)^(g-1)
     reduces it to upper incomplete gamma functions.
     """
+    from scipy.special import gammaincc  # deferred: only tail bounds use scipy.special
+
     g, lam1 = Y.g, Y.lambda1()
     a = radius - lam1
     if a <= 0.0:

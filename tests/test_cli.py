@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mlk
 from mlk.cli import main
 
 TERM_TAU_2I = -1.3137383138033930
@@ -209,3 +213,42 @@ class TestVerifyCommand:
         assert code == 4
         assert out == ""
         assert "exceeds cap" in err
+
+
+_IMPORT_PROBE = """
+import json, sys
+import mlk, mlk.cli
+argv = json.loads(sys.argv[1])
+code = mlk.cli.main(argv) if argv else 0
+print(json.dumps([code, [m for m in ("scipy.stats", "scipy.special") if m in sys.modules]]))
+"""
+
+
+class TestColdImports:
+    """scipy.stats and scipy.special load only where they are used; each case
+    runs in a fresh interpreter, so modules the test session imported cannot
+    leak in."""
+
+    @staticmethod
+    def probe(argv):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(mlk.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("command", [None, "bound", "rho"])
+    def test_import_bound_and_rho_skip_stats_and_special(self, tmp_path, command):
+        doc = {"g": 2, "degree": 2, "embeddings": [
+            {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]},
+            {"re": [[0.1, 0.05], [0.05, -0.2]], "im": [[1.5, 0.3], [0.3, 1.2]]},
+        ]}
+        argv = [command, write(tmp_path, "g2.json", doc)] if command else []
+        assert self.probe(argv) == [0, []]
+
+    def test_lattice_suite_loads_stats(self):
+        code, loaded = self.probe(["verify", "--suite", "lattice", "--random", "2"])
+        assert code == 0
+        assert "scipy.stats" in loaded

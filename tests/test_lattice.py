@@ -131,6 +131,52 @@ class TestShortestVector:
         assert np.any(m != 0)
 
 
+class TestShortestVectorCache:
+    @staticmethod
+    def certificate(Y):
+        deep = bezout_deep_point(Y)
+        lam_dual = Y.inverse().lambda1()
+        psi = closest_vector(Y, deep.x).value
+        iv = mu_interval(Y, budget=128)
+        return deep.x, deep.certified_lo, lam_dual, psi, iv.lo, iv.hi
+
+    @pytest.mark.parametrize("g", [2, 4, 6])
+    def test_one_dual_svp_per_certificate(self, g, monkeypatch):
+        rng = np.random.default_rng(g)
+        entries = [_random_spd(rng, g).entries for _ in range(5)]
+        # every quantity from its own GramMatrix, so none reads a cached SVP
+        fresh = []
+        for E in entries:
+            x = bezout_deep_point(GramMatrix(E)).x
+            fresh.append((x, bezout_deep_point(GramMatrix(E)).certified_lo,
+                          GramMatrix(E).inverse().lambda1(),
+                          closest_vector(GramMatrix(E), x).value,
+                          mu_interval(GramMatrix(E), budget=128).lo,
+                          mu_interval(GramMatrix(E), budget=128).hi))
+        calls = []
+        enumerate_ = lattice._closest
+
+        def counting(R, T, bound, nonzero=False):
+            calls.append(nonzero)
+            return enumerate_(R, T, bound, nonzero)
+
+        monkeypatch.setattr(lattice, "_closest", counting)
+        for E, want in zip(entries, fresh):
+            before = sum(calls)
+            got = self.certificate(GramMatrix(E))
+            assert sum(calls) - before == 1
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
+    def test_cached_vector_is_shared_and_read_only(self):
+        Y = GramMatrix([[2.0, 1.0], [1.0, 2.0]])
+        sv = shortest_vector(Y)
+        assert shortest_vector(Y) is sv
+        assert Y.lambda1() == sv.value
+        with pytest.raises(ValueError):
+            sv.m[0] = 7
+
+
 class TestClosestVector:
     def test_deep_hole_of_z2(self):
         m, psi = closest_vector(GramMatrix(np.eye(2)), [0.5, 0.5])

@@ -18,17 +18,16 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .quadrature import (
     SCHEME_QMC_SHIFTED,
-    SCHEME_TENSOR_GAUSS,
     QuadratureResult,
-    _integrate_rows,
     integral_ln_f,
     integrate_cube,
+    integrate_periodic,
 )
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
 from .theta import cube_norm_batch, f_series
@@ -209,37 +208,26 @@ def archimedean_invariant(om: PeriodMatrix, scheme: str = SCHEME_QMC_SHIFTED,
     """I = -int ln||s|| dnu + (1/2) ln int ||s||^2 dnu over the torus.
 
     The Haar measure is realized through (x, y) in [0,1]^{2g}, z = x + Omega y
-    (constant Jacobian, so normalization is exact). ln||s|| is clipped at
-    -40 near the theta divisor; the clip raises the log integral, so the
-    returned I is biased *downward* and every one-sided ">= rhs" use stays
-    valid. Requires a reduced period matrix.
+    (constant Jacobian, so normalization is exact). int ||s||^2 dnu = 2^{-g/2}
+    for every Omega (Parseval in x, then the sum over n unfolds the y-integral
+    to a Gaussian over R^g), so only -int ln||s|| dnu - (g/4) ln 2 is computed.
+    ln||s|| is clipped at -40 near the theta divisor; the clip raises the log
+    integral, so the returned I is biased *downward* and every one-sided
+    ">= rhs" use stays valid. Requires a reduced period matrix.
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
-    d = 2 * om.g
     clip_floor = math.exp(_LOG_CLIP)
     clipped = 0
 
-    def f_log_and_sq(P):
+    def f_log(P):
         nonlocal clipped
         vals, _ = cube_norm_batch(om, P)
         clipped += int(np.count_nonzero(vals < clip_floor))
-        return np.stack([np.log(np.maximum(vals, clip_floor)), vals * vals])
+        return np.log(np.maximum(vals, clip_floor))
 
-    r_log, r_sq = _integrate_rows(f_log_and_sq, d, scheme, budget, seed)
-    if r_sq.value <= 0.0:
-        raise BoundsError("norm-square integral evaluated non-positive")
-    value = -r_log.value + 0.5 * math.log(r_sq.value)
-    err = r_log.error_estimate + 0.5 * r_sq.error_estimate / max(
-        r_sq.value - r_sq.error_estimate, 1e-300
-    )
-    return QuadratureResult(
-        value=value,
-        error_estimate=err,
-        n_points=r_log.n_points,
-        scheme=scheme,
-        n_clipped=clipped,
-    )
+    r = integrate_cube(f_log, 2 * om.g, scheme, budget, seed)
+    return replace(r, value=-r.value - 0.25 * om.g * math.log(2.0), n_clipped=clipped)
 
 
 def height_from_theta_invariants(I_values, g: int, degree: int) -> float:
@@ -256,10 +244,6 @@ def _parseval_samples(g: int):
     yield (np.arange(1, g + 1)) / (2.0 * g + 1.0)
 
 
-def _x_scheme(g: int) -> str:
-    return SCHEME_TENSOR_GAUSS if g <= 2 else SCHEME_QMC_SHIFTED
-
-
 def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
                  budget: int | None = None, seed: int = 0,
                  tolerance: float = 1e-6) -> ChainReport:
@@ -270,7 +254,9 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
     log-Gaussian bound at the clamped lam; (c) 2I >= pi/(6 lam^2) + g ln lam
     + (g/2) ln(3g/(pi e)). Finally (d): the invariant-based height bound
     dominates the clamped-diameter bound. Slack is lhs - rhs (or -|diff| for
-    the identity), reported before any error allowance.
+    the identity), reported before any error allowance. The x-integrals of
+    (a) and (b) run on ``integrate_periodic`` to ``tolerance``; ``scheme``,
+    ``budget`` and ``seed`` size the 2g-dimensional invariant of (c) only.
     """
     _require_complete(E)
     for i, om in enumerate(E.periods):
@@ -286,14 +272,11 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
         lam = lambda_clamped(om).lam
 
         for k, yv in enumerate(_parseval_samples(g)):
-            xy_tail = np.tile(yv, (1, 1))
-
-            def slice_norm_sq(P, _y=xy_tail):
-                pts = np.hstack([P, np.repeat(_y, P.shape[0], axis=0)])
-                vals, _ = cube_norm_batch(om, pts)
+            def slice_norm_sq(P, _y=yv):
+                vals, _ = cube_norm_batch(om, np.hstack([P, np.broadcast_to(_y, P.shape)]))
                 return vals * vals
 
-            r = integrate_cube(slice_norm_sq, g, _x_scheme(g), budget, seed)
+            r = integrate_periodic(slice_norm_sq, g, tolerance)
             rhs = f_series(Y, 2.0, yv).value
             diff = r.value - rhs
             out.append(
@@ -308,7 +291,7 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
                 )
             )
 
-        r_ln = integral_ln_f(Y, 2.0, _x_scheme(g) if g <= 2 else scheme, budget, seed)
+        r_ln = integral_ln_f(Y, 2.0, tolerance)
         rhs_b = log_gaussian_bound(lam, g)
         slack_b = rhs_b - r_ln.value
         out.append(

@@ -7,11 +7,14 @@ Subcommands:
     mlk verify <file | --random N>   invariant suites (--suite lattice|
                                      integrals|chain|oracle|all)
 
-Input is a strict JSON document; unknown fields are rejected. Reports go to
-stdout, diagnostics to stderr. Exit codes: 0 success, 1 a verify check
-failed, 2 parse error, 3 invalid matrix data, 4 a lattice enumeration
-exceeded its cap (the input is valid but too large to certify). MLK_THREADS
-caps internal per-embedding parallelism.
+Input is a strict JSON document; unknown fields are rejected. options.scheme
+and options.budget (or --budget) size the chain's 2g-dimensional invariant,
+so tensor-gauss needs g = 1; --budget also sizes the integrals suite's psi^2
+integral. Reports go to stdout, diagnostics to stderr. Exit codes: 0
+success, 1 a verify check failed, 2 parse error, 3 invalid matrix data, 4 a
+lattice enumeration or quadrature grid exceeded its cap (the input is valid
+but too large to certify). MLK_THREADS caps internal per-embedding
+parallelism.
 """
 
 from __future__ import annotations
@@ -112,6 +115,8 @@ def _parse_document(raw: bytes):
     scheme = options.get("scheme", SCHEME_QMC_SHIFTED)
     if scheme not in (SCHEME_QMC_SHIFTED, SCHEME_TENSOR_GAUSS):
         raise InputError(f"options.scheme must be one of {SCHEME_QMC_SHIFTED!r}, {SCHEME_TENSOR_GAUSS!r}")
+    if scheme == SCHEME_TENSOR_GAUSS and g > 1:
+        raise InputError("options.scheme 'tensor-gauss' needs g = 1 (the invariant is a 2g-dim integral)")
 
     periods = []
     for i, emb in enumerate(embeddings):
@@ -316,7 +321,7 @@ def _suite_integrals(n: int, seed: int, g: int, budget: int | None) -> list[Chec
             )
         )
         for t in (0.5, 1.0, 2.0):
-            r = integral_ln_f(Y, t, scheme, small, seed)
+            r = integral_ln_f(Y, t)
             rhs = -(g / 2.0) * math.log(t)
             slack = rhs - (r.value - r.error_estimate)
             entries.append(

@@ -1,12 +1,13 @@
-"""Deterministic integration over the unit cube [0,1]^d.
+"""Deterministic, bit-reproducible integration over the unit cube [0,1]^d.
 
-Two schemes: a tensor Gauss-Legendre rule (d <= 2, up to 256 nodes per
-axis) and randomized quasi-Monte Carlo (an unscrambled Sobol point set with
-8 independent uniform shifts mod 1, error reported as 3x the standard
-deviation of the per-shift estimates). Both are bit-reproducible for a
-fixed seed, and both feed the lattice integrals the height bound needs:
-the second moment of the distance function psi_Y and the average of
-ln f_Y(t; .).
+* ``integrate_periodic``: the trapezoid rule on the grid k/n, geometrically
+  convergent on smooth Z^d-periodic integrands (Trefethen & Weideman, SIAM
+  Review 56, 2014): ln f_Y(t; .) and the Parseval slices of ``verify_chain``.
+* tensor Gauss-Legendre (d <= 2): psi_Y^2, split at the half-integers, where
+  the rule is exact for diagonal Y; the g = 1 invariant on request.
+* quasi-Monte Carlo (an unscrambled Sobol set under 8 uniform shifts mod 1,
+  error 3x the standard deviation of the per-shift means): psi_Y^2 at g >= 3
+  and the 2g-dimensional log-norm integral of the archimedean invariant.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from .lattice import GramMatrix, psi_sq_batch
+from .lattice import EnumerationLimitError, GramMatrix, psi_sq_batch
 from .theta import f_series_batch
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "SCHEME_TENSOR_GAUSS",
     "SCHEME_QMC_SHIFTED",
     "integrate_cube",
+    "integrate_periodic",
     "integral_psi_sq",
     "integral_ln_f",
 ]
@@ -37,6 +39,7 @@ SCHEME_QMC_SHIFTED = "qmc-shifted"
 _MAX_GAUSS_NODES = 256
 _DEFAULT_QMC_POINTS = 1 << 16
 _N_SHIFTS = 8
+_LOG2_MAX_GRID = 19  # periodic grids hold <= 2^19 points, one default QMC integral
 
 
 class QuadratureError(ValueError):
@@ -53,8 +56,8 @@ class QuadratureResult:
 
 
 def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(points), dtype=float)
-    if vals.ndim != 2 or vals.shape[1] != points.shape[0]:
+    vals = np.asarray(f(points), dtype=float).ravel()
+    if vals.shape != (points.shape[0],):
         raise QuadratureError("integrand returned a wrong number of values")
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced a non-finite value (singularity?)")
@@ -67,48 +70,11 @@ def _gauss_rule(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _tensor_rule(n: int, d: int):
+def _gauss_value(f, d: int, n: int) -> float:
     x, w = _gauss_rule(n)
     pts = np.array(list(product(x, repeat=d)))
     wts = np.array([math.prod(c) for c in product(w, repeat=d)])
-    return pts, wts
-
-
-def _gauss_values(f, d: int, n: int) -> list[float]:
-    pts, wts = _tensor_rule(n, d)
-    return [float(wts @ row) for row in _evaluate(f, pts)]
-
-
-def _integrate_rows(f, d: int, scheme: str, budget: int | None,
-                    seed: int) -> list[QuadratureResult]:
-    """Integrate a vectorized f: (N, d) -> (k, N) over [0,1]^d, one result per
-    row. Every row is sampled at the same points and reduced on its own, so
-    each result equals ``integrate_cube`` of that row alone.
-    """
-    if d < 1:
-        raise QuadratureError("dimension must be >= 1")
-    if scheme == SCHEME_TENSOR_GAUSS:
-        if d > 2:
-            raise QuadratureError("tensor-gauss is available for d <= 2 only")
-        n = min(max(int(budget or _MAX_GAUSS_NODES), 2), _MAX_GAUSS_NODES)
-        coarse = max(n // 2, 2)
-        fine = _gauss_values(f, d, n)
-        return [QuadratureResult(v, abs(v - c), n**d + coarse**d, scheme)
-                for v, c in zip(fine, _gauss_values(f, d, coarse))]
-    if scheme == SCHEME_QMC_SHIFTED:
-        from scipy.stats import qmc  # deferred: scipy.stats dominates `import mlk`
-
-        m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
-        base = qmc.Sobol(d=d, scramble=False).random(m)
-        shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
-        per_shift = [[float(np.mean(row)) for row in _evaluate(f, (base + s) % 1.0)]
-                     for s in shifts]
-        return [
-            QuadratureResult(float(np.mean(est)), 3.0 * float(np.std(est, ddof=1)),
-                             _N_SHIFTS * m, scheme)
-            for est in np.array(per_shift).T
-        ]
-    raise QuadratureError(f"unknown scheme {scheme!r}")
+    return float(wts @ _evaluate(f, pts))
 
 
 def integrate_cube(f, d: int, scheme: str = SCHEME_QMC_SHIFTED, budget: int | None = None,
@@ -118,7 +84,53 @@ def integrate_cube(f, d: int, scheme: str = SCHEME_QMC_SHIFTED, budget: int | No
     ``budget`` is nodes per axis for tensor-gauss (clamped to 256) and points
     per shift for qmc-shifted (rounded down to a power of two).
     """
-    return _integrate_rows(lambda P: np.reshape(f(P), (1, -1)), d, scheme, budget, seed)[0]
+    if d < 1:
+        raise QuadratureError("dimension must be >= 1")
+    if scheme == SCHEME_TENSOR_GAUSS:
+        if d > 2:
+            raise QuadratureError("tensor-gauss is available for d <= 2 only")
+        n = min(max(int(budget or _MAX_GAUSS_NODES), 2), _MAX_GAUSS_NODES)
+        coarse = max(n // 2, 2)
+        value = _gauss_value(f, d, n)
+        err = abs(value - _gauss_value(f, d, coarse))
+        return QuadratureResult(value, err, n**d + coarse**d, scheme)
+    if scheme == SCHEME_QMC_SHIFTED:
+        from scipy.stats import qmc  # deferred: scipy.stats dominates `import mlk`
+
+        m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
+        base = qmc.Sobol(d=d, scramble=False).random(m)
+        shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
+        est = [float(np.mean(_evaluate(f, (base + s) % 1.0))) for s in shifts]
+        return QuadratureResult(float(np.mean(est)), 3.0 * float(np.std(est, ddof=1)),
+                                _N_SHIFTS * m, scheme)
+    raise QuadratureError(f"unknown scheme {scheme!r}")
+
+
+def integrate_periodic(f, d: int, tol: float) -> QuadratureResult:
+    """Integrate a vectorized, Z^d-periodic f: (N, d) -> (N,) over [0,1]^d.
+
+    The value is the mean of f on the grid k/n. The error estimate is its
+    distance to the mean on the even-index subgrid, plus eps times the mean of
+    |f| (the two means can agree to the last bit). n starts at 8, as coarser
+    grids can agree by accident, or at the largest power of two whose grid
+    holds at most 2^19 points, and doubles while the estimate exceeds ``tol``
+    and the next grid fits. ``n_points`` counts every evaluation.
+    """
+    if d < 1:
+        raise QuadratureError("dimension must be >= 1")
+    n_max = 2 ** (_LOG2_MAX_GRID // d)  # the largest power of two n with n^d <= 2^19
+    if n_max < 2:
+        raise EnumerationLimitError(f"periodic grid of 2^{d} points exceeds cap 2^19")
+    n, used = min(8, n_max), 0
+    while True:
+        vals = _evaluate(f, np.indices((n,) * d).reshape(d, -1).T / n)
+        used += vals.size
+        value = float(np.mean(vals))
+        coarse = float(np.mean(vals.reshape((n,) * d)[(slice(None, None, 2),) * d]))
+        err = abs(value - coarse) + float(np.finfo(float).eps * np.mean(np.abs(vals)))
+        if err <= tol or 2 * n > n_max:
+            return QuadratureResult(value, err, used, "periodic")
+        n *= 2
 
 
 def integral_psi_sq(Y: GramMatrix, scheme: str = SCHEME_QMC_SHIFTED,
@@ -128,37 +140,25 @@ def integral_psi_sq(Y: GramMatrix, scheme: str = SCHEME_QMC_SHIFTED,
     The integrand has gradient kinks on the Voronoi walls; for tensor-gauss
     the cube is split at the half-integer hyperplanes (the exact wall
     locations for diagonal Y, where the second-moment bound is tight), which
-    makes the rule exact there instead of merely convergent.
+    makes the rule exact there instead of merely convergent: the integrand
+    at u sums the 2^g parts at corner + u/2.
     """
     d = Y.g
-    if scheme == SCHEME_TENSOR_GAUSS:
-        if d > 2:
-            raise QuadratureError("tensor-gauss is available for g <= 2 only")
-        n = min(max(int(budget or _MAX_GAUSS_NODES), 2), _MAX_GAUSS_NODES)
+    if scheme != SCHEME_TENSOR_GAUSS:
+        return integrate_cube(lambda P: psi_sq_batch(Y, P), d, scheme, budget, seed)
+    corners = np.array(list(product((0.0, 0.5), repeat=d)))
 
-        def split_value(nodes: int) -> float:
-            pts, wts = _tensor_rule(nodes, d)
-            total = 0.0
-            for corner in product((0.0, 0.5), repeat=d):
-                shifted = np.asarray(corner) + 0.5 * pts
-                total += 0.5**d * float(wts @ psi_sq_batch(Y, shifted))
-            return total
+    def split(P):
+        vals = psi_sq_batch(Y, (corners[:, None, :] + 0.5 * P).reshape(-1, d))
+        return 0.5**d * vals.reshape(len(corners), -1).sum(axis=0)
 
-        coarse = max(n // 2, 2)
-        value = split_value(n)
-        err = abs(value - split_value(coarse))
-        return QuadratureResult(value, err, (2 * n) ** d + (2 * coarse) ** d, scheme)
-    return integrate_cube(lambda P: psi_sq_batch(Y, P), d, scheme, budget, seed)
+    return integrate_cube(split, d, scheme, budget)
 
 
-def integral_ln_f(Y: GramMatrix, t: float, scheme: str = SCHEME_QMC_SHIFTED,
-                  budget: int | None = None, seed: int = 0) -> QuadratureResult:
-    """integral over [0,1]^g of ln f_Y(t; x) dx (f evaluated to 1e-12 relative).
-
-    f_Y is smooth and strictly positive, so no singularity handling is needed.
+def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResult:
+    """integral over [0,1]^g of ln f_Y(t; x) dx (f evaluated to 1e-12 relative)
+    by ``integrate_periodic`` to ``tol``: f_Y is smooth, positive and periodic.
     """
     if t <= 0.0:
         raise QuadratureError("t must be positive")
-    return integrate_cube(
-        lambda P: np.log(f_series_batch(Y, t, P, 1e-12)[0]), Y.g, scheme, budget, seed
-    )
+    return integrate_periodic(lambda P: np.log(f_series_batch(Y, t, P, 1e-12)[0]), Y.g, tol)

@@ -135,6 +135,16 @@ def brute_closest(Y: GramMatrix, x, box: int = 5) -> float:
     return float(np.sqrt(best))
 
 
+def invariant_exact(taus) -> float:
+    """Archimedean invariant I of the product diag(taus), from the g = 1
+    closed form: the sum over the factors of
+    -(1/24) ln(|Delta(tau)| (Im tau)^6) - (1/4) ln 2."""
+    from mlk.oracle import log_abs_delta
+
+    return sum(-(log_abs_delta(t) + 6.0 * math.log(t.imag)) / 24.0 - 0.25 * math.log(2.0)
+               for t in taus)
+
+
 def theta_box_sum(om, p, u, radius, lo=0.0, hi=1.0) -> np.ndarray:
     """Theta-sum oracle: for each row i, the direct sum over every lattice
     point m of ``_candidate_box(Y, radius, lo, hi)`` of

@@ -21,7 +21,7 @@ from mlk.quadrature import integrate_cube
 from mlk.siegel import reduce as siegel_reduce, validate_period_matrix
 from mlk.theta import cube_norm_batch
 
-from conftest import make_reduced_period
+from conftest import invariant_exact, make_reduced_period
 
 # Frozen via 40-digit direct evaluation of the defining formulas:
 KAPPA = 0.1334054522735500372073062501673757404
@@ -158,11 +158,10 @@ class TestLogGaussianBound:
         from mlk.lattice import shortest_vector
         from conftest import make_lll_gram
 
-        for g, scheme, budget in [(1, "tensor-gauss", 256), (2, "tensor-gauss", 128),
-                                  (3, "qmc-shifted", 8192)]:
+        for g in (1, 2, 3):
             Y = make_lll_gram(rng, g, lo=0.8, hi=3.0)
             lam = min(shortest_vector(Y.inverse()).value, rho_clamp(g))
-            r = integral_ln_f(Y, 2.0, scheme, budget)
+            r = integral_ln_f(Y, 2.0)
             assert r.value - r.error_estimate <= log_gaussian_bound(lam, g)
 
     def test_t_optimization_consistency(self):
@@ -192,6 +191,38 @@ class TestArchimedeanInvariant:
         r = integrate_cube(f_sq, 2, "qmc-shifted", 65536)
         assert 0.5 * math.log(r.value) == pytest.approx(-0.25 * math.log(2), abs=1e-6)
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_norm_sq_identity_random_reduced(self, rng, g):
+        # int ||s||^2 dnu = 2^{-g/2} for every Omega, the identity the
+        # invariant uses in place of a second integral
+        for _ in range(2):
+            om = make_reduced_period(rng, g)
+
+            def f_sq(P):
+                vals, _ = cube_norm_batch(om, P)
+                return vals * vals
+
+            r = integrate_cube(f_sq, 2 * g, "qmc-shifted", 4096)
+            assert abs(r.value - 2.0 ** (-g / 2.0)) <= r.error_estimate
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_matches_exact_invariant_of_conjugated_products(self, rng, g):
+        for _ in range(2):
+            taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 1.5)) for _ in range(g)]
+            if g == 1:  # tau -> -1/(tau + k), an element of SL_2(Z)
+                tau = -1.0 / (taus[0] + int(rng.integers(-2, 3)))
+                X, Y = np.array([[tau.real]]), np.array([[tau.imag]])
+            else:  # U^T diag(taus) U for a product U of elementary operations
+                U = np.eye(g)
+                for _ in range(2 * g):
+                    i, j = rng.choice(g, size=2, replace=False)
+                    U[:, j] += rng.choice((-1.0, 1.0)) * U[:, i]
+                X = U.T @ np.diag([t.real for t in taus]) @ U
+                Y = U.T @ np.diag([t.imag for t in taus]) @ U
+            om = siegel_reduce(validate_period_matrix((X + X.T) / 2.0, (Y + Y.T) / 2.0))
+            inv = archimedean_invariant(om, budget=16384)
+            assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate
+
     def test_requires_reduced(self):
         with pytest.raises(BoundsError, match="reduced"):
             archimedean_invariant(om_of(0.7 + 2j))
@@ -210,17 +241,9 @@ class TestArchimedeanInvariant:
             clipped += int(np.count_nonzero(vals < clip_floor))
             return np.log(np.maximum(vals, clip_floor))
 
-        def f_sq(P):
-            vals, _ = cube_norm_batch(om, P)
-            return vals * vals
-
-        # the invariant as two separate integrals, one evaluation pass each
+        # the invariant is the log integral plus the exact (1/2) ln 2^{-g/2}
         r_log = integrate_cube(f_log, 2 * g, scheme, budget, 3)
-        r_sq = integrate_cube(f_sq, 2 * g, scheme, budget, 3)
-        value = -r_log.value + 0.5 * math.log(r_sq.value)
-        err = r_log.error_estimate + 0.5 * r_sq.error_estimate / max(
-            r_sq.value - r_sq.error_estimate, 1e-300
-        )
+        value = -r_log.value - 0.25 * g * math.log(2.0)
 
         calls = []
 
@@ -232,7 +255,8 @@ class TestArchimedeanInvariant:
         inv = archimedean_invariant(om, scheme, budget, 3)
         assert len(calls) == (8 if scheme == "qmc-shifted" else 2)
         assert inv.n_points == sum(calls) == r_log.n_points
-        assert (inv.value, inv.error_estimate, inv.n_clipped) == (value, err, clipped)
+        assert (inv.value, inv.error_estimate, inv.n_clipped) == (
+            value, r_log.error_estimate, clipped)
 
     def test_orbit_invariance(self):
         tau0 = 0.2 + 1.3j

@@ -203,6 +203,18 @@ class TestVerifyCommand:
         assert {"tool", "input_digest", "checks", "all_passed"} <= set(doc)
         assert all(c["error_estimate"] > 0.0 for c in doc["checks"])
 
+    def test_tensor_gauss_needs_g1(self, tmp_path, capsys):
+        # the scheme sizes the 2g-dimensional invariant, and tensor-gauss is
+        # a d <= 2 rule: at g = 2 the document is rejected before any work
+        doc = {"g": 2, "embeddings": [{"re": [[0.0, 0.0], [0.0, 0.0]],
+                                       "im": [[1.0, 0.0], [0.0, 1.0]]}],
+               "options": {"scheme": "tensor-gauss"}}
+        code, out, err = run(capsys, ["verify", write(tmp_path, "g2.json", doc),
+                                      "--suite", "chain"])
+        assert code == 2
+        assert out == ""
+        assert "tensor-gauss" in err and "g = 1" in err
+
     def test_enumeration_cap_exits_4(self, tmp_path, capsys):
         # the lattice and integrals suites pass; the g = 14 chain's theta box
         # is above the cap, and no partial report is written

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from mlk.lattice import GramMatrix, mu_interval, psi_sq_batch
+from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_batch
 from mlk.quadrature import (
     QuadratureError,
-    _integrate_rows,
     integral_ln_f,
     integral_psi_sq,
     integrate_cube,
+    integrate_periodic,
 )
+from mlk.theta import cube_norm_batch, f_series
 
-from conftest import make_spd
+from conftest import make_reduced_period, make_spd
 
 # mpmath (40 digits): int_0^1 ln sum_m exp(-pi t (x-m)^2) dx
 INT_LNF_T1 = -0.0018726824497685461156385794799613989
@@ -63,17 +64,65 @@ class TestIntegrateCube:
         c = integral_psi_sq(Y, "qmc-shifted", 4096, seed=12)
         assert c.value != a.value
 
-    @pytest.mark.parametrize("scheme, budget", [("tensor-gauss", 48), ("qmc-shifted", 1024)])
-    def test_rows_equal_separate_integrals_bit_for_bit(self, rng, scheme, budget):
-        Y = make_spd(rng, 2)
-        rows = [
-            lambda P: psi_sq_batch(Y, P),
-            lambda P: np.cos(7.0 * P[:, 0]) * P[:, 1] ** 3,
-            lambda P: np.minimum(P[:, 0], 1.0 - P[:, 1]) ** 2,
-        ]
-        together = _integrate_rows(lambda P: np.stack([f(P) for f in rows]), 2, scheme,
-                                   budget, 5)
-        assert together == [integrate_cube(f, 2, scheme, budget, 5) for f in rows]
+
+class TestIntegratePeriodic:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trig_polynomials_exact(self, rng, d):
+        # every frequency |k_i| <= 3 < 8/2 is integrated exactly by the grid
+        # k/8 and by its subgrid k/4, so the rule stops at n = 8
+        K = rng.integers(-3, 4, (6, d))
+        c = rng.normal(size=6)
+        phase = rng.uniform(0.0, 2.0 * math.pi, 6)
+        exact = float(np.sum(c * np.cos(phase) * np.all(K == 0, axis=1))) + 0.75
+
+        def f(P):
+            return 0.75 + np.cos(2.0 * math.pi * P @ K.T + phase) @ c
+
+        r = integrate_periodic(f, d, 1e-12)
+        assert r.value == pytest.approx(exact, abs=1e-14)
+        assert r.error_estimate <= 1e-14
+        assert (r.n_points, r.scheme) == (8**d, "periodic")
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_parseval_slice_matches_f_series(self, rng, g):
+        om = make_reduced_period(rng, g)
+        y = rng.uniform(0.0, 1.0, g)
+
+        def slice_norm_sq(P):
+            vals, _ = cube_norm_batch(om, np.hstack([P, np.broadcast_to(y, P.shape)]))
+            return vals * vals
+
+        r = integrate_periodic(slice_norm_sq, g, 1e-10)
+        assert r.error_estimate <= 1e-10
+        assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)
+
+    def test_rejects_non_finite(self):
+        def f(P):
+            out = np.ones(P.shape[0])
+            out[np.all(P == 0.5, axis=1)] = np.nan
+            return out
+
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate_periodic(f, 2, 1e-12)
+
+    def test_grid_never_exceeds_two_to_the_19(self):
+        # tol < 0 is never met: n doubles until the next grid would pass 2^19
+        sizes = []
+
+        def f(P):
+            sizes.append(P.shape)
+            return np.cos(2.0 * math.pi * P[:, 0])
+
+        r = integrate_periodic(f, 14, -1.0)
+        assert sizes == [(2**14, 14)] and r.n_points == 2**14
+        sizes.clear()
+        r = integrate_periodic(f, 3, -1.0)
+        assert [s[0] for s in sizes] == [8**3, 16**3, 32**3, 64**3]
+        assert r.n_points == sum(s[0] for s in sizes)
+        sizes.clear()
+        with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+            integrate_periodic(f, 20, 1.0)
+        assert sizes == []
 
 
 class TestIntegralPsiSq:
@@ -110,37 +159,31 @@ class TestIntegralPsiSq:
 class TestIntegralLnF:
     def test_frozen_one_dimensional_values(self):
         Y = GramMatrix([[1.0]])
-        assert integral_ln_f(Y, 1.0, "tensor-gauss").value == pytest.approx(INT_LNF_T1, abs=1e-10)
-        assert integral_ln_f(Y, 2.0, "tensor-gauss").value == pytest.approx(INT_LNF_T2, abs=1e-10)
+        assert integral_ln_f(Y, 1.0).value == pytest.approx(INT_LNF_T1, abs=1e-10)
+        assert integral_ln_f(Y, 2.0).value == pytest.approx(INT_LNF_T2, abs=1e-10)
 
     def test_upper_bounds(self):
         Y = GramMatrix([[1.0]])
-        assert integral_ln_f(Y, 1.0, "tensor-gauss").value <= 0.0
-        assert integral_ln_f(Y, 2.0, "tensor-gauss").value <= -0.5 * math.log(2.0)
+        assert integral_ln_f(Y, 1.0).value <= 0.0
+        assert integral_ln_f(Y, 2.0).value <= -0.5 * math.log(2.0)
 
     @pytest.mark.parametrize("t", [0.25, 0.5, 1.0, 2.0, 4.0])
     def test_log_mean_bound_random(self, t, rng):
         for g in (1, 2):
             Y = make_spd(rng, g, cond_max=20.0)
-            r = integral_ln_f(Y, t, "tensor-gauss", 128)
+            r = integral_ln_f(Y, t)
             assert r.value - r.error_estimate <= -(g / 2.0) * math.log(t) + 1e-9
 
     def test_scaling_identity(self, rng):
         # integral for cY at t equals integral for Y at ct, plus (g/2) ln c
-        for g, scheme, budget in [(1, "tensor-gauss", 256), (2, "qmc-shifted", 8192)]:
+        for g in (1, 2):
             Y = make_spd(rng, g, cond_max=10.0)
             c = 1.7
-            a = integral_ln_f(GramMatrix(c * Y.entries), 1.3, scheme, budget)
-            b = integral_ln_f(Y, c * 1.3, scheme, budget)
+            a = integral_ln_f(GramMatrix(c * Y.entries), 1.3)
+            b = integral_ln_f(Y, c * 1.3)
             lhs = a.value
             rhs = b.value + (g / 2.0) * math.log(c)
             assert lhs == pytest.approx(rhs, abs=max(1e-8, a.error_estimate + b.error_estimate))
-
-    def test_gauss_and_qmc_agree(self, rng):
-        Y = make_spd(rng, 1)
-        a = integral_ln_f(Y, 2.0, "tensor-gauss")
-        b = integral_ln_f(Y, 2.0, "qmc-shifted", 32768)
-        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + 1e-9
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(QuadratureError):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 __all__ = [
     "LatticeError",
@@ -112,9 +111,11 @@ class GramMatrix:
         return float(np.prod(np.diag(self.chol)))
 
     def inverse(self) -> "GramMatrix":
-        """Y^{-1} as a GramMatrix (exactly symmetrized)."""
+        """Y^{-1} = L^{-T} L^{-1} from the Cholesky factor L, as a GramMatrix
+        (exactly symmetrized)."""
         if "inverse" not in self._cache:
-            Yi = cho_solve((self.chol, True), np.eye(self.g))
+            Li = np.linalg.inv(self.chol)
+            Yi = Li.T @ Li
             self._cache["inverse"] = GramMatrix((Yi + Yi.T) / 2.0)
         return self._cache["inverse"]
 

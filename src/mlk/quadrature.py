@@ -114,22 +114,29 @@ def integrate_periodic(f, d: int, tol: float) -> QuadratureResult:
     |f| (the two means can agree to the last bit). n starts at 8, as coarser
     grids can agree by accident, or at the largest power of two whose grid
     holds at most 2^19 points, and doubles while the estimate exceeds ``tol``
-    and the next grid fits. ``n_points`` counts every evaluation.
+    and the next grid fits. The previous grid is the even-index subgrid of the
+    next, so its values are kept and only the new points are evaluated;
+    ``n_points`` counts every evaluation (n^d for the final n).
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
     n_max = 2 ** (_LOG2_MAX_GRID // d)  # the largest power of two n with n^d <= 2^19
     if n_max < 2:
         raise EnumerationLimitError(f"periodic grid of 2^{d} points exceeds cap 2^19")
-    n, used = min(8, n_max), 0
+    even = (slice(None, None, 2),) * d
+    n, vals = min(8, n_max), None
     while True:
-        vals = _evaluate(f, np.indices((n,) * d).reshape(d, -1).T / n)
-        used += vals.size
+        grid = np.empty((n,) * d)
+        fresh = np.ones((n,) * d, dtype=bool)
+        if vals is not None:
+            grid[even], fresh[even] = vals, False
+        grid[fresh] = _evaluate(f, np.argwhere(fresh) / n)
+        vals = grid
         value = float(np.mean(vals))
-        coarse = float(np.mean(vals.reshape((n,) * d)[(slice(None, None, 2),) * d]))
+        coarse = float(np.mean(vals[even]))
         err = abs(value - coarse) + float(np.finfo(float).eps * np.mean(np.abs(vals)))
         if err <= tol or 2 * n > n_max:
-            return QuadratureResult(value, err, used, "periodic")
+            return QuadratureResult(value, err, vals.size, "periodic")
         n *= 2
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .lattice import GramMatrix, LatticeError, is_lll_reduced, lll_reduce, shortest_vector
 
@@ -168,7 +167,7 @@ def riemann_form_norm(om: PeriodMatrix, m, n) -> float:
     if m.shape[0] != om.g or n.shape[0] != om.g:
         raise SiegelError(f"integer vectors must have length g={om.g}")
     v = m + om.X @ n
-    h = float(v @ cho_solve((om.Y.chol, True), v)) + float(n @ om.Y.entries @ n)
+    h = float(v @ (om.Y.inverse().entries @ v)) + float(n @ om.Y.entries @ n)
     return max(h, 0.0)
 
 

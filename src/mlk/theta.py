@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .lattice import GramMatrix, _int_box
 from .siegel import PeriodMatrix
@@ -345,7 +344,7 @@ def theta_siegel(om: PeriodMatrix, z, tol: float = 1e-12) -> ThetaValue:
     """
     z = _as_z(om, z, tol)
     a, b = z.real, z.imag
-    c = cho_solve((om.Y.chol, True), b)
+    c = om.Y.inverse().entries @ b
     q = float(b @ c)  # b^T Y^{-1} b
     if math.pi * q > _EXP_CAP:
         raise ThetaError("imaginary part of z too large for a stable evaluation")
@@ -364,7 +363,7 @@ def cube_norm_s(om: PeriodMatrix, z, tol: float = 1e-12) -> float:
     <= det(Y)^{1/4} * tol^2, plus the contraction's rounding error.
     """
     z = _as_z(om, z, tol)
-    y = cho_solve((om.Y.chol, True), z.imag)
+    y = om.Y.inverse().entries @ z.imag
     xy = np.concatenate([z.real - om.X @ y, y]).reshape(1, -1)
     values, _ = cube_norm_batch(om, xy, max(tol * tol, _DENORMAL))  # tol^2 may underflow
     return float(values[0])

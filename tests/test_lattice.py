@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import cho_solve
 
 from mlk import lattice
 from mlk.cli import _random_spd
@@ -20,6 +22,7 @@ from mlk.lattice import (
     psi_sq_batch,
     shortest_vector,
 )
+from mlk.siegel import riemann_form_norm, validate_period_matrix
 
 from conftest import (
     brute_closest,
@@ -70,6 +73,51 @@ class TestGramMatrix:
         with pytest.raises(AttributeError):
             Y.g = 3
         assert not Y.entries.flags.writeable
+
+    def test_inverse_and_riemann_form_match_cho_solve_and_mpmath(self):
+        # Y^{-1} from the Cholesky factor, and m^T Y^{-1} m through
+        # riemann_form_norm (n = 0), on seeded SPD matrices at g = 1..8 with
+        # condition numbers 1 to 0.99e12 (just inside the limit), against
+        # scipy's cho_solve and a 40-digit mpmath inverse. Errors are in units
+        # of kappa(Y) eps: the inverse's max entry error relative to
+        # max |Y^{-1}|, the quadratic form's relative error. The bounds are
+        # cho_solve's own worst case on these matrices (1.320 and 1.292),
+        # rounded up; entrywise, cho_solve and the library agree to
+        # 0.01 kappa eps.
+        inv_bound, quad_bound, agree_bound = 1.33, 1.3, 0.01
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(7)
+        worst = {"inv": [0.0, 0.0], "quad": [0.0, 0.0]}
+        with mp.workdps(40):
+            for g in range(1, 9):
+                for kappa in (1.0, 1e3, 1e6, 1e9, 0.99e12):
+                    lam = np.exp(np.linspace(0.0, math.log(kappa), g) + rng.uniform(-2.0, 2.0))
+                    Q = np.linalg.qr(rng.normal(size=(g, g)))[0]
+                    A = (Q * lam) @ Q.T
+                    Y = GramMatrix((A + A.T) / 2.0)
+                    unit = np.linalg.cond(Y.entries) * eps
+                    exact = mp.matrix(Y.entries.tolist()) ** -1
+                    exact_f = np.array(exact.tolist(), dtype=float)
+                    scale = float(np.max(np.abs(exact_f)))
+                    ref = cho_solve((Y.chol, True), np.eye(g))
+                    ref = (ref + ref.T) / 2.0
+                    Yi = Y.inverse().entries
+                    for k, inv in enumerate((ref, Yi)):
+                        err = float(np.max(np.abs(inv - exact_f))) / scale / unit
+                        worst["inv"][k] = max(worst["inv"][k], err)
+                    assert np.max(np.abs(Yi - ref)) <= agree_bound * unit * scale
+                    om = validate_period_matrix(np.zeros((g, g)), Y.entries)
+                    for _ in range(4):
+                        m = rng.integers(-3, 4, g)
+                        m[0] = m[0] or 1
+                        mm = mp.matrix(m.tolist())
+                        h = (mm.T * exact * mm)[0]
+                        mf = m.astype(float)
+                        for k, val in enumerate((float(mf @ cho_solve((Y.chol, True), mf)),
+                                                 riemann_form_norm(om, m, np.zeros(g)))):
+                            err = float(abs(val - h) / h) / unit
+                            worst["quad"][k] = max(worst["quad"][k], err)
+        assert max(worst["inv"]) <= inv_bound and max(worst["quad"]) <= quad_bound, worst
 
 
 class TestNorm:

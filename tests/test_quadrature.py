@@ -96,6 +96,23 @@ class TestIntegratePeriodic:
         assert r.error_estimate <= 1e-10
         assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)
 
+    def test_each_point_evaluated_once(self):
+        # frequencies 12 and 24 alias onto the subgrids of n = 8 and 16, so the
+        # rule doubles twice and stops at n = 32 with the exact mean 0.5; each
+        # doubling evaluates only the points off the previous grid
+        batches = []
+
+        def f(P):
+            batches.append(P.copy())
+            return 0.5 + np.cos(24.0 * math.pi * P[:, 0]) + np.cos(48.0 * math.pi * P[:, 1])
+
+        r = integrate_periodic(f, 3, 1e-12)
+        assert [len(P) for P in batches] == [8**3, 16**3 - 8**3, 32**3 - 16**3]
+        assert r.n_points == 32**3 and r.value == pytest.approx(0.5, abs=1e-14)
+        k = np.rint(np.vstack(batches) * 32).astype(np.int64)
+        assert np.array_equal(k, np.vstack(batches) * 32)
+        assert np.unique(k, axis=0).shape == (32**3, 3) and k.min() == 0 and k.max() == 31
+
     def test_rejects_non_finite(self):
         def f(P):
             out = np.ones(P.shape[0])
@@ -117,8 +134,8 @@ class TestIntegratePeriodic:
         assert sizes == [(2**14, 14)] and r.n_points == 2**14
         sizes.clear()
         r = integrate_periodic(f, 3, -1.0)
-        assert [s[0] for s in sizes] == [8**3, 16**3, 32**3, 64**3]
-        assert r.n_points == sum(s[0] for s in sizes)
+        assert [s[0] for s in sizes] == [8**3, 16**3 - 8**3, 32**3 - 16**3, 64**3 - 32**3]
+        assert r.n_points == sum(s[0] for s in sizes) == 64**3
         sizes.clear()
         with pytest.raises(EnumerationLimitError, match="exceeds cap"):
             integrate_periodic(f, 20, 1.0)

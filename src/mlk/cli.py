@@ -300,13 +300,10 @@ def _suite_lattice(n: int, seed: int, g: int) -> list[CheckEntry]:
 
 def _suite_integrals(n: int, seed: int, g: int, budget: int | None) -> list[CheckEntry]:
     rng = np.random.default_rng(seed)
-    g = min(g, 3)
     entries = []
     for i in range(n):
         Y = _random_spd(rng, g)
-        scheme = SCHEME_TENSOR_GAUSS if g <= 2 else SCHEME_QMC_SHIFTED
-        small = budget or (64 if scheme == SCHEME_TENSOR_GAUSS else 4096)
-        r = integral_psi_sq(Y, scheme, small, seed)
+        r = integral_psi_sq(Y, SCHEME_TENSOR_GAUSS, budget or 64, seed)
         lo = mu_interval(Y, budget=128).lo
         slack = r.value + r.error_estimate - lo * lo / 3.0
         entries.append(

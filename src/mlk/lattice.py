@@ -71,7 +71,7 @@ class GramMatrix:
 
     __slots__ = ("g", "entries", "chol", "_cache")
 
-    def __init__(self, entries):
+    def __init__(self, entries, *, _derived: bool = False):
         Y = np.array(entries, dtype=float)
         if Y.ndim != 2 or Y.shape[0] != Y.shape[1] or Y.shape[0] == 0:
             raise LatticeError("Gram matrix must be square and non-empty")
@@ -79,16 +79,20 @@ class GramMatrix:
             raise LatticeError("Gram matrix entries must be finite")
         if not np.array_equal(Y, Y.T):
             raise LatticeError("Gram matrix must be exactly symmetric")
-        eig = np.linalg.eigvalsh(Y)
-        if eig[0] <= 0.0:
-            raise LatticeError("Gram matrix must be positive definite")
-        if eig[-1] > _COND_LIMIT * eig[0]:
-            raise LatticeError(
-                f"Gram matrix condition number {eig[-1] / eig[0]:.3e} exceeds {_COND_LIMIT:.0e}"
-            )
+        # Forms derived from an accepted Y skip the eigenvalue test: Y^{-1} has
+        # kappa(Y), but its estimate can land just past the limit, and t U^T Y U
+        # is the LLL-reduced form that the enumerators already factor unchecked.
+        if not _derived:
+            eig = np.linalg.eigvalsh(Y)
+            if eig[0] <= 0.0:
+                raise LatticeError("Gram matrix must be positive definite")
+            if eig[-1] > _COND_LIMIT * eig[0]:
+                raise LatticeError(
+                    f"Gram matrix condition number {eig[-1] / eig[0]:.3e} exceeds {_COND_LIMIT:.0e}"
+                )
         try:
             L = np.linalg.cholesky(Y)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - caught by eigvalsh
+        except np.linalg.LinAlgError as exc:
             raise LatticeError("Cholesky factorization failed") from exc
         if np.max(np.abs(L @ L.T - Y)) > 1e-12 * max(1.0, np.max(np.abs(Y))):
             raise LatticeError("Cholesky factor does not reproduce Y to 1e-12")
@@ -116,8 +120,14 @@ class GramMatrix:
         if "inverse" not in self._cache:
             Li = np.linalg.inv(self.chol)
             Yi = Li.T @ Li
-            self._cache["inverse"] = GramMatrix((Yi + Yi.T) / 2.0)
+            self._cache["inverse"] = GramMatrix((Yi + Yi.T) / 2.0, _derived=True)
         return self._cache["inverse"]
+
+    def _scaled_reduced(self, t: float) -> "GramMatrix":
+        """t G for t > 0 and the LLL-reduced form G of ``_reduced``, cached per t."""
+        if ("scaled", t) not in self._cache:
+            self._cache[("scaled", t)] = GramMatrix(t * self._reduced()["G"], _derived=True)
+        return self._cache[("scaled", t)]
 
     def lambda1(self) -> float:
         """First minimum lambda_1(Y)."""
@@ -130,7 +140,7 @@ class GramMatrix:
         return 0.5 * math.sqrt(float(np.sum(np.diag(red["R"]) ** 2))) * _RADIUS_SAFETY
 
     def _reduced(self) -> dict:
-        """LLL-reduced data: transform U and its inverse, Cholesky R of U^T Y U."""
+        """LLL data: transform U, its inverse, the form G = U^T Y U, Cholesky R of G."""
         if "reduced" not in self._cache:
             _, U = lll_reduce(self.chol.T)
             G = U.T.astype(float) @ self.entries @ U.astype(float)
@@ -142,6 +152,7 @@ class GramMatrix:
             self._cache["reduced"] = {
                 "U": U,
                 "Uinv": Uinv,
+                "G": G,
                 "R": R,
                 "col_sq": (R * R).sum(axis=0),  # squared lengths of reduced basis vectors
             }

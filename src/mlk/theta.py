@@ -7,15 +7,14 @@ Three closely related series are evaluated:
 * the cube-metric section norm
   ||s||(z) = det(Y)^{1/4} exp(-pi y^T Y^{-1} y) |theta_Omega(z)|,  y = Im z.
 
-f_Y is an exp-sum over ``_sq_dist_blocks``: the squared distances
-||p - m||_Y^2 from a point p to the lattice points m of a box covering the
-truncation ellipsoid around p. Theta sums use m = -n, so with Im z = Y c the
+All three are one Gaussian lattice sum. With Im z = Y c and m = -n, theta
 terms are exp(pi c^T Y c) exp(-pi ||c - m||_Y^2 + i pi (m^T X m - 2 m . Re z)):
 the Gaussian peak sits at p = c, and term counts stay small for large
 imaginary parts. ||s|| at z = x + Omega y is the same sum at p = y with
-Re z -> x + X y, where exp(-pi y^T Y^{-1} y) cancels.
+Re z -> x + X y, where exp(-pi y^T Y^{-1} y) cancels. f_Y(t; x) is the sum
+on t G with X = 0 and no phases, at p = U^{-1} x for the LLL-reduced G = U^T Y U.
 
-Theta sums do not form the N x T matrix of terms. Around a centre h, with
+The sums do not form the N x T matrix of terms. Around a centre h, with
 m = h + d and p = h + delta, a term factors into a coefficient
 C[d] = exp(-pi d^T Y d + i pi m^T X m) that does not depend on p, per-axis
 powers exp(d_k a_k) with a = 2 pi Y delta - 2 pi i Re z, and one factor per
@@ -30,7 +29,7 @@ centre and coefficients; the cells are chosen from Y and the radius.
 The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
 lattice points are disjoint, so the tail sum is dominated by a continuous
 Gaussian integral outside the ellipsoid, an incomplete-gamma expression.
-Theta results also carry a certified bound on the contraction's rounding
+Every result also carries a certified bound on the contraction's rounding
 error (a gamma_n bound relative to sum_m exp(-pi m^T Y m)), added to the
 reported tail.
 """
@@ -69,7 +68,7 @@ class ThetaError(ValueError):
 @dataclass(frozen=True)
 class ThetaValue:
     """A truncated series value with a certified absolute error bound: the
-    truncation tail, plus the rounding of the contraction for theta."""
+    truncation tail plus the rounding of the contraction."""
 
     value: complex
     tail_bound: float
@@ -134,29 +133,18 @@ def _candidate_box(Y: GramMatrix, radius: float, lo=0.0, hi=1.0) -> np.ndarray:
     return _int_box(*_candidate_range(Y, radius, lo, hi)).astype(float)
 
 
-def _sq_dist_blocks(Y: GramMatrix, P: np.ndarray, cand: np.ndarray):
-    """Yield ``(rows, D)`` with D[i, j] = ||P[rows][i] - cand[j]||_Y^2, in row
-    blocks of at most 2^22 entries. D is not clipped at 0, so rounding can
-    leave tiny negative entries."""
-    qm = np.einsum("ij,ij->i", cand, cand @ Y.entries)
-    chunk = max(1, (1 << 22) // max(1, cand.shape[0]))
-    for k in range(0, P.shape[0], chunk):
-        S = P[k : k + chunk]
-        G1 = S @ Y.entries
-        qx = np.einsum("ij,ij->i", S, G1)
-        yield slice(k, k + chunk), qx[:, None] - 2.0 * (G1 @ cand.T) + qm[None, :]
-
-
 def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
-    """f_Y(t; x) at many x simultaneously.
+    """f_Y(t; x) at many x simultaneously, by the theta contraction on the
+    form t Y, in LLL-reduced coordinates, with X = 0 and no phases.
 
     Returns ``(values, tail_bound, terms)``: values includes every lattice
     point of a box covering the truncation ellipsoid of each x (a superset,
-    so accuracy only improves), and tail_bound is a certified absolute bound
-    on the omitted mass, uniform over the batch and at most tol * min value.
+    so accuracy only improves), and tail_bound is a certified absolute bound,
+    uniform over the batch, on the omitted mass (at most tol * min value)
+    plus the rounding error of the contraction.
     """
-    if t <= 0.0:
-        raise ThetaError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ThetaError("t must be positive and finite")
     if tol <= 0.0:
         raise ThetaError("tol must be positive")
     P = _torus_points(points, Y.g, f"g={Y.g}")  # the series is Z^g-periodic
@@ -165,17 +153,19 @@ def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
     # f >= det_sqrt * exp(-pi t mu^2) everywhere; certify the tail against it.
     target = tol * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
     R = _radius_for(Y, det_sqrt, t, target)
-    cand = _candidate_box(Y, R)
-    values = np.empty(P.shape[0])
-    for rows, D in _sq_dist_blocks(Y, P, cand):
-        np.maximum(D, 0.0, out=D)
-        values[rows] = np.exp(-math.pi * t * D).sum(axis=1)
-    values *= det_sqrt
-    return values, _tail_bound(Y, det_sqrt, t, R), cand.shape[0]
+    # f_Y(t; x) = f_G(t; U^{-1} x) on the LLL-reduced form G = U^T Y U, whose
+    # box hugs the ellipsoid, so that the contraction needs few cells.
+    P = P @ Y._reduced()["Uinv"].T.astype(float)
+    P -= np.floor(P)
+    # _tail_bound is invariant under (Y, R, t) -> (t G, sqrt(t) R, 1).
+    sums, terms, rounding = _theta_sums(Y._scaled_reduced(t), np.zeros((Y.g, Y.g)), P,
+                                        np.zeros_like(P), math.sqrt(t) * R, 0.0, 1.0)
+    return det_sqrt * sums.real, _tail_bound(Y, det_sqrt, t, R) + det_sqrt * rounding, terms
 
 
 def f_series(Y: GramMatrix, t: float, x, tol: float = 1e-12) -> ThetaValue:
-    """Gaussian lattice sum f_Y(t; x) with relative truncation error <= tol."""
+    """Gaussian lattice sum f_Y(t; x) by ``f_series_batch``: ``tail_bound`` is
+    the truncation tail (at most tol * value) plus the rounding bound."""
     values, tail, terms = f_series_batch(Y, t, np.asarray(x, dtype=float).reshape(1, -1), tol)
     return ThetaValue(value=float(values[0]), tail_bound=tail, terms_used=terms)
 
@@ -234,9 +224,9 @@ def _contract(Y: np.ndarray, C: np.ndarray, dk: list, delta: np.ndarray, u: np.n
                            - 2j * math.pi * (u @ h))
 
 
-def _theta_sums(om: PeriodMatrix, p: np.ndarray, u: np.ndarray, radius: float, lo, hi):
+def _theta_sums(gram: GramMatrix, X, p, u, radius: float, lo, hi):
     """Per row i, for p_i in the box [lo, hi]: the sum over the lattice points
-    m of ``_candidate_box(Y, radius, lo, hi)`` of
+    m of ``_candidate_box(Y, radius, lo, hi)``, Y = ``gram``, of
     exp(-pi ||p_i - m||_Y^2 + i pi (m^T X m - 2 m . u_i)).
 
     Returns ``(sums, terms, rounding)``: the box size and an absolute bound on
@@ -247,30 +237,31 @@ def _theta_sums(om: PeriodMatrix, p: np.ndarray, u: np.ndarray, radius: float, l
     cell and contracted by ``_contract``. A cell skips the box points whose
     terms are below exp(-_UNDERFLOW) at all its points.
     """
-    Y, g = om.Y.entries, om.g
+    Y, g = gram.entries, gram.g
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (g,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (g,))
     u = u - np.floor(u)  # every term is Z^g-periodic in u
-    box_lo, box_hi = _candidate_range(om.Y, radius, lo, hi)
+    box_lo, box_hi = _candidate_range(gram, radius, lo, hi)
     n = (box_hi - box_lo).astype(np.int64) + 1
     T = int(np.prod(n))
     half = (hi - lo) / 2.0
     span = np.maximum(hi - box_lo, box_hi - lo)  # |d_k| <= span_k in every cell
-    s = _cell_counts(om.Y, half, span)
+    s = _cell_counts(gram, half, span)
     eps = half / s
-    reach = np.minimum(span, _cell_reach(om.Y, eps))
+    reach = np.minimum(span, _cell_reach(gram, eps))
     idx = np.clip(np.floor((p - lo) / np.where(eps > 0.0, 2.0 * eps, 1.0)), 0, s - 1)
-    key = np.ravel_multi_index(idx.astype(np.int64).T, s)
-    order = np.argsort(key, kind="stable")
-    cells, starts = np.unique(key[order], return_index=True)
+    # Rows grouped by cell, without a flat cell number: prod(s) can pass 2^63.
+    order = np.lexsort(idx.T[::-1])
+    idx = idx[order]
+    starts = np.flatnonzero(np.r_[True, np.any(idx[1:] != idx[:-1], axis=1)])
     edges = np.append(starts, order.shape[0])
 
     # Every intermediate (W_k: rows x n_k, partial sums: T / n_g x rows) has
     # at most 2^22 entries.
     chunk = max(1, (1 << 22) // max(T // n[-1], int(n.max())))
     out = np.zeros(p.shape[0], dtype=complex)
-    for cell, b0, b1 in zip(cells, edges[:-1], edges[1:]):
-        h = lo + (2.0 * np.array(np.unravel_index(cell, s)) + 1.0) * eps
+    for b0, b1 in zip(edges[:-1], edges[1:]):
+        h = lo + (2.0 * idx[b0] + 1.0) * eps
         m_lo = np.maximum(box_lo, np.ceil(h - reach))
         m_hi = np.minimum(box_hi, np.floor(h + reach))
         if np.any(m_lo > m_hi):
@@ -279,7 +270,7 @@ def _theta_sums(om: PeriodMatrix, p: np.ndarray, u: np.ndarray, radius: float, l
         d = m - h
         dk = [d0 + np.arange(nk) for d0, nk in zip(m_lo - h, (m_hi - m_lo + 1).astype(int))]
         C = np.exp(-math.pi * np.einsum("ij,ij->i", d, d @ Y)
-                   + 1j * math.pi * np.einsum("ij,ij->i", m, m @ om.X))
+                   + 1j * math.pi * np.einsum("ij,ij->i", m, m @ X))
         C = C.reshape(-1, dk[-1].shape[0])
         for k0 in range(b0, b1, chunk):
             rows = order[k0 : min(k0 + chunk, b1)]
@@ -288,13 +279,13 @@ def _theta_sums(om: PeriodMatrix, p: np.ndarray, u: np.ndarray, radius: float, l
     absY = np.abs(Y)
     m_max, h_max = np.maximum(abs(box_lo), abs(box_hi)), np.maximum(abs(lo), abs(hi))
     steps = 2.0 * math.pi * (absY @ eps + 1.0)
-    args = (math.pi * float(reach @ absY @ reach + m_max @ np.abs(om.X) @ m_max)
+    args = (math.pi * float(reach @ absY @ reach + m_max @ np.abs(X) @ m_max)
             + float((reach + np.minimum(n - 1, 2.0 * reach)) @ steps)
             + math.pi * float(eps @ absY @ eps + 2.0 * h_max.sum()))
-    return out, T, _rounding_bound(om, radius, int(n.sum()), args)
+    return out, T, _rounding_bound(gram, radius, int(n.sum()), args)
 
 
-def _rounding_bound(om: PeriodMatrix, radius: float, n_sum: int, args: float) -> float:
+def _rounding_bound(gram: GramMatrix, radius: float, n_sum: int, args: float) -> float:
     """gamma_N * S0 (Higham, Accuracy and Stability of Numerical Algorithms,
     sec. 3.1) for the contraction of ``_theta_sums``.
 
@@ -312,15 +303,15 @@ def _rounding_bound(om: PeriodMatrix, radius: float, n_sum: int, args: float) ->
     each below 2^-900 since no product of powers exceeds exp(_SPLIT_EXP),
     while S0 >= 1.
     """
-    g, Y = om.g, om.Y.entries
+    g, Y, u = gram.g, gram.entries, _UNIT_ROUNDOFF
     N = n_sum + 3 * (n_sum + 1) + 5 * (n_sum + 2) + 1 + (2 * g + 4) * args
-    gamma = N * _UNIT_ROUNDOFF / (1.0 - N * _UNIT_ROUNDOFF)
-    m = _candidate_box(om.Y, radius, 0.0, 0.0)
+    gamma = N * u / (1.0 - N * u) if N * u < 1.0 else math.inf
+    m = _candidate_box(gram, radius, 0.0, 0.0)
     q = np.einsum("ij,ij->i", m, m @ Y)
     qa = np.einsum("ij,ij->i", np.abs(m), np.abs(m) @ np.abs(Y))
-    lower = np.maximum(q - (2 * g + 2) * _UNIT_ROUNDOFF * qa, 0.0)
-    s0 = (1.0 + 8.0 * _UNIT_ROUNDOFF) * float(np.exp(-math.pi * lower).sum())
-    return gamma * (s0 + _tail_bound(om.Y, 1.0, 1.0, radius))
+    lower = np.maximum(q - (2 * g + 2) * u * qa, 0.0)
+    s0 = (1.0 + 8.0 * u) * float(np.exp(-math.pi * lower).sum())
+    return gamma * (s0 + _tail_bound(gram, 1.0, 1.0, radius))
 
 
 def _as_z(om: PeriodMatrix, z, tol: float) -> np.ndarray:
@@ -349,7 +340,7 @@ def theta_siegel(om: PeriodMatrix, z, tol: float = 1e-12) -> ThetaValue:
     if math.pi * q > _EXP_CAP:
         raise ThetaError("imaginary part of z too large for a stable evaluation")
     R = _radius_for(om.Y, 1.0, 1.0, tol * tol * math.exp(-min(math.pi * q, _EXP_CAP)))
-    s, terms, rounding = _theta_sums(om, c.reshape(1, -1), a.reshape(1, -1), R, c, c)
+    s, terms, rounding = _theta_sums(om.Y, om.X, c.reshape(1, -1), a.reshape(1, -1), R, c, c)
     scale = math.exp(math.pi * q)
     err = _tail_bound(om.Y, 1.0, 1.0, R) + rounding
     return ThetaValue(value=scale * complex(s[0]), tail_bound=scale * err, terms_used=terms)
@@ -384,6 +375,6 @@ def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
     XY = _torus_points(xy, 2 * g, f"2g={2 * g}")
     xs, ys = XY[:, :g], XY[:, g:]
     R = _radius_for(om.Y, 1.0, 1.0, tol)
-    sums, _, rounding = _theta_sums(om, ys, xs + ys @ om.X, R, 0.0, 1.0)
+    sums, _, rounding = _theta_sums(om.Y, om.X, ys, xs + ys @ om.X, R, 0.0, 1.0)
     det4 = om.Y.det_sqrt ** 0.5
     return det4 * np.abs(sums), det4 * (_tail_bound(om.Y, 1.0, 1.0, R) + rounding)

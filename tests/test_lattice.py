@@ -23,6 +23,7 @@ from mlk.lattice import (
     shortest_vector,
 )
 from mlk.siegel import riemann_form_norm, validate_period_matrix
+from mlk.theta import f_series
 
 from conftest import (
     brute_closest,
@@ -118,6 +119,23 @@ class TestGramMatrix:
                             err = float(abs(val - h) / h) / unit
                             worst["quad"][k] = max(worst["quad"][k], err)
         assert max(worst["inv"]) <= inv_bound and max(worst["quad"]) <= quad_bound, worst
+
+    @pytest.mark.parametrize("entries", [
+        [[33181.32068963705, 21501942.35941785], [21501942.35941785, 13933553871.982214]],
+        [[214356.3488317381, 213995296.54685012], [213995296.54685012, 213635065318.98288]],
+    ])
+    def test_derived_matrices_keep_the_accepted_condition(self, entries):
+        # kappa(Y) within 5e-9 below the limit, where the eigenvalue estimate
+        # of the computed Y^{-1} (and of 0.7 Y) lands just above it. Y^{-1} has
+        # kappa(Y) exactly, so neither it nor f and H, which use it, may raise.
+        Y = GramMatrix(entries)
+        Yi = Y.inverse().entries
+        assert np.max(np.abs(Y.entries @ Yi - np.eye(2))) < 1e-3
+        f = f_series(Y, 0.7, [0.0, 0.0])  # the other terms are below exp(-1e4)
+        assert abs(f.value - Y.det_sqrt) <= f.tail_bound + 1e-13 * Y.det_sqrt
+        om = validate_period_matrix(np.zeros((2, 2)), entries)
+        h = riemann_form_norm(om, [1, 0], [0, 1])
+        assert h == pytest.approx(Yi[0, 0] + Y.entries[1, 1], rel=1e-12)
 
 
 class TestNorm:

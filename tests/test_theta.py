@@ -16,6 +16,7 @@ from mlk.theta import (
     cube_norm_batch,
     cube_norm_s,
     f_series,
+    f_series_batch,
     theta_siegel,
 )
 
@@ -40,23 +41,38 @@ class TestFSeries:
         assert f_series(Y, 2.0, [0.5]).value == pytest.approx(F1_T2_XHALF, rel=1e-12)
 
     def test_matches_mpmath_generic(self, rng):
-        Y = make_spd(rng, 2)
-        x = rng.uniform(0, 1, 2)
-        got = f_series(Y, 0.7, x).value
-        A = mp.matrix(Y.entries.tolist())
-        want = mp.sqrt(mp.det(A)) * mp.nsum(
-            lambda m0, m1: mp.exp(
-                -mp.pi * 0.7 * ((mp.matrix([x[0] - m0, x[1] - m1]).T * A
-                                 * mp.matrix([x[0] - m0, x[1] - m1]))[0])
-            ),
-            [-mp.inf, mp.inf],
-            [-mp.inf, mp.inf],
-        )
-        assert got == pytest.approx(float(want), rel=1e-11)
+        # skew = 3: a form far from LLL-reduced, which f evaluates in reduced coordinates
+        for skew in (0, 3):
+            U = np.array([[1.0, skew], [0.0, 1.0]])
+            A = U.T @ make_spd(rng, 2).entries @ U
+            Y = GramMatrix((A + A.T) / 2.0)
+            x = rng.uniform(0, 1, 2)
+            got = f_series(Y, 0.7, x).value
+            A = mp.matrix(Y.entries.tolist())
+            want = mp.sqrt(mp.det(A)) * mp.nsum(
+                lambda m0, m1: mp.exp(
+                    -mp.pi * 0.7 * ((mp.matrix([x[0] - m0, x[1] - m1]).T * A
+                                     * mp.matrix([x[0] - m0, x[1] - m1]))[0])
+                ),
+                [-mp.inf, mp.inf],
+                [-mp.inf, mp.inf],
+            )
+            assert got == pytest.approx(float(want), rel=1e-11)
 
     def test_large_t_limit(self, rng):
         Y = make_spd(rng, 3)
         assert f_series(Y, 1e6, np.zeros(3)).value == pytest.approx(Y.det_sqrt, rel=1e-13)
+
+    def test_huge_t_splits_into_more_cells_than_int64_counts(self, rng):
+        # at t Y ~ 1e10 the box is split into ~2^33 cells per axis: rows are
+        # grouped without a flat cell number. Only the nearest term survives.
+        Y = make_spd(rng, 4)
+        t = 1e10
+        xs = np.vstack([np.zeros(4), np.full(4, 1e-6), rng.uniform(0.1, 0.9, (5, 4))])
+        vals, tail, _ = f_series_batch(Y, t, xs)
+        near = Y.det_sqrt * math.exp(-math.pi * t * float(xs[1] @ Y.entries @ xs[1]))
+        assert vals[:2] == pytest.approx([Y.det_sqrt, near], rel=1e-13)
+        assert np.all(vals[2:] == 0.0) and tail < 1e-10
 
     def test_tail_certification(self, rng):
         Y = make_spd(rng, 2)
@@ -82,6 +98,34 @@ class TestFSeries:
             coarse = f_series(Y, 0.5, x, tol=1e-4)
             assert abs(coarse.value - ref) <= coarse.tail_bound
 
+    @pytest.mark.parametrize("Y, t", [
+        ([[300.0]], 1.0),
+        ([[1.0]], 1e4),
+        ([[1.0, 0.0], [0.0, 500.0]], 2.0),
+    ])
+    def test_large_tY_matches_40_digit_sum(self, rng, Y, t):
+        # at large t Y, ||x - m||^2 formed as q(x) - 2 x^T Y m + q(m) cancels;
+        # against a 40-digit sum over m within 6 of round(x) (the rest is
+        # below exp(-200) relative), on values above 1e-280
+        Y = GramMatrix(Y)
+        g = Y.g
+        xs = rng.uniform(0, 1, (100, g))
+        vals, tail, _ = f_series_batch(Y, t, xs)
+        with mp.workdps(40):
+            A = [[mp.mpf(float(a)) for a in row] for row in Y.entries]
+            scale = mp.sqrt(mp.mpf(float(np.prod(np.diag(Y.entries)))))  # Y is diagonal
+            for x, v in zip(xs, vals):
+                ref = mp.mpf(0)
+                for off in np.ndindex(*(13,) * g):
+                    d = [mp.mpf(float(x[k])) - (round(x[k]) + off[k] - 6) for k in range(g)]
+                    q = sum(d[i] * A[i][j] * d[j] for i in range(g) for j in range(g))
+                    ref += mp.exp(-mp.pi * t * q)
+                ref *= scale
+                if ref < 1e-280:
+                    continue
+                err = abs(mp.mpf(float(v)) - ref)
+                assert err <= 1e-13 * ref and err <= tail
+
     @given(spd, st.integers(1, 3), st.floats(0.2, 8.0))
     def test_symmetry_and_periodicity(self, r, g, t):
         Y = make_spd(r, g)
@@ -93,8 +137,9 @@ class TestFSeries:
 
     def test_rejects_bad_arguments(self):
         Y = GramMatrix([[1.0]])
-        with pytest.raises(ThetaError):
-            f_series(Y, -1.0, [0.0])
+        for t in (-1.0, math.inf, math.nan):
+            with pytest.raises(ThetaError):
+                f_series(Y, t, [0.0])
         with pytest.raises(ThetaError):
             f_series(Y, 1.0, [0.0], tol=0.0)
         with pytest.raises(ThetaError):

@@ -100,6 +100,10 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class CheckEntry:
+    """One numeric check. Build it with ``at_least``, ``at_most`` or
+    ``equal``: each passes exactly when slack >= -tolerance, with the slack
+    reported before any error allowance."""
+
     name: str
     lhs: float
     rhs: float
@@ -107,6 +111,28 @@ class CheckEntry:
     tolerance: float
     passed: bool
     error_estimate: float = 0.0
+
+    @classmethod
+    def _judged(cls, name, lhs, rhs, slack, tolerance, error_estimate) -> "CheckEntry":
+        return cls(name, lhs, rhs, slack, tolerance, bool(slack >= -tolerance), error_estimate)
+
+    @classmethod
+    def at_least(cls, name: str, lhs: float, rhs: float, tolerance: float,
+                 error_estimate: float = 0.0) -> "CheckEntry":
+        """lhs >= rhs, with slack lhs - rhs."""
+        return cls._judged(name, lhs, rhs, lhs - rhs, tolerance, error_estimate)
+
+    @classmethod
+    def at_most(cls, name: str, lhs: float, rhs: float, tolerance: float,
+                error_estimate: float = 0.0) -> "CheckEntry":
+        """lhs <= rhs, with slack rhs - lhs."""
+        return cls._judged(name, lhs, rhs, rhs - lhs, tolerance, error_estimate)
+
+    @classmethod
+    def equal(cls, name: str, lhs: float, rhs: float, tolerance: float,
+              error_estimate: float = 0.0) -> "CheckEntry":
+        """lhs == rhs, with slack -|lhs - rhs|."""
+        return cls._judged(name, lhs, rhs, -abs(lhs - rhs), tolerance, error_estimate)
 
 
 @dataclass(frozen=True)
@@ -253,17 +279,17 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
     f_Y(2; y) at sampled y; (b) the average of ln f_Y(2; .) against the
     log-Gaussian bound at the clamped lam; (c) 2I >= pi/(6 lam^2) + g ln lam
     + (g/2) ln(3g/(pi e)). Finally (d): the invariant-based height bound
-    dominates the clamped-diameter bound. Slack is lhs - rhs (or -|diff| for
-    the identity), reported before any error allowance. The x-integrals of
-    (a) and (b) run on ``integrate_periodic`` to ``tolerance``; ``scheme``,
-    ``budget`` and ``seed`` size the 2g-dimensional invariant of (c) only.
+    dominates the clamped-diameter bound, with (2/d) times the sum of the
+    invariants' error estimates. (a) is a ``CheckEntry.equal`` check, (b)
+    ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
+    on ``integrate_periodic`` to ``tolerance``; ``scheme``, ``budget`` and
+    ``seed`` size the 2g-dimensional invariant of (c) only.
     """
     _require_complete(E)
     for i, om in enumerate(E.periods):
         if not om.is_reduced:
             raise BoundsError(f"embedding {i}: period matrix must be reduced first")
     g = E.g
-    entries: list[CheckEntry] = []
 
     def run_embedding(item):
         idx, om = item
@@ -277,34 +303,12 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
                 return vals * vals
 
             r = integrate_periodic(slice_norm_sq, g, tolerance)
-            rhs = f_series(Y, 2.0, yv).value
-            diff = r.value - rhs
-            out.append(
-                CheckEntry(
-                    name=f"parseval[{idx},{k}]",
-                    lhs=r.value,
-                    rhs=rhs,
-                    slack=-abs(diff),
-                    tolerance=tolerance,
-                    passed=abs(diff) <= tolerance,
-                    error_estimate=r.error_estimate,
-                )
-            )
+            out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, f_series(Y, 2.0, yv).value,
+                                        tolerance, r.error_estimate))
 
         r_ln = integral_ln_f(Y, 2.0, tolerance)
-        rhs_b = log_gaussian_bound(lam, g)
-        slack_b = rhs_b - r_ln.value
-        out.append(
-            CheckEntry(
-                name=f"log_gaussian_bound[{idx}]",
-                lhs=r_ln.value,
-                rhs=rhs_b,
-                slack=slack_b,
-                tolerance=tolerance,
-                passed=slack_b >= -tolerance,
-                error_estimate=r_ln.error_estimate,
-            )
-        )
+        out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value,
+                                      log_gaussian_bound(lam, g), tolerance, r_ln.error_estimate))
 
         inv = archimedean_invariant(om, scheme, budget, seed)
         rhs_c = (
@@ -312,37 +316,20 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
             + g * math.log(lam)
             + (g / 2.0) * math.log(3.0 * g / (math.pi * math.e))
         )
-        slack_c = 2.0 * inv.value - rhs_c
-        out.append(
-            CheckEntry(
-                name=f"theta_invariant_lower[{idx}]",
-                lhs=2.0 * inv.value,
-                rhs=rhs_c,
-                slack=slack_c,
-                tolerance=tolerance,
-                passed=slack_c >= -tolerance,
-                error_estimate=2.0 * inv.error_estimate,
-            )
-        )
-        return out, inv.value
+        out.append(CheckEntry.at_least(f"theta_invariant_lower[{idx}]", 2.0 * inv.value, rhs_c,
+                                       tolerance, 2.0 * inv.error_estimate))
+        return out, inv
 
     results = _pmap(run_embedding, list(enumerate(E.periods)))
-    I_values = []
-    for out, ival in results:
-        entries.extend(out)
-        I_values.append(ival)
-
-    lhs_d = height_from_theta_invariants(I_values, g, E.degree)
-    rhs_d = height_lower_bound(E).total
-    slack_d = lhs_d - rhs_d
+    entries = [e for out, _ in results for e in out]
+    invariants = [inv for _, inv in results]
     entries.append(
-        CheckEntry(
-            name="height_chain",
-            lhs=lhs_d,
-            rhs=rhs_d,
-            slack=slack_d,
-            tolerance=tolerance,
-            passed=slack_d >= -tolerance,
+        CheckEntry.at_least(
+            "height_chain",
+            height_from_theta_invariants([inv.value for inv in invariants], g, E.degree),
+            height_lower_bound(E).total,
+            tolerance,
+            2.0 * sum(inv.error_estimate for inv in invariants) / E.degree,
         )
     )
     return ChainReport(entries=tuple(entries), all_passed=all(e.passed for e in entries))

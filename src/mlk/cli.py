@@ -11,10 +11,11 @@ Input is a strict JSON document; unknown fields are rejected. options.scheme
 and options.budget (or --budget) size the chain's 2g-dimensional invariant,
 so tensor-gauss needs g = 1; --budget also sizes the integrals suite's psi^2
 integral. Reports go to stdout, diagnostics to stderr. Exit codes: 0
-success, 1 a verify check failed, 2 parse error, 3 invalid matrix data, 4 a
+success, 1 a verify check failed, 2 parse error (also a --random, --dim or
+--budget that is not a positive integer), 3 invalid matrix data, 4 a
 lattice enumeration or quadrature grid exceeded its cap (the input is valid
-but too large to certify). MLK_THREADS caps internal per-embedding
-parallelism.
+but too large to certify). height_chain's error_estimate is (2/d) times the
+sum of the invariants' estimates. MLK_THREADS caps per-embedding parallelism.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -161,15 +163,9 @@ def _tool_header(digest: str) -> dict:
 
 
 def _check_dict(e: CheckEntry) -> dict:
-    return {
-        "name": e.name,
-        "lhs": e.lhs,
-        "rhs": e.rhs,
-        "slack": e.slack,
-        "tolerance": e.tolerance,
-        "error_estimate": e.error_estimate,
-        "pass": e.passed,
-    }
+    doc = asdict(e)
+    doc["pass"] = doc.pop("passed")
+    return doc
 
 
 def _emit(doc: dict):
@@ -191,22 +187,12 @@ def _walk_numbers(obj):
             yield from _walk_numbers(v)
 
 
-def _embedding_set(parsed) -> EmbeddingSet:
-    try:
-        return EmbeddingSet(parsed["g"], parsed["degree"], parsed["periods"])
-    except BoundsError as exc:
-        raise DataError(str(exc)) from exc
-
-
 def cmd_bound(args) -> int:
     parsed = _read_input(args.input)
     if args.epsilon is not None:
         parsed["epsilon"] = args.epsilon
-    E = _embedding_set(parsed)
-    try:
-        report = height_lower_bound(E, epsilon=parsed["epsilon"])
-    except BoundsError as exc:
-        raise DataError(str(exc)) from exc
+    E = EmbeddingSet(parsed["g"], parsed["degree"], parsed["periods"])
+    report = height_lower_bound(E, epsilon=parsed["epsilon"])
     doc = _tool_header(parsed["digest"])
     doc.update(
         {
@@ -262,39 +248,12 @@ def _suite_lattice(n: int, seed: int, g: int) -> list[CheckEntry]:
         deep = bezout_deep_point(Y)
         lam_dual = Y.inverse().lambda1()
         psi = closest_vector(Y, deep.x).value
-        prod = 2.0 * psi * lam_dual
-        entries.append(
-            CheckEntry(
-                name=f"deep_point_certificate[{i}]",
-                lhs=prod,
-                rhs=1.0,
-                slack=prod - 1.0,
-                tolerance=1e-9,
-                passed=prod >= 1.0 - 1e-9,
-            )
-        )
         iv = mu_interval(Y, budget=128)
-        prod2 = 2.0 * iv.lo * lam_dual
-        entries.append(
-            CheckEntry(
-                name=f"covering_product[{i}]",
-                lhs=prod2,
-                rhs=1.0,
-                slack=prod2 - 1.0,
-                tolerance=1e-10,
-                passed=prod2 >= 1.0 - 1e-10,
-            )
-        )
-        entries.append(
-            CheckEntry(
-                name=f"enclosure[{i}]",
-                lhs=iv.hi,
-                rhs=iv.lo,
-                slack=iv.hi - iv.lo,
-                tolerance=0.0,
-                passed=iv.hi >= iv.lo,
-            )
-        )
+        entries += [
+            CheckEntry.at_least(f"deep_point_certificate[{i}]", 2.0 * psi * lam_dual, 1.0, 1e-9),
+            CheckEntry.at_least(f"covering_product[{i}]", 2.0 * iv.lo * lam_dual, 1.0, 1e-10),
+            CheckEntry.at_least(f"enclosure[{i}]", iv.hi, iv.lo, 0.0),
+        ]
     return entries
 
 
@@ -303,35 +262,15 @@ def _suite_integrals(n: int, seed: int, g: int, budget: int | None) -> list[Chec
     entries = []
     for i in range(n):
         Y = _random_spd(rng, g)
-        r = integral_psi_sq(Y, SCHEME_TENSOR_GAUSS, budget or 64, seed)
+        r = integral_psi_sq(Y, SCHEME_TENSOR_GAUSS, 64 if budget is None else budget, seed)
         lo = mu_interval(Y, budget=128).lo
-        slack = r.value + r.error_estimate - lo * lo / 3.0
-        entries.append(
-            CheckEntry(
-                name=f"second_moment[{i}]",
-                lhs=r.value + r.error_estimate,
-                rhs=lo * lo / 3.0,
-                slack=slack,
-                tolerance=1e-9,
-                passed=slack >= -1e-9,
-                error_estimate=r.error_estimate,
-            )
-        )
+        entries.append(CheckEntry.at_least(f"second_moment[{i}]", r.value + r.error_estimate,
+                                           lo * lo / 3.0, 1e-9, r.error_estimate))
         for t in (0.5, 1.0, 2.0):
             r = integral_ln_f(Y, t)
-            rhs = -(g / 2.0) * math.log(t)
-            slack = rhs - (r.value - r.error_estimate)
-            entries.append(
-                CheckEntry(
-                    name=f"log_mean_bound[{i},t={t}]",
-                    lhs=r.value - r.error_estimate,
-                    rhs=rhs,
-                    slack=slack,
-                    tolerance=1e-9,
-                    passed=slack >= -1e-9,
-                    error_estimate=r.error_estimate,
-                )
-            )
+            entries.append(CheckEntry.at_most(f"log_mean_bound[{i},t={t}]",
+                                              r.value - r.error_estimate, -(g / 2.0) * math.log(t),
+                                              1e-9, r.error_estimate))
     return entries
 
 
@@ -363,32 +302,16 @@ def _suite_oracle(seed: int) -> list[CheckEntry]:
         a, b = 1, rng.integers(-5, 6)
         # tau -> tau + b then inversion: both leave |Delta| (Im)^6 fixed
         t2 = -1.0 / (tau + b)
-        lhs = log_abs_delta(tau) + 6.0 * math.log(tau.imag)
-        rhs = log_abs_delta(t2) + 6.0 * math.log(t2.imag)
-        diff = abs(lhs - rhs)
-        entries.append(
-            CheckEntry(
-                name=f"weight12_invariance[{i}]",
-                lhs=lhs,
-                rhs=rhs,
-                slack=-diff,
-                tolerance=1e-9,
-                passed=diff <= 1e-9,
-            )
-        )
+        entries.append(CheckEntry.equal(f"weight12_invariance[{i}]",
+                                        log_abs_delta(tau) + 6.0 * math.log(tau.imag),
+                                        log_abs_delta(t2) + 6.0 * math.log(t2.imag), 1e-9))
     return entries
 
 
 def _default_chain_input():
-    return {
-        "g": 1,
-        "degree": 1,
-        "periods": [validate_period_matrix([[0.0]], [[1.0]])],
-        "epsilon": 0.5,
-        "budget": None,
-        "scheme": SCHEME_QMC_SHIFTED,
-        "digest": "sha256:" + hashlib.sha256(b"builtin:tau=i").hexdigest(),
-    }
+    parsed = _parse_document(b'{"g": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}]}')
+    parsed["digest"] = "sha256:" + hashlib.sha256(b"builtin:tau=i").hexdigest()
+    return parsed
 
 
 def cmd_verify(args) -> int:
@@ -401,7 +324,7 @@ def cmd_verify(args) -> int:
     if args.budget is not None:
         parsed["budget"] = args.budget
 
-    n = args.random if args.random is not None else 50
+    n = args.random
     entries: list[CheckEntry] = []
     if args.suite in ("lattice", "all"):
         entries += _suite_lattice(n, args.seed, args.dim)
@@ -427,6 +350,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mlk", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"mlk {__version__}")
@@ -445,11 +378,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("input", nargs="?", default=None)
     p_verify.add_argument("--suite", choices=_SUITES, default="all")
-    p_verify.add_argument("--random", type=int, default=None, metavar="N",
+    p_verify.add_argument("--random", type=_positive_int, default=50, metavar="N",
                           help="number of random matrices for the lattice/integrals suites")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--dim", type=int, default=3)
-    p_verify.add_argument("--budget", type=int, default=None)
+    p_verify.add_argument("--dim", type=_positive_int, default=3)
+    p_verify.add_argument("--budget", type=_positive_int, default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

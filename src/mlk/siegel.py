@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import GramMatrix, LatticeError, is_lll_reduced, lll_reduce, shortest_vector
+from .lattice import GramMatrix, LatticeError, is_lll_reduced, shortest_vector
 
 __all__ = [
     "SiegelError",
@@ -145,14 +145,12 @@ def reduce(om: PeriodMatrix) -> PeriodMatrix:
     """
     if om.g == 1:
         return _reduce_g1(om)
-    _, U = lll_reduce(om.Y.chol.T)
-    Uf = U.astype(float)
-    Ynew = Uf.T @ om.Y.entries @ Uf
-    Ynew = (Ynew + Ynew.T) / 2.0
+    red = om.Y._reduced()  # cached: PeriodMatrix._make found lambda_1 through it
+    Uf = red["U"].astype(float)
     Xnew = Uf.T @ om.X @ Uf
     Xnew = (Xnew + Xnew.T) / 2.0
     Xnew = Xnew - np.rint(Xnew)
-    return validate_period_matrix(Xnew, Ynew)
+    return validate_period_matrix(Xnew, red["G"])
 
 
 def riemann_form_norm(om: PeriodMatrix, m, n) -> float:

@@ -6,6 +6,7 @@ import pytest
 import mlk.bounds
 from mlk.bounds import (
     BoundsError,
+    CheckEntry,
     EmbeddingSet,
     archimedean_invariant,
     height_from_theta_invariants,
@@ -319,8 +320,49 @@ class TestVerifyChain:
             (entry,) = [e for e in rep.entries if e.name.startswith("theta_invariant")]
             assert entry.slack >= 0.17
 
+    def test_height_chain_carries_the_invariants_error(self):
+        # lhs = -(g/2) ln(2 pi^2) + (2/d) sum I, so its estimate is (2/d) sum err(I),
+        # the mean of the theta_invariant_lower estimates (each 2 err(I))
+        rep = verify_chain(EmbeddingSet(1, 2, [om_of(1j), om_of(2j)]), budget=4096)
+        lower = [e.error_estimate for e in rep.entries if e.name.startswith("theta_invariant")]
+        (chain,) = [e for e in rep.entries if e.name == "height_chain"]
+        assert len(lower) == 2 and min(lower) > 0.0
+        assert chain.error_estimate == pytest.approx(sum(lower) / 2, rel=1e-15)
+
     def test_requires_reduced_and_complete(self):
         with pytest.raises(BoundsError):
             verify_chain(EmbeddingSet(1, 1, [om_of(0.7 + 2j)]))
         with pytest.raises(BoundsError, match="incomplete"):
             verify_chain(EmbeddingSet(1, 2, [om_of(1j)]))
+
+
+class TestCheckEntry:
+    """Each constructor passes exactly when slack >= -tolerance."""
+
+    # rhs -/+ tol is exact for each pair, so the boundary slack is exactly -tol
+    @pytest.mark.parametrize("rhs,tol", [(0.0, 0.0), (0.0, 2.0**-30), (0.0, 1e-9), (0.0, 1e-6),
+                                         (1.0, 2.0**-20), (-4.0, 2.0**-10)])
+    def test_boundary_is_inclusive(self, rhs, tol):
+        low, high = rhs - tol, rhs + tol
+        assert CheckEntry.at_least("c", low, rhs, tol).passed
+        assert not CheckEntry.at_least("c", math.nextafter(low, -math.inf), rhs, tol).passed
+        assert CheckEntry.at_most("c", high, rhs, tol).passed
+        assert not CheckEntry.at_most("c", math.nextafter(high, math.inf), rhs, tol).passed
+        for lhs in (low, high):
+            assert CheckEntry.equal("c", lhs, rhs, tol).passed
+        for lhs in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf)):
+            assert not CheckEntry.equal("c", lhs, rhs, tol).passed
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0 + 1e-9), (-3.0, 2.5), (0.0, 1e-300)])
+    def test_equal_is_symmetric(self, a, b):
+        for tol in (0.0, abs(a - b), 10.0):
+            one, two = CheckEntry.equal("c", a, b, tol), CheckEntry.equal("c", b, a, tol)
+            assert (one.slack, one.passed) == (two.slack, two.passed)
+            assert one.slack == -abs(a - b)
+
+    def test_fields(self):
+        e = CheckEntry.at_most("x", np.float64(2.0), 3.0, 0.5, error_estimate=0.25)
+        assert (e.name, e.lhs, e.rhs, e.slack, e.tolerance, e.error_estimate) == (
+            "x", 2.0, 3.0, 1.0, 0.5, 0.25)
+        assert e.passed is True  # a plain bool, so the report serializes
+        assert CheckEntry.at_least("x", 2.0, 3.0, 0.5).slack == -1.0

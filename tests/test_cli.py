@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -202,6 +203,29 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert {"tool", "input_digest", "checks", "all_passed"} <= set(doc)
         assert all(c["error_estimate"] > 0.0 for c in doc["checks"])
+
+    @pytest.mark.parametrize("flag,value", [("--random", "-3"), ("--random", "0"),
+                                            ("--dim", "0"), ("--dim", "-1"),
+                                            ("--budget", "-5"), ("--budget", "0"),
+                                            ("--dim", "2.5")])
+    def test_non_positive_counts_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "integrals", "--random", "10", "--dim", "1", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
+    def test_builtin_chain_input_is_the_tau_i_document(self, tmp_path, capsys):
+        doc = {"g": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}]}
+        _, from_file, _ = run(capsys, ["verify", write(tmp_path, "tau_i.json", doc),
+                                       "--suite", "chain", "--budget", "4096"])
+        _, builtin, _ = run(capsys, ["verify", "--suite", "chain", "--budget", "4096"])
+        from_file, builtin = json.loads(from_file), json.loads(builtin)
+        assert builtin["input_digest"] == "sha256:" + hashlib.sha256(b"builtin:tau=i").hexdigest()
+        assert builtin["checks"] == from_file["checks"]
+        assert builtin["checks"][-1]["name"] == "height_chain"
+        assert builtin["checks"][-1]["error_estimate"] > 0.0
 
     def test_tensor_gauss_needs_g1(self, tmp_path, capsys):
         # the scheme sizes the 2g-dimensional invariant, and tensor-gauss is

@@ -101,6 +101,22 @@ class TestReduce:
         out = reduce(validate_period_matrix(X, Y))
         assert out.flags.re_normalized and out.flags.im_lll
 
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    def test_g_ge_2_reuses_the_cached_lll_form(self, rng, g):
+        # reduce() takes U and U^T Y U from Y's cached LLL data, which
+        # validation computed to find lambda_1
+        A = rng.normal(size=(g, g)) + np.triu(rng.integers(-3, 4, (g, g)), 1)
+        Y = A.T @ A + 0.3 * np.eye(g)
+        X = rng.uniform(-2.0, 2.0, (g, g))
+        om = validate_period_matrix((X + X.T) / 2.0, (Y + Y.T) / 2.0)
+        red = om.Y._reduced()
+        out = reduce(om)
+        Uf = red["U"].astype(float)
+        Xr = Uf.T @ om.X @ Uf
+        assert np.array_equal(out.Y.entries, red["G"])
+        assert np.array_equal(out.X, (Xr + Xr.T) / 2.0 - np.rint((Xr + Xr.T) / 2.0))
+        assert out.flags.re_normalized and out.flags.im_lll
+
     def test_diameter_invariant_under_reduce(self, rng):
         for g in (1, 2, 3):
             for _ in range(4):

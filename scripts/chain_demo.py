@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run the full inequality chain on a few period matrices and print slacks.
 
-Usage: python scripts/chain_demo.py [--budget 65536]
+Usage: python scripts/chain_demo.py [--budget N]
+
+--budget sizes the 2g-dimensional invariant (nodes per axis at g = 1,
+points per shift at g >= 2); by default the library chooses.
 """
 
 import argparse
@@ -14,7 +17,7 @@ from mlk.siegel import validate_period_matrix
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--budget", type=int, default=65536)
+    ap.add_argument("--budget", type=int, default=None)
     args = ap.parse_args()
 
     cases = {

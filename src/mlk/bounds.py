@@ -22,13 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import (
-    SCHEME_QMC_SHIFTED,
-    QuadratureResult,
-    integral_ln_f,
-    integrate_cube,
-    integrate_periodic,
-)
+from .quadrature import QuadratureResult, integral_ln_f, integrate_cube, integrate_periodic
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
 from .theta import cube_norm_batch, f_series
 
@@ -229,8 +223,8 @@ def log_gaussian_bound(lam: float, g: int) -> float:
     )
 
 
-def archimedean_invariant(om: PeriodMatrix, scheme: str = SCHEME_QMC_SHIFTED,
-                          budget: int | None = None, seed: int = 0) -> QuadratureResult:
+def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
+                          seed: int = 0) -> QuadratureResult:
     """I = -int ln||s|| dnu + (1/2) ln int ||s||^2 dnu over the torus.
 
     The Haar measure is realized through (x, y) in [0,1]^{2g}, z = x + Omega y
@@ -239,7 +233,9 @@ def archimedean_invariant(om: PeriodMatrix, scheme: str = SCHEME_QMC_SHIFTED,
     to a Gaussian over R^g), so only -int ln||s|| dnu - (g/4) ln 2 is computed.
     ln||s|| is clipped at -40 near the theta divisor; the clip raises the log
     integral, so the returned I is biased *downward* and every one-sided
-    ">= rhs" use stays valid. Requires a reduced period matrix.
+    ">= rhs" use stays valid. Requires a reduced period matrix. The rule is
+    ``integrate_cube``'s for d = 2g: tensor Gauss-Legendre (``budget`` nodes
+    per axis) at g = 1, QMC (``budget`` points per shift, ``seed``) at g >= 2.
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
@@ -252,7 +248,7 @@ def archimedean_invariant(om: PeriodMatrix, scheme: str = SCHEME_QMC_SHIFTED,
         clipped += int(np.count_nonzero(vals < clip_floor))
         return np.log(np.maximum(vals, clip_floor))
 
-    r = integrate_cube(f_log, 2 * om.g, scheme, budget, seed)
+    r = integrate_cube(f_log, 2 * om.g, budget, seed)
     return replace(r, value=-r.value - 0.25 * om.g * math.log(2.0), n_clipped=clipped)
 
 
@@ -270,8 +266,7 @@ def _parseval_samples(g: int):
     yield (np.arange(1, g + 1)) / (2.0 * g + 1.0)
 
 
-def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
-                 budget: int | None = None, seed: int = 0,
+def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
                  tolerance: float = 1e-6) -> ChainReport:
     """Check every link of the height-bound derivation numerically.
 
@@ -282,8 +277,9 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
     dominates the clamped-diameter bound, with (2/d) times the sum of the
     invariants' error estimates. (a) is a ``CheckEntry.equal`` check, (b)
     ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
-    on ``integrate_periodic`` to ``tolerance``; ``scheme``, ``budget`` and
-    ``seed`` size the 2g-dimensional invariant of (c) only.
+    on ``integrate_periodic`` to ``tolerance``; ``budget`` and ``seed`` size
+    the invariant of (c) only. One 2g-dimensional shortest-vector search per
+    embedding gives the lam of (b), (c) and the rho of (d).
     """
     _require_complete(E)
     for i, om in enumerate(E.periods):
@@ -295,7 +291,7 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
         idx, om = item
         Y = om.Y
         out: list[CheckEntry] = []
-        lam = lambda_clamped(om).lam
+        lam, _, _, rho = lambda_clamped(om)
 
         for k, yv in enumerate(_parseval_samples(g)):
             def slice_norm_sq(P, _y=yv):
@@ -310,7 +306,7 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
         out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value,
                                       log_gaussian_bound(lam, g), tolerance, r_ln.error_estimate))
 
-        inv = archimedean_invariant(om, scheme, budget, seed)
+        inv = archimedean_invariant(om, budget, seed)
         rhs_c = (
             math.pi / (6.0 * lam * lam)
             + g * math.log(lam)
@@ -318,16 +314,16 @@ def verify_chain(E: EmbeddingSet, scheme: str = SCHEME_QMC_SHIFTED,
         )
         out.append(CheckEntry.at_least(f"theta_invariant_lower[{idx}]", 2.0 * inv.value, rhs_c,
                                        tolerance, 2.0 * inv.error_estimate))
-        return out, inv
+        return out, inv, rho
 
     results = _pmap(run_embedding, list(enumerate(E.periods)))
-    entries = [e for out, _ in results for e in out]
-    invariants = [inv for _, inv in results]
+    entries = [e for out, _, _ in results for e in out]
+    invariants = [inv for _, inv, _ in results]
     entries.append(
         CheckEntry.at_least(
             "height_chain",
             height_from_theta_invariants([inv.value for inv in invariants], g, E.degree),
-            height_lower_bound(E).total,
+            sum(height_term(rho, g) for _, _, rho in results) / E.degree,
             tolerance,
             2.0 * sum(inv.error_estimate for inv in invariants) / E.degree,
         )

@@ -7,14 +7,14 @@ Subcommands:
     mlk verify <file | --random N>   invariant suites (--suite lattice|
                                      integrals|chain|oracle|all)
 
-Input is a strict JSON document; unknown fields are rejected. options.scheme
-and options.budget (or --budget) size the chain's 2g-dimensional invariant,
-so tensor-gauss needs g = 1; --budget also sizes the integrals suite's psi^2
-integral. Reports go to stdout, diagnostics to stderr. Exit codes: 0
-success, 1 a verify check failed, 2 parse error (also a --random, --dim or
---budget that is not a positive integer), 3 invalid matrix data, 4 a
-lattice enumeration or quadrature grid exceeded its cap (the input is valid
-but too large to certify). height_chain's error_estimate is (2/d) times the
+Input is a strict JSON document; unknown fields are rejected. options.budget
+(or --budget) sizes the chain's 2g-dimensional invariant, whose rule follows
+from g (tensor Gauss-Legendre at g = 1, QMC at g >= 2); --budget also sizes
+the integrals suite's psi^2 integral. Reports go to stdout, diagnostics to
+stderr. Exit codes: 0 success, 1 a verify check failed, 2 parse error (also
+a --random, --dim or --budget below 1 or a --seed below 0), 3 invalid matrix
+data, 4 a lattice enumeration or quadrature grid exceeded its cap (the input
+is valid but too large to certify). height_chain's error_estimate is (2/d) times the
 sum of the invariants' estimates. MLK_THREADS caps per-embedding parallelism.
 """
 
@@ -47,8 +47,8 @@ from .lattice import (
     mu_interval,
 )
 from .oracle import faltings_height_ec, log_abs_delta
-from .quadrature import SCHEME_QMC_SHIFTED, SCHEME_TENSOR_GAUSS, integral_ln_f, integral_psi_sq
-from .siegel import SiegelError, injectivity_diameter, lambda_clamped, validate_period_matrix
+from .quadrature import integral_ln_f, integral_psi_sq
+from .siegel import SiegelError, lambda_clamped, validate_period_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -107,18 +107,13 @@ def _parse_document(raw: bytes):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("field 'options' must be an object")
-    _expect_keys(options, {"epsilon", "budget", "scheme"}, "options")
+    _expect_keys(options, {"epsilon", "budget"}, "options")
     epsilon = options.get("epsilon", 0.5)
     if not isinstance(epsilon, (int, float)) or not 0.0 < float(epsilon) < 1.0:
         raise InputError("options.epsilon must lie in (0, 1)")
     budget = options.get("budget")
     if budget is not None and (not isinstance(budget, int) or budget < 1):
         raise InputError("options.budget must be a positive integer")
-    scheme = options.get("scheme", SCHEME_QMC_SHIFTED)
-    if scheme not in (SCHEME_QMC_SHIFTED, SCHEME_TENSOR_GAUSS):
-        raise InputError(f"options.scheme must be one of {SCHEME_QMC_SHIFTED!r}, {SCHEME_TENSOR_GAUSS!r}")
-    if scheme == SCHEME_TENSOR_GAUSS and g > 1:
-        raise InputError("options.scheme 'tensor-gauss' needs g = 1 (the invariant is a 2g-dim integral)")
 
     periods = []
     for i, emb in enumerate(embeddings):
@@ -143,7 +138,6 @@ def _parse_document(raw: bytes):
         "periods": periods,
         "epsilon": float(epsilon),
         "budget": budget,
-        "scheme": scheme,
     }
 
 
@@ -221,7 +215,7 @@ def cmd_rho(args) -> int:
         info = lambda_clamped(om)
         per.append(
             {
-                "rho": injectivity_diameter(om),
+                "rho": info.rho,
                 "rho_clamped": info.rho_clamped,
                 "lambda": info.lam,
                 "lambda_matches_rho": info.agrees,
@@ -262,7 +256,7 @@ def _suite_integrals(n: int, seed: int, g: int, budget: int | None) -> list[Chec
     entries = []
     for i in range(n):
         Y = _random_spd(rng, g)
-        r = integral_psi_sq(Y, SCHEME_TENSOR_GAUSS, 64 if budget is None else budget, seed)
+        r = integral_psi_sq(Y, 64 if budget is None else budget)
         lo = mu_interval(Y, budget=128).lo
         entries.append(CheckEntry.at_least(f"second_moment[{i}]", r.value + r.error_estimate,
                                            lo * lo / 3.0, 1e-9, r.error_estimate))
@@ -276,7 +270,7 @@ def _suite_integrals(n: int, seed: int, g: int, budget: int | None) -> list[Chec
 
 def _suite_chain(parsed, seed: int) -> list[CheckEntry]:
     E = EmbeddingSet(parsed["g"], parsed["degree"], parsed["periods"])
-    report = verify_chain(E, scheme=parsed["scheme"], budget=parsed["budget"], seed=seed)
+    report = verify_chain(E, budget=parsed["budget"], seed=seed)
     return list(report.entries)
 
 
@@ -350,14 +344,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,11 +375,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an invariant suite")
     p_verify.add_argument("input", nargs="?", default=None)
     p_verify.add_argument("--suite", choices=_SUITES, default="all")
-    p_verify.add_argument("--random", type=_positive_int, default=50, metavar="N",
+    p_verify.add_argument("--random", type=_int_at_least(1), default=50, metavar="N",
                           help="number of random matrices for the lattice/integrals suites")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--dim", type=_positive_int, default=3)
-    p_verify.add_argument("--budget", type=_positive_int, default=None)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_verify.add_argument("--dim", type=_int_at_least(1), default=3)
+    p_verify.add_argument("--budget", type=_int_at_least(1), default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

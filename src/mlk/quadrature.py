@@ -3,19 +3,18 @@
 * ``integrate_periodic``: the trapezoid rule on the grid k/n, geometrically
   convergent on smooth Z^d-periodic integrands (Trefethen & Weideman, SIAM
   Review 56, 2014): ln f_Y(t; .) and the Parseval slices of ``verify_chain``.
-* tensor Gauss-Legendre (d <= 2): psi_Y^2, split at the half-integers, where
-  the rule is exact for diagonal Y; the g = 1 invariant on request.
-* quasi-Monte Carlo (an unscrambled Sobol set under 8 uniform shifts mod 1,
-  error 3x the standard deviation of the per-shift means): psi_Y^2 at g >= 3
-  and the 2g-dimensional log-norm integral of the archimedean invariant.
+* ``integrate_cube``, its rule chosen from d: tensor Gauss-Legendre at
+  d <= 2 (psi_Y^2 at g <= 2, split at the half-integers, where the rule is
+  exact for diagonal Y; the g = 1 invariant) and shifted Sobol QMC at d >= 3
+  (Dick, Kuo & Sloan, Acta Numerica 22, 2013): psi_Y^2 at g >= 3 and the
+  2g-dimensional archimedean invariant at g >= 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -25,17 +24,13 @@ from .theta import f_series_batch
 __all__ = [
     "QuadratureError",
     "QuadratureResult",
-    "SCHEME_TENSOR_GAUSS",
-    "SCHEME_QMC_SHIFTED",
     "integrate_cube",
     "integrate_periodic",
     "integral_psi_sq",
     "integral_ln_f",
 ]
 
-SCHEME_TENSOR_GAUSS = "tensor-gauss"
-SCHEME_QMC_SHIFTED = "qmc-shifted"
-
+_MAX_GAUSS_DIM = 2  # integrate_cube: tensor Gauss-Legendre up to here, QMC above
 _MAX_GAUSS_NODES = 256
 _DEFAULT_QMC_POINTS = 1 << 16
 _N_SHIFTS = 8
@@ -43,7 +38,7 @@ _LOG2_MAX_GRID = 19  # periodic grids hold <= 2^19 points, one default QMC integ
 
 
 class QuadratureError(ValueError):
-    """Bad scheme/arguments or a non-finite integrand value."""
+    """Bad arguments or a non-finite integrand value."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +46,7 @@ class QuadratureResult:
     value: float
     error_estimate: float
     n_points: int
-    scheme: str
+    scheme: str  # the rule that ran: "tensor-gauss", "qmc-shifted" or "periodic"
     n_clipped: int = 0
 
 
@@ -70,40 +65,47 @@ def _gauss_rule(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _gauss_value(f, d: int, n: int) -> float:
+def _tensor_points(x: np.ndarray, d: int) -> np.ndarray:
+    """The points of x^d as rows, in C order (the last coordinate runs fastest)."""
+    return np.stack(np.meshgrid(*(d * [x]), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def _gauss_grid(d: int, n: int):
+    """Nodes (n^d, d) and weights (n^d,) of the tensor rule, in C order."""
     x, w = _gauss_rule(n)
-    pts = np.array(list(product(x, repeat=d)))
-    wts = np.array([math.prod(c) for c in product(w, repeat=d)])
+    return _tensor_points(x, d), reduce(np.multiply.outer, d * [w]).ravel()
+
+
+def _gauss_value(f, d: int, n: int) -> float:
+    pts, wts = _gauss_grid(d, n)
     return float(wts @ _evaluate(f, pts))
 
 
-def integrate_cube(f, d: int, scheme: str = SCHEME_QMC_SHIFTED, budget: int | None = None,
-                   seed: int = 0) -> QuadratureResult:
-    """Integrate a vectorized f: (N, d) -> (N,) over [0,1]^d.
+def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0) -> QuadratureResult:
+    """Integrate a vectorized f: (N, d) -> (N,) over [0,1]^d by a rule chosen from d.
 
-    ``budget`` is nodes per axis for tensor-gauss (clamped to 256) and points
-    per shift for qmc-shifted (rounded down to a power of two).
+    d <= 2: tensor Gauss-Legendre, ``budget`` nodes per axis (clamped to
+    [4, 256], default 256), error the distance to the rule on half the
+    nodes. d >= 3: an unscrambled Sobol set of ``budget`` points (rounded
+    down to a power of two, default 2^16) under 8 shifts drawn from
+    ``seed``, error 3x the standard deviation of the per-shift means.
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
-    if scheme == SCHEME_TENSOR_GAUSS:
-        if d > 2:
-            raise QuadratureError("tensor-gauss is available for d <= 2 only")
-        n = min(max(int(budget or _MAX_GAUSS_NODES), 2), _MAX_GAUSS_NODES)
-        coarse = max(n // 2, 2)
+    if d <= _MAX_GAUSS_DIM:
+        n = min(max(int(budget or _MAX_GAUSS_NODES), 4), _MAX_GAUSS_NODES)
+        coarse = n // 2  # >= 2 and < n, so the error estimate compares two rules
         value = _gauss_value(f, d, n)
         err = abs(value - _gauss_value(f, d, coarse))
-        return QuadratureResult(value, err, n**d + coarse**d, scheme)
-    if scheme == SCHEME_QMC_SHIFTED:
-        from scipy.stats import qmc  # deferred: scipy.stats dominates `import mlk`
+        return QuadratureResult(value, err, n**d + coarse**d, "tensor-gauss")
+    from scipy.stats import qmc  # deferred: scipy.stats dominates `import mlk`
 
-        m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
-        base = qmc.Sobol(d=d, scramble=False).random(m)
-        shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
-        est = [float(np.mean(_evaluate(f, (base + s) % 1.0))) for s in shifts]
-        return QuadratureResult(float(np.mean(est)), 3.0 * float(np.std(est, ddof=1)),
-                                _N_SHIFTS * m, scheme)
-    raise QuadratureError(f"unknown scheme {scheme!r}")
+    m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
+    base = qmc.Sobol(d=d, scramble=False).random(m)
+    shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
+    est = [float(np.mean(_evaluate(f, (base + s) % 1.0))) for s in shifts]
+    return QuadratureResult(float(np.mean(est)), 3.0 * float(np.std(est, ddof=1)),
+                            _N_SHIFTS * m, "qmc-shifted")
 
 
 def integrate_periodic(f, d: int, tol: float) -> QuadratureResult:
@@ -140,26 +142,25 @@ def integrate_periodic(f, d: int, tol: float) -> QuadratureResult:
         n *= 2
 
 
-def integral_psi_sq(Y: GramMatrix, scheme: str = SCHEME_QMC_SHIFTED,
-                    budget: int | None = None, seed: int = 0) -> QuadratureResult:
+def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> QuadratureResult:
     """integral over [0,1]^g of psi_Y(x)^2 dx.
 
-    The integrand has gradient kinks on the Voronoi walls; for tensor-gauss
-    the cube is split at the half-integer hyperplanes (the exact wall
-    locations for diagonal Y, where the second-moment bound is tight), which
-    makes the rule exact there instead of merely convergent: the integrand
-    at u sums the 2^g parts at corner + u/2.
+    The integrand has gradient kinks on the Voronoi walls; at g <= 2 (tensor
+    Gauss-Legendre) the cube is split at the half-integer hyperplanes (the
+    exact wall locations for diagonal Y, where the second-moment bound is
+    tight), which makes the rule exact there instead of merely convergent:
+    the integrand at u sums the 2^g parts at corner + u/2.
     """
     d = Y.g
-    if scheme != SCHEME_TENSOR_GAUSS:
-        return integrate_cube(lambda P: psi_sq_batch(Y, P), d, scheme, budget, seed)
-    corners = np.array(list(product((0.0, 0.5), repeat=d)))
+    if d > _MAX_GAUSS_DIM:
+        return integrate_cube(lambda P: psi_sq_batch(Y, P), d, budget, seed)
+    corners = _tensor_points(np.array([0.0, 0.5]), d)
 
     def split(P):
         vals = psi_sq_batch(Y, (corners[:, None, :] + 0.5 * P).reshape(-1, d))
         return 0.5**d * vals.reshape(len(corners), -1).sum(axis=0)
 
-    return integrate_cube(split, d, scheme, budget)
+    return integrate_cube(split, d, budget)
 
 
 def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResult:

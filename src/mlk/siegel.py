@@ -195,6 +195,7 @@ class LambdaInfo(NamedTuple):
     lam: float          # min(lambda_1(Y^{-1}), sqrt(pi / 3g))
     rho_clamped: float  # min(rho, sqrt(pi / 3g))
     agrees: bool        # |lam - rho_clamped| <= 1e-9
+    rho: float          # the unclamped injectivity diameter
 
 
 def lambda_clamped(om: PeriodMatrix) -> LambdaInfo:
@@ -207,5 +208,6 @@ def lambda_clamped(om: PeriodMatrix) -> LambdaInfo:
     """
     clamp = math.sqrt(math.pi / (3.0 * om.g))
     lam = min(om.Y.inverse().lambda1(), clamp)
-    rho_c = min(injectivity_diameter(om), clamp)
-    return LambdaInfo(lam=lam, rho_clamped=rho_c, agrees=abs(lam - rho_c) <= 1e-9)
+    rho = injectivity_diameter(om)
+    rho_c = min(rho, clamp)
+    return LambdaInfo(lam=lam, rho_clamped=rho_c, agrees=abs(lam - rho_c) <= 1e-9, rho=rho)

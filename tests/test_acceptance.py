@@ -73,14 +73,14 @@ def test_02_second_moment_bound():
     start = time.time()
     for c in (0.5, 1.0, 4.0):
         Y = GramMatrix([[c]])
-        r = integral_psi_sq(Y, "tensor-gauss", 256)
+        r = integral_psi_sq(Y, 256)
         assert abs(r.value - c / 12.0) <= 1e-10
         lo = mu_interval(Y).lo
         assert abs(r.value - lo * lo / 3.0) <= 1e-10
     rng = np.random.default_rng(2)
     for _ in range(100):
         Y = lll_gram(rng, 2)
-        r = integral_psi_sq(Y, "qmc-shifted", 16384)
+        r = integral_psi_sq(Y)
         lo = mu_interval(Y, budget=256).lo
         assert r.value + r.error_estimate >= lo * lo / 3.0
     elapsed = time.time() - start
@@ -136,7 +136,7 @@ def _norm_sq_integral(om, budget=65536):
         vals, _ = cube_norm_batch(om, P)
         return vals * vals
 
-    return integrate_cube(f_sq, 2 * om.g, "qmc-shifted", budget)
+    return integrate_cube(f_sq, 2 * om.g, budget)
 
 
 CHAIN_CASES = [
@@ -209,7 +209,7 @@ def test_09_clamped_minimum_agreement():
     for i in range(200):
         g = 1 + i % 3
         om = make_reduced_period(rng, g)
-        lam, rho_c, ok = lambda_clamped(om)
+        lam, rho_c, ok, _ = lambda_clamped(om)
         assert ok and abs(lam - rho_c) <= 1e-9
         # invariance of the diameter under reduction, from a skewed start
         if g == 1:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mlk.bounds
+import mlk.siegel
 from mlk.bounds import (
     BoundsError,
     CheckEntry,
@@ -189,7 +190,7 @@ class TestArchimedeanInvariant:
             vals, _ = cube_norm_batch(om, P)
             return vals * vals
 
-        r = integrate_cube(f_sq, 2, "qmc-shifted", 65536)
+        r = integrate_cube(f_sq, 2)
         assert 0.5 * math.log(r.value) == pytest.approx(-0.25 * math.log(2), abs=1e-6)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -203,7 +204,7 @@ class TestArchimedeanInvariant:
                 vals, _ = cube_norm_batch(om, P)
                 return vals * vals
 
-            r = integrate_cube(f_sq, 2 * g, "qmc-shifted", 4096)
+            r = integrate_cube(f_sq, 2 * g, 4096)
             assert abs(r.value - 2.0 ** (-g / 2.0)) <= r.error_estimate
 
     @pytest.mark.parametrize("g", [1, 2])
@@ -228,10 +229,9 @@ class TestArchimedeanInvariant:
         with pytest.raises(BoundsError, match="reduced"):
             archimedean_invariant(om_of(0.7 + 2j))
 
-    @pytest.mark.parametrize("g, scheme, budget", [(1, "qmc-shifted", 2048),
-                                                   (1, "tensor-gauss", 32),
-                                                   (2, "qmc-shifted", 256)])
-    def test_one_evaluation_per_point_set(self, monkeypatch, rng, g, scheme, budget):
+    @pytest.mark.parametrize("g, rule, budget", [(1, "tensor-gauss", 32),
+                                                 (2, "qmc-shifted", 256)])
+    def test_one_evaluation_per_point_set(self, monkeypatch, rng, g, rule, budget):
         om = om_of(0.2 + 1.3j) if g == 1 else make_reduced_period(rng, g)
         clip_floor = math.exp(-40.0)
         clipped = 0
@@ -243,7 +243,7 @@ class TestArchimedeanInvariant:
             return np.log(np.maximum(vals, clip_floor))
 
         # the invariant is the log integral plus the exact (1/2) ln 2^{-g/2}
-        r_log = integrate_cube(f_log, 2 * g, scheme, budget, 3)
+        r_log = integrate_cube(f_log, 2 * g, budget, 3)
         value = -r_log.value - 0.25 * g * math.log(2.0)
 
         calls = []
@@ -253,8 +253,9 @@ class TestArchimedeanInvariant:
             return cube_norm_batch(om_, P)
 
         monkeypatch.setattr(mlk.bounds, "cube_norm_batch", counted)
-        inv = archimedean_invariant(om, scheme, budget, 3)
-        assert len(calls) == (8 if scheme == "qmc-shifted" else 2)
+        inv = archimedean_invariant(om, budget, 3)
+        assert inv.scheme == rule
+        assert len(calls) == (8 if rule == "qmc-shifted" else 2)
         assert inv.n_points == sum(calls) == r_log.n_points
         assert (inv.value, inv.error_estimate, inv.n_clipped) == (
             value, r_log.error_estimate, clipped)
@@ -328,6 +329,23 @@ class TestVerifyChain:
         (chain,) = [e for e in rep.entries if e.name == "height_chain"]
         assert len(lower) == 2 and min(lower) > 0.0
         assert chain.error_estimate == pytest.approx(sum(lower) / 2, rel=1e-15)
+
+    def test_one_period_gram_search_per_embedding(self, monkeypatch):
+        # injectivity_diameter builds the 2g x 2g period Gram matrix once per
+        # call, so counting the builds counts the 2g-dimensional SVPs
+        E = EmbeddingSet(1, 2, [om_of(1j), om_of(0.2 + 1.3j)])
+        rhs = height_lower_bound(E).total
+        calls = []
+        period_gram = mlk.siegel._period_gram
+
+        def counted(om):
+            calls.append(om)
+            return period_gram(om)
+
+        monkeypatch.setattr(mlk.siegel, "_period_gram", counted)
+        rep = verify_chain(E, budget=16)
+        assert [id(om) for om in calls] == [id(om) for om in E.periods]
+        assert rep.entries[-1].name == "height_chain" and rep.entries[-1].rhs == rhs
 
     def test_requires_reduced_and_complete(self):
         with pytest.raises(BoundsError):

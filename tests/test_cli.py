@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import mlk
+import mlk.siegel
 from mlk.cli import main
 
 TERM_TAU_2I = -1.3137383138033930
@@ -146,6 +147,25 @@ class TestRhoCommand:
         assert ra == pytest.approx(rb, rel=1e-9)
 
 
+    def test_one_period_gram_search_per_embedding(self, tmp_path, capsys, monkeypatch):
+        # each injectivity_diameter call builds one 2g x 2g period Gram matrix
+        doc = {"g": 1, "degree": 2, "embeddings": [{"re": [[0.0]], "im": [[2.0]]},
+                                                   {"re": [[0.2]], "im": [[1.3]]}]}
+        calls = []
+        period_gram = mlk.siegel._period_gram
+
+        def counted(om):
+            calls.append(om)
+            return period_gram(om)
+
+        monkeypatch.setattr(mlk.siegel, "_period_gram", counted)
+        code, out, _ = run(capsys, ["rho", write(tmp_path, "pair.json", doc)])
+        assert code == 0
+        assert len(calls) == 2
+        monkeypatch.undo()
+        per = json.loads(out)["per_embedding"]
+        assert [e["rho"] for e in per] == [mlk.siegel.injectivity_diameter(om) for om in calls]
+
     def test_enumeration_cap_in_input_exits_4(self, tmp_path, capsys):
         # rho of Omega = i I_14 is within reach of the ellipsoid enumeration;
         # the theta box of its chain (3^14 points and more) is above the cap
@@ -207,7 +227,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flag,value", [("--random", "-3"), ("--random", "0"),
                                             ("--dim", "0"), ("--dim", "-1"),
                                             ("--budget", "-5"), ("--budget", "0"),
-                                            ("--dim", "2.5")])
+                                            ("--dim", "2.5"), ("--seed", "-1"),
+                                            ("--seed", "1.5")])
     def test_non_positive_counts_exit_2(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "integrals", "--random", "10", "--dim", "1", flag, value])
@@ -215,6 +236,12 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err
+
+    def test_seed_zero_is_the_default(self, capsys):
+        code, explicit, _ = run(capsys, ["verify", "--suite", "oracle", "--seed", "0"])
+        assert code == 0
+        _, default, _ = run(capsys, ["verify", "--suite", "oracle"])
+        assert explicit == default
 
     def test_builtin_chain_input_is_the_tau_i_document(self, tmp_path, capsys):
         doc = {"g": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}]}
@@ -227,17 +254,16 @@ class TestVerifyCommand:
         assert builtin["checks"][-1]["name"] == "height_chain"
         assert builtin["checks"][-1]["error_estimate"] > 0.0
 
-    def test_tensor_gauss_needs_g1(self, tmp_path, capsys):
-        # the scheme sizes the 2g-dimensional invariant, and tensor-gauss is
-        # a d <= 2 rule: at g = 2 the document is rejected before any work
-        doc = {"g": 2, "embeddings": [{"re": [[0.0, 0.0], [0.0, 0.0]],
-                                       "im": [[1.0, 0.0], [0.0, 1.0]]}],
+    def test_scheme_option_is_an_unknown_field(self, tmp_path, capsys):
+        # the quadrature rule follows from the dimension; a document that
+        # still names one is rejected like any other unknown field
+        doc = {"g": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}],
                "options": {"scheme": "tensor-gauss"}}
-        code, out, err = run(capsys, ["verify", write(tmp_path, "g2.json", doc),
+        code, out, err = run(capsys, ["verify", write(tmp_path, "tau_i.json", doc),
                                       "--suite", "chain"])
         assert code == 2
         assert out == ""
-        assert "tensor-gauss" in err and "g = 1" in err
+        assert "unknown fields ['scheme']" in err
 
     def test_enumeration_cap_exits_4(self, tmp_path, capsys):
         # the lattice and integrals suites pass; the g = 14 chain's theta box

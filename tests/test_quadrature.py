@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_batch
 from mlk.quadrature import (
     QuadratureError,
+    _gauss_grid,
+    _gauss_rule,
     integral_ln_f,
     integral_psi_sq,
     integrate_cube,
@@ -22,21 +25,23 @@ INT_LNF_T2 = -0.3927025690593227554163774326634235654
 
 class TestIntegrateCube:
     def test_constant(self):
-        for scheme in ("tensor-gauss", "qmc-shifted"):
-            r = integrate_cube(lambda P: np.ones(P.shape[0]), 2, scheme, 64)
+        for d in (2, 3):  # tensor-gauss, qmc-shifted
+            r = integrate_cube(lambda P: np.ones(P.shape[0]), d, 64)
             assert r.value == pytest.approx(1.0, abs=1e-13)
             assert r.error_estimate <= 1e-12
 
     def test_polynomial_exactness(self):
-        r = integrate_cube(lambda P: P[:, 0] ** 2, 1, "tensor-gauss")
+        r = integrate_cube(lambda P: P[:, 0] ** 2, 1)
         assert r.value == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_distance_squared(self):
         f = lambda P: np.minimum(P[:, 0], 1.0 - P[:, 0]) ** 2
-        r = integrate_cube(f, 1, "qmc-shifted", 65536)
+        r = integrate_cube(f, 3, 65536)
+        assert r.scheme == "qmc-shifted"
         assert r.value == pytest.approx(1.0 / 12.0, abs=1e-10)
         # the kink at 1/2 limits plain tensor-gauss to ~1e-5 here
-        r = integrate_cube(f, 1, "tensor-gauss", 256)
+        r = integrate_cube(f, 1, 256)
+        assert r.scheme == "tensor-gauss"
         assert r.value == pytest.approx(1.0 / 12.0, abs=1e-4)
 
     def test_rejects_singular_integrand(self):
@@ -46,22 +51,36 @@ class TestIntegrateCube:
             return out
 
         with pytest.raises(QuadratureError, match="non-finite"):
-            integrate_cube(f, 1, "qmc-shifted", 16)
+            integrate_cube(f, 1, 16)
 
-    def test_rejects_bad_scheme_and_dim(self):
-        with pytest.raises(QuadratureError):
-            integrate_cube(lambda P: np.ones(len(P)), 1, "midpoint")
+    def test_rule_chosen_by_dimension(self):
+        for d, rule in [(1, "tensor-gauss"), (2, "tensor-gauss"),
+                        (3, "qmc-shifted"), (4, "qmc-shifted")]:
+            assert integrate_cube(lambda P: np.ones(len(P)), d, 16).scheme == rule
         with pytest.raises(QuadratureError):
             integrate_cube(lambda P: np.ones(len(P)), 0)
-        with pytest.raises(QuadratureError):
-            integrate_cube(lambda P: np.ones(len(P)), 3, "tensor-gauss")
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_tiny_budget_still_compares_two_rules(self, budget):
+        # a budget below 4 once gave n = coarse = 2 and an error estimate of 0
+        r = integrate_cube(lambda P: np.cos(7.0 * P[:, 0]), 1, budget)
+        assert r.n_points == 4 + 2
+        assert r.error_estimate > 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tensor_grid_matches_product_form(self, d):
+        x, w = _gauss_rule(256)
+        pts, wts = _gauss_grid(d, 256)
+        assert np.array_equal(pts, np.array(list(product(x, repeat=d))))
+        assert np.array_equal(wts, np.array([math.prod(c) for c in product(w, repeat=d)]))
 
     def test_reproducible_bit_identical(self, rng):
-        Y = make_spd(rng, 2)
-        a = integral_psi_sq(Y, "qmc-shifted", 4096, seed=11)
-        b = integral_psi_sq(Y, "qmc-shifted", 4096, seed=11)
+        Y = make_spd(rng, 3)
+        a = integral_psi_sq(Y, 4096, seed=11)
+        b = integral_psi_sq(Y, 4096, seed=11)
+        assert a.scheme == "qmc-shifted"
         assert a == b
-        c = integral_psi_sq(Y, "qmc-shifted", 4096, seed=12)
+        c = integral_psi_sq(Y, 4096, seed=12)
         assert c.value != a.value
 
 
@@ -145,13 +164,13 @@ class TestIntegratePeriodic:
 class TestIntegralPsiSq:
     @pytest.mark.parametrize("c", [0.5, 1.0, 4.0])
     def test_one_dimensional_equality_case(self, c):
-        r = integral_psi_sq(GramMatrix([[c]]), "tensor-gauss")
+        r = integral_psi_sq(GramMatrix([[c]]))
         assert r.value == pytest.approx(c / 12.0, abs=1e-12)
         iv = mu_interval(GramMatrix([[c]]))
         assert r.value == pytest.approx(iv.lo**2 / 3.0, abs=1e-10)
 
     def test_identity_g2_separates(self):
-        r = integral_psi_sq(GramMatrix(np.eye(2)), "tensor-gauss")
+        r = integral_psi_sq(GramMatrix(np.eye(2)))
         assert r.value == pytest.approx(1.0 / 6.0, abs=1e-8)
 
     def test_hexagonal_dense_grid_oracle(self):
@@ -160,15 +179,16 @@ class TestIntegralPsiSq:
             np.meshgrid(*(2 * [np.arange(5e-4, 1, 1e-3)]), indexing="ij"), -1
         ).reshape(-1, 2)
         oracle = float(psi_sq_batch(Y, grid).mean())
-        r = integral_psi_sq(Y, "qmc-shifted", 16384)
+        r = integral_psi_sq(Y)
         assert r.value == pytest.approx(oracle, abs=5e-6)
         lo = mu_interval(Y).lo
         assert r.value + r.error_estimate >= lo * lo / 3.0
 
     def test_second_moment_bound_both_schemes(self, rng):
-        for g, scheme in [(1, "tensor-gauss"), (2, "tensor-gauss"), (3, "qmc-shifted"), (4, "qmc-shifted")]:
+        for g, rule in [(1, "tensor-gauss"), (2, "tensor-gauss"), (3, "qmc-shifted"), (4, "qmc-shifted")]:
             Y = make_spd(rng, g)
-            r = integral_psi_sq(Y, scheme, 2048 if scheme == "qmc-shifted" else 128)
+            r = integral_psi_sq(Y, 2048 if rule == "qmc-shifted" else 128)
+            assert r.scheme == rule
             lo = mu_interval(Y, budget=128).lo
             assert r.value + r.error_estimate >= lo * lo / 3.0 - 1e-9
 

@@ -183,7 +183,8 @@ class TestInjectivityDiameter:
 
 class TestLambdaClamped:
     def test_tau_2i(self):
-        lam, rho_c, ok = lambda_clamped(om_of(2j))
+        lam, rho_c, ok, rho = lambda_clamped(om_of(2j))
+        assert rho == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert lam == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert rho_c == pytest.approx(1 / math.sqrt(2), rel=1e-12)
         assert ok
@@ -191,13 +192,13 @@ class TestLambdaClamped:
     def test_short_tau_after_reduction(self):
         om = reduce(om_of(0.9j))
         assert om.Y.entries[0, 0] >= math.sqrt(3) / 2 - 1e-12
-        lam, rho_c, ok = lambda_clamped(om)
-        assert ok
+        assert lambda_clamped(om).agrees
 
     def test_g2_identity_both_clamped(self):
         om = validate_period_matrix(np.zeros((2, 2)), np.eye(2))
-        lam, rho_c, ok = lambda_clamped(om)
+        lam, rho_c, ok, rho = lambda_clamped(om)
         clamp = math.sqrt(math.pi / 6.0)
+        assert rho == pytest.approx(1.0, rel=1e-12)  # the unclamped diameter
         assert lam == pytest.approx(clamp, rel=1e-14)
         assert rho_c == pytest.approx(clamp, rel=1e-14)
         assert ok
@@ -206,6 +207,7 @@ class TestLambdaClamped:
         for g in (1, 2, 3):
             for _ in range(8):
                 om = make_reduced_period(rng, g)
-                lam, rho_c, ok = lambda_clamped(om)
+                lam, rho_c, ok, rho = lambda_clamped(om)
+                assert rho == injectivity_diameter(om)
                 assert ok, (g, lam, rho_c)
                 assert abs(lam - rho_c) <= 1e-9

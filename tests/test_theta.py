@@ -270,7 +270,7 @@ class TestParsevalSlice:
             vals, _ = cube_norm_batch(om, pts)
             return vals * vals
 
-        lhs = integrate_cube(f, 1, "tensor-gauss", 256).value
+        lhs = integrate_cube(f, 1, 256).value
         rhs = f_series(Y, 2.0, [y]).value
         assert lhs == pytest.approx(rhs, abs=1e-8)
 

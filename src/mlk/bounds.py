@@ -44,7 +44,9 @@ __all__ = [
     "verify_chain",
 ]
 
-_LOG_CLIP = -40.0  # ln||s|| clipped here near the theta divisor (biases I downward)
+# ||s|| is clipped up to the smallest normal double (ln ~ -708), only where it
+# underflows; the clip biases I downward.
+_CLIP_FLOOR = float(np.finfo(float).tiny)
 
 
 class BoundsError(ValueError):
@@ -231,22 +233,24 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     (constant Jacobian, so normalization is exact). int ||s||^2 dnu = 2^{-g/2}
     for every Omega (Parseval in x, then the sum over n unfolds the y-integral
     to a Gaussian over R^g), so only -int ln||s|| dnu - (g/4) ln 2 is computed.
-    ln||s|| is clipped at -40 near the theta divisor; the clip raises the log
-    integral, so the returned I is biased *downward* and every one-sided
-    ">= rhs" use stays valid. Requires a reduced period matrix. The rule is
-    ``integrate_cube``'s for d = 2g: tensor Gauss-Legendre (``budget`` nodes
-    per axis) at g = 1, QMC (``budget`` points per shift, ``seed``) at g >= 2.
+    ||s|| is clipped up to the smallest normal double (ln ~ -708), so only
+    values that underflow change (near the theta divisor, or in the band
+    where the Gaussian factor of ||s|| leaves the range of doubles at large
+    Y); the clip raises the log integral, so the returned I is biased
+    *downward* and every one-sided ">= rhs" use stays valid. Requires a
+    reduced period matrix. The rule is ``integrate_cube``'s for d = 2g:
+    tensor Gauss-Legendre (``budget`` nodes per axis) at g = 1, QMC
+    (``budget`` points per shift, ``seed``) at g >= 2.
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
-    clip_floor = math.exp(_LOG_CLIP)
     clipped = 0
 
     def f_log(P):
         nonlocal clipped
         vals, _ = cube_norm_batch(om, P)
-        clipped += int(np.count_nonzero(vals < clip_floor))
-        return np.log(np.maximum(vals, clip_floor))
+        clipped += int(np.count_nonzero(vals < _CLIP_FLOOR))
+        return np.log(np.maximum(vals, _CLIP_FLOOR))
 
     r = integrate_cube(f_log, 2 * om.g, budget, seed)
     return replace(r, value=-r.value - 0.25 * om.g * math.log(2.0), n_clipped=clipped)

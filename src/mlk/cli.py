@@ -13,9 +13,11 @@ from g (tensor Gauss-Legendre at g = 1, QMC at g >= 2); --budget also sizes
 the integrals suite's psi^2 integral. Reports go to stdout, diagnostics to
 stderr. Exit codes: 0 success, 1 a verify check failed, 2 parse error (also
 a --random, --dim or --budget below 1 or a --seed below 0), 3 invalid matrix
-data, 4 a lattice enumeration or quadrature grid exceeded its cap (the input
-is valid but too large to certify). height_chain's error_estimate is (2/d) times the
-sum of the invariants' estimates. MLK_THREADS caps per-embedding parallelism.
+data, 4 the input is valid but cannot be certified: a lattice enumeration or
+quadrature grid exceeded its cap, or a theta series or integrand left the
+range of double precision (a QuadratureError or ThetaError). height_chain's
+error_estimate is (2/d) times the sum of the invariants' estimates.
+MLK_THREADS caps per-embedding parallelism.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from .lattice import (
     mu_interval,
 )
 from .oracle import faltings_height_ec, log_abs_delta
-from .quadrature import integral_ln_f, integral_psi_sq
+from .quadrature import QuadratureError, integral_ln_f, integral_psi_sq
 from .siegel import SiegelError, lambda_clamped, validate_period_matrix
+from .theta import ThetaError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -73,10 +76,19 @@ def _expect_keys(obj: dict, allowed: set, label: str):
         raise InputError(f"{label}: unknown fields {sorted(unknown)}")
 
 
+def _is_count(value) -> bool:
+    """A JSON integer >= 1 (JSON true and false are not integers)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _as_matrix(value, g: int, label: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value, dtype=object)  # RuntimeError past 32 nesting levels
+        # every leaf a JSON number: no strings, booleans, nulls or ragged rows
+        if any(type(v) not in (int, float) for v in arr.flat):
+            raise ValueError
+        arr = arr.astype(float)  # OverflowError: an integer beyond the range of doubles
+    except (ValueError, RuntimeError, OverflowError) as exc:
         raise InputError(f"{label}: not a numeric array") from exc
     if arr.ndim == 1:
         if arr.size != g * g:
@@ -96,23 +108,23 @@ def _parse_document(raw: bytes):
         raise InputError("top-level document must be an object")
     _expect_keys(doc, {"g", "degree", "embeddings", "options"}, "document")
     g = doc.get("g")
-    if not isinstance(g, int) or g < 1:
+    if not _is_count(g):
         raise InputError("field 'g' must be a positive integer")
     embeddings = doc.get("embeddings")
     if not isinstance(embeddings, list) or not embeddings:
         raise InputError("field 'embeddings' must be a non-empty list")
     degree = doc.get("degree", len(embeddings))
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_count(degree):
         raise InputError("field 'degree' must be a positive integer")
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise InputError("field 'options' must be an object")
     _expect_keys(options, {"epsilon", "budget"}, "options")
     epsilon = options.get("epsilon", 0.5)
-    if not isinstance(epsilon, (int, float)) or not 0.0 < float(epsilon) < 1.0:
+    if type(epsilon) not in (int, float) or not 0.0 < epsilon < 1.0:
         raise InputError("options.epsilon must lie in (0, 1)")
     budget = options.get("budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 1):
+    if budget is not None and not _is_count(budget):
         raise InputError("options.budget must be a positive integer")
 
     periods = []
@@ -163,22 +175,8 @@ def _check_dict(e: CheckEntry) -> dict:
 
 
 def _emit(doc: dict):
-    for value in _walk_numbers(doc):
-        if not math.isfinite(value):
-            raise RuntimeError("report contains a non-finite number")
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-
-
-def _walk_numbers(obj):
-    if isinstance(obj, float):
-        yield obj
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            yield from _walk_numbers(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            yield from _walk_numbers(v)
+    """Write the report; a non-finite number raises ValueError before any output."""
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_bound(args) -> int:
@@ -392,7 +390,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except EnumerationLimitError as exc:
+    except (EnumerationLimitError, QuadratureError, ThetaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (DataError, BoundsError, SiegelError, LatticeError) as exc:

@@ -169,4 +169,9 @@ def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResu
     """
     if t <= 0.0:
         raise QuadratureError("t must be positive")
-    return integrate_periodic(lambda P: np.log(f_series_batch(Y, t, P, 1e-12)[0]), Y.g, tol)
+
+    def ln_f(P):
+        with np.errstate(divide="ignore"):  # f underflowed to 0: _evaluate rejects -inf
+            return np.log(f_series_batch(Y, t, P, 1e-12)[0])
+
+    return integrate_periodic(ln_f, Y.g, tol)

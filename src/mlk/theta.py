@@ -12,7 +12,11 @@ terms are exp(pi c^T Y c) exp(-pi ||c - m||_Y^2 + i pi (m^T X m - 2 m . Re z)):
 the Gaussian peak sits at p = c, and term counts stay small for large
 imaginary parts. ||s|| at z = x + Omega y is the same sum at p = y with
 Re z -> x + X y, where exp(-pi y^T Y^{-1} y) cancels. f_Y(t; x) is the sum
-on t G with X = 0 and no phases, at p = U^{-1} x for the LLL-reduced G = U^T Y U.
+on t Y with X = 0 and no phases, at p = x.
+
+All three are summed in LLL-reduced coordinates (``_lll_sums``): the sum at
+(p, u) on (Y, X) is the sum at (U^{-1} p, U^T u) on (G = U^T Y U, U^T X U),
+whose box hugs the truncation ellipsoid.
 
 The sums do not form the N x T matrix of terms. Around a centre h, with
 m = h + d and p = h + delta, a term factors into a coefficient
@@ -133,9 +137,38 @@ def _candidate_box(Y: GramMatrix, radius: float, lo=0.0, hi=1.0) -> np.ndarray:
     return _int_box(*_candidate_range(Y, radius, lo, hi)).astype(float)
 
 
+def _lll_sums(Y: GramMatrix, t: float, X, p, u, tol: float, target: float, det_sqrt: float,
+              periodic: bool):
+    """Per row i, the sum over m of exp(-pi t ||p_i - m||_Y^2 + i pi (m^T X m
+    - 2 m . u_i)) to the radius whose tail, times det_sqrt, is at most
+    ``target``, by ``_theta_sums`` on t G = t U^T Y U and U^T X U at U^{-1} p
+    with phases U^T u. ``periodic`` points are moved into the box [0, 1]^g by
+    an integer k, with u -= U^T X U k: a unit factor on each sum (none when
+    X = 0). Otherwise the box is the points' hull. Returns ``(sums, err,
+    terms)``, err = det_sqrt * (tail + rounding).
+    """
+    if not tol > 0.0:
+        raise ThetaError("tol must be positive")
+    R = _radius_for(Y, det_sqrt, t, target)
+    red = Y._reduced()
+    U = red["U"].astype(float)
+    X = U.T @ X @ U
+    p = p @ red["Uinv"].T.astype(float)
+    u = u @ U
+    if periodic:
+        u -= np.floor(p) @ X
+        p -= np.floor(p)
+        lo, hi = 0.0, 1.0
+    else:
+        lo, hi = p.min(axis=0), p.max(axis=0)
+    # _tail_bound is invariant under (Y, R, t) -> (t G, sqrt(t) R, 1).
+    sums, terms, rounding = _theta_sums(Y._scaled_reduced(t), X, p, u, math.sqrt(t) * R, lo, hi)
+    return sums, _tail_bound(Y, det_sqrt, t, R) + det_sqrt * rounding, terms
+
+
 def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
     """f_Y(t; x) at many x simultaneously, by the theta contraction on the
-    form t Y, in LLL-reduced coordinates, with X = 0 and no phases.
+    form t Y with X = 0 and no phases.
 
     Returns ``(values, tail_bound, terms)``: values includes every lattice
     point of a box covering the truncation ellipsoid of each x (a superset,
@@ -145,22 +178,14 @@ def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
     """
     if not 0.0 < t < math.inf:
         raise ThetaError("t must be positive and finite")
-    if tol <= 0.0:
-        raise ThetaError("tol must be positive")
     P = _torus_points(points, Y.g, f"g={Y.g}")  # the series is Z^g-periodic
     det_sqrt = Y.det_sqrt
     mu_hi = Y.covering_upper()
     # f >= det_sqrt * exp(-pi t mu^2) everywhere; certify the tail against it.
     target = tol * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
-    R = _radius_for(Y, det_sqrt, t, target)
-    # f_Y(t; x) = f_G(t; U^{-1} x) on the LLL-reduced form G = U^T Y U, whose
-    # box hugs the ellipsoid, so that the contraction needs few cells.
-    P = P @ Y._reduced()["Uinv"].T.astype(float)
-    P -= np.floor(P)
-    # _tail_bound is invariant under (Y, R, t) -> (t G, sqrt(t) R, 1).
-    sums, terms, rounding = _theta_sums(Y._scaled_reduced(t), np.zeros((Y.g, Y.g)), P,
-                                        np.zeros_like(P), math.sqrt(t) * R, 0.0, 1.0)
-    return det_sqrt * sums.real, _tail_bound(Y, det_sqrt, t, R) + det_sqrt * rounding, terms
+    sums, err, terms = _lll_sums(Y, t, np.zeros((Y.g, Y.g)), P, np.zeros_like(P), tol, target,
+                                 det_sqrt, True)
+    return det_sqrt * sums.real, err, terms
 
 
 def f_series(Y: GramMatrix, t: float, x, tol: float = 1e-12) -> ThetaValue:
@@ -314,9 +339,7 @@ def _rounding_bound(gram: GramMatrix, radius: float, n_sum: int, args: float) ->
     return gamma * (s0 + _tail_bound(gram, 1.0, 1.0, radius))
 
 
-def _as_z(om: PeriodMatrix, z, tol: float) -> np.ndarray:
-    if tol <= 0.0:
-        raise ThetaError("tol must be positive")
+def _as_z(om: PeriodMatrix, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != om.g:
         raise ThetaError(f"z of dimension {z.shape[0]} incompatible with g={om.g}")
@@ -333,16 +356,16 @@ def theta_siegel(om: PeriodMatrix, z, tol: float = 1e-12) -> ThetaValue:
     tol * (|value| + tol), plus the certified rounding bound of the
     contraction.
     """
-    z = _as_z(om, z, tol)
+    z = _as_z(om, z)
     a, b = z.real, z.imag
     c = om.Y.inverse().entries @ b
     q = float(b @ c)  # b^T Y^{-1} b
     if math.pi * q > _EXP_CAP:
         raise ThetaError("imaginary part of z too large for a stable evaluation")
-    R = _radius_for(om.Y, 1.0, 1.0, tol * tol * math.exp(-min(math.pi * q, _EXP_CAP)))
-    s, terms, rounding = _theta_sums(om.Y, om.X, c.reshape(1, -1), a.reshape(1, -1), R, c, c)
+    target = tol * tol * math.exp(-math.pi * q)
+    s, err, terms = _lll_sums(om.Y, 1.0, om.X, c.reshape(1, -1), a.reshape(1, -1), tol, target,
+                              1.0, False)
     scale = math.exp(math.pi * q)
-    err = _tail_bound(om.Y, 1.0, 1.0, R) + rounding
     return ThetaValue(value=scale * complex(s[0]), tail_bound=scale * err, terms_used=terms)
 
 
@@ -353,7 +376,9 @@ def cube_norm_s(om: PeriodMatrix, z, tol: float = 1e-12) -> float:
     x = Re z - X y, with its tolerance tol^2; absolute truncation error
     <= det(Y)^{1/4} * tol^2, plus the contraction's rounding error.
     """
-    z = _as_z(om, z, tol)
+    if not tol > 0.0:  # the square below would hide the sign from cube_norm_batch
+        raise ThetaError("tol must be positive")
+    z = _as_z(om, z)
     y = om.Y.inverse().entries @ z.imag
     xy = np.concatenate([z.real - om.X @ y, y]).reshape(1, -1)
     values, _ = cube_norm_batch(om, xy, max(tol * tol, _DENORMAL))  # tol^2 may underflow
@@ -369,12 +394,9 @@ def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
     bound, uniform over the batch, on the truncation error (at most
     det(Y)^{1/4} * tol) plus the rounding error of the contraction.
     """
-    if tol <= 0.0:
-        raise ThetaError("tol must be positive")
     g = om.g
     XY = _torus_points(xy, 2 * g, f"2g={2 * g}")
     xs, ys = XY[:, :g], XY[:, g:]
-    R = _radius_for(om.Y, 1.0, 1.0, tol)
-    sums, _, rounding = _theta_sums(om.Y, om.X, ys, xs + ys @ om.X, R, 0.0, 1.0)
+    sums, err, _ = _lll_sums(om.Y, 1.0, om.X, ys, xs + ys @ om.X, tol, tol, 1.0, True)
     det4 = om.Y.det_sqrt ** 0.5
-    return det4 * np.abs(sums), det4 * (_tail_bound(om.Y, 1.0, 1.0, R) + rounding)
+    return det4 * np.abs(sums), det4 * err

@@ -225,6 +225,14 @@ class TestArchimedeanInvariant:
             inv = archimedean_invariant(om, budget=16384)
             assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate
 
+    @pytest.mark.parametrize("tau", [60j, 80j])
+    def test_large_imaginary_part_needs_no_clip(self, tau):
+        # ||s|| falls below e^-40 on a whole band of y at Im tau >= 60; only
+        # values that underflow are clipped, and none do here
+        inv = archimedean_invariant(om_of(tau))
+        assert inv.n_clipped == 0
+        assert abs(inv.value - invariant_exact([tau])) <= inv.error_estimate
+
     def test_requires_reduced(self):
         with pytest.raises(BoundsError, match="reduced"):
             archimedean_invariant(om_of(0.7 + 2j))
@@ -233,14 +241,13 @@ class TestArchimedeanInvariant:
                                                  (2, "qmc-shifted", 256)])
     def test_one_evaluation_per_point_set(self, monkeypatch, rng, g, rule, budget):
         om = om_of(0.2 + 1.3j) if g == 1 else make_reduced_period(rng, g)
-        clip_floor = math.exp(-40.0)
         clipped = 0
 
         def f_log(P):
             nonlocal clipped
             vals, _ = cube_norm_batch(om, P)
-            clipped += int(np.count_nonzero(vals < clip_floor))
-            return np.log(np.maximum(vals, clip_floor))
+            clipped += int(np.count_nonzero(vals < mlk.bounds._CLIP_FLOOR))
+            return np.log(np.maximum(vals, mlk.bounds._CLIP_FLOOR))
 
         # the invariant is the log integral plus the exact (1/2) ln 2^{-g/2}
         r_log = integrate_cube(f_log, 2 * g, budget, 3)

@@ -115,6 +115,40 @@ class TestBoundCommand:
         assert a != b
 
 
+class TestStrictInput:
+    """Fields are JSON numbers of the right kind: booleans and numeric
+    strings are rejected with exit 2, never converted."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(g=True),
+        lambda d: d.update(degree=True),
+        lambda d: d.update(options={"budget": True}),
+        lambda d: d.update(options={"epsilon": True}),
+        lambda d: d["embeddings"][0].update(re=[["0.25"]]),
+        lambda d: d["embeddings"][0].update(im=[[True]]),
+        lambda d: d["embeddings"][0].update(im=[[2.0, None]]),
+        lambda d: d["embeddings"][0].update(re=["0.0"]),
+        lambda d: d["embeddings"][0].update(re=[[10**400]]),
+    ], ids=["g", "degree", "budget", "epsilon", "string-leaf", "bool-leaf", "null-leaf",
+            "flat-string-leaf", "huge-int-leaf"])
+    @pytest.mark.parametrize("command", ["rho", "verify"])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, edit, command):
+        doc = tau_2i_doc()
+        edit(doc)
+        argv = [command, write(tmp_path, "a.json", doc)]
+        code, out, err = run(capsys, argv + (["--suite", "chain"] if command == "verify" else []))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_report_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mlk.cli, "lambda_clamped",
+                            lambda om: mlk.siegel.lambda_clamped(om)._replace(rho=math.nan))
+        with pytest.raises(ValueError, match="JSON compliant"):
+            main(["rho", write(tmp_path, "a.json", tau_2i_doc())])
+        assert capsys.readouterr().out == ""
+
+
 class TestRhoCommand:
     def test_tau_2i(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", tau_2i_doc())
@@ -264,6 +298,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "unknown fields ['scheme']" in err
+
+    def test_underflow_beyond_double_precision_exits_4(self, tmp_path, capsys):
+        # at tau = 1000i, f_Y(2; 1/2) underflows to 0 and ln f is not finite:
+        # valid input that double precision cannot certify
+        doc = {"g": 1, "embeddings": [{"re": [[0.0]], "im": [[1000.0]]}]}
+        code, out, err = run(capsys, ["verify", write(tmp_path, "tau.json", doc),
+                                      "--suite", "chain"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_enumeration_cap_exits_4(self, tmp_path, capsys):
         # the lattice and integrals suites pass; the g = 14 chain's theta box

@@ -391,3 +391,81 @@ class TestRoundingBound:
             _, err = cube_norm_batch(om, rng.uniform(0, 1, (4, 2 * g)), tol=tol)
             tail = _tail_bound(om.Y, 1.0, 1.0, _radius_for(om.Y, 1.0, 1.0, tol))
             assert det4 * tail < err <= det4 * (tail + 1e-10)
+
+
+SKEWED = {
+    # Z^3 in a skewed basis: Y = U^T U, whose LLL-reduced form is I
+    3: (np.array([[1, 2, 0], [0, 1, 2], [0, 0, 1]]), np.eye(3)),
+    2: (np.array([[1, 3], [0, 1]]), np.array([[1.3, 0.4], [0.4, 1.1]])),
+}
+
+
+def _skewed_pair(g):
+    """(Omega, V, Omega') for Y = U^T Y0 U with a seeded X: V = U^{-1} and
+    Omega' = V^T Omega V, the same torus written in its LLL basis."""
+    U, Y0 = SKEWED[g]
+    X = np.random.default_rng(g).uniform(-0.5, 0.5, (g, g))
+    Y = U.T @ Y0 @ U
+    om = validate_period_matrix((X + X.T) / 2.0, (Y + Y.T) / 2.0)
+    V = np.rint(np.linalg.inv(U)).astype(float)
+    Xr, Yr = V.T @ om.X @ V, V.T @ om.Y.entries @ V
+    return om, V, validate_period_matrix((Xr + Xr.T) / 2.0, (Yr + Yr.T) / 2.0)
+
+
+class TestSkewedBasis:
+    """Omega with a Y far from LLL-reduced against the same Omega in its LLL
+    basis, at the mapped arguments, and against the direct box-exp sum."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_cube_norm_batch(self, rng, g):
+        om, V, om_r = _skewed_pair(g)
+        xy = rng.uniform(0, 1, (60, 2 * g))
+        got, err = cube_norm_batch(om, xy)
+        pts = np.hstack([xy[:, :g] @ V, xy[:, g:] @ np.linalg.inv(V).T])  # (V^T x, V^{-1} y)
+        mapped, _ = cube_norm_batch(om_r, pts)
+        _assert_agrees(got, mapped)
+        _assert_agrees(got, oracle_cube_norm(om, xy))
+        assert 0.0 < err < 1e-10
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("reach", [0.5, 1.5])
+    def test_cube_norm_s_and_theta(self, rng, g, reach):
+        # theta_Omega(z) = theta_Omega'(V^T z); ||s|| is a function on the
+        # torus. theta in the two bases is compared only at reach 0.5: its
+        # envelope exp(pi q), q = Im z^T Y^{-1} Im z, turns the last-bit
+        # difference between q formed from Y and from V^T Y V into ~1e-13
+        # relative at q ~ 30. The oracle forms q from Y as the library does.
+        om, V, om_r = _skewed_pair(g)
+        det4 = om.Y.det_sqrt ** 0.5
+        for _ in range(5):
+            z = rng.uniform(-1, 1, g) + 1j * (om.Y.entries @ rng.uniform(-reach, reach, g))
+            theta, scale = oracle_theta(om, z)
+            got = theta_siegel(om, z)
+            _assert_agrees(got.value, theta, 1e-15 * scale)
+            if reach < 1.0:
+                _assert_agrees(got.value, theta_siegel(om_r, V.T @ z).value, 1e-15 * scale)
+            _assert_agrees(cube_norm_s(om, z), cube_norm_s(om_r, V.T @ z))
+            _assert_agrees(cube_norm_s(om, z), det4 * abs(theta) / scale)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_theta_terms_match_the_reduced_basis(self, g):
+        # the box is taken in LLL coordinates: at g = 3 the raw box of Y would
+        # hold 18,144 points against 1,728
+        om, V, om_r = _skewed_pair(g)
+        z = np.linspace(0.1, 0.3, g) + 1j * (om.Y.entries @ np.linspace(-0.4, 0.4, g))
+        assert theta_siegel(om, z).terms_used == theta_siegel(om_r, V.T @ z).terms_used
+        if g == 3:
+            assert om_r.Y.entries.tolist() == np.eye(3).tolist()
+            assert theta_siegel(om, z).terms_used == 1728
+
+
+class TestRejectsTolerance:
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_non_positive_tol(self, tol):
+        om = om_of(0.1 + 1.2j)
+        with pytest.raises(ThetaError, match="tol"):
+            theta_siegel(om, [0.3 + 0.1j], tol=tol)
+        with pytest.raises(ThetaError, match="tol"):
+            cube_norm_s(om, [0.3 + 0.1j], tol=tol)
+        with pytest.raises(ThetaError, match="tol"):
+            cube_norm_batch(om, [[0.3, 0.1]], tol=tol)

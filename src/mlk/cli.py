@@ -9,15 +9,17 @@ Subcommands:
 
 Input is a strict JSON document; unknown fields are rejected. options.budget
 (or --budget) sizes the chain's 2g-dimensional invariant, whose rule follows
-from g (tensor Gauss-Legendre at g = 1, QMC at g >= 2); --budget also sizes
-the integrals suite's psi^2 integral. Reports go to stdout, diagnostics to
-stderr. Exit codes: 0 success, 1 a verify check failed, 2 parse error (also
-a --random, --dim or --budget below 1 or a --seed below 0), 3 invalid matrix
-data, 4 the input is valid but cannot be certified: a lattice enumeration or
-quadrature grid exceeded its cap, or a theta series or integrand left the
-range of double precision (a QuadratureError or ThetaError). height_chain's
-error_estimate is (2/d) times the sum of the invariants' estimates.
-MLK_THREADS caps per-embedding parallelism.
+from g: QMC points per shift at g >= 2, and at g = 1 tensor Gauss-Legendre
+with min(max(budget, 4), 256) nodes per axis, so a budget above 256 changes
+nothing there. --budget also sizes the integrals suite's psi^2 integral,
+which runs at g <= 2 under the same clamp. Reports go to stdout,
+diagnostics to stderr. Exit codes: 0 success, 1 a verify check failed, 2
+parse error (also a --random, --dim or --budget below 1 or a --seed below
+0), 3 invalid matrix data, 4 the input is valid but cannot be certified: a
+lattice enumeration or quadrature grid exceeded its cap, or a theta series
+or integrand left the range of double precision (a QuadratureError or
+ThetaError). height_chain's error_estimate is (2/d) times the sum of the
+invariants' estimates. MLK_THREADS caps per-embedding parallelism.
 """
 
 from __future__ import annotations
@@ -377,7 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="number of random matrices for the lattice/integrals suites")
     p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
     p_verify.add_argument("--dim", type=_int_at_least(1), default=3)
-    p_verify.add_argument("--budget", type=_int_at_least(1), default=None)
+    p_verify.add_argument("--budget", type=_int_at_least(1), default=None,
+                          help="QMC points per shift of the chain invariant at g >= 2; "
+                               "Gauss nodes per axis, min(max(budget, 4), 256), at g = 1 "
+                               "and in the integrals suite, so above 256 it changes "
+                               "nothing there")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

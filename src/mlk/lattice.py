@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -498,11 +499,42 @@ def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
     return np.maximum(np.einsum("ij,ij->i", D, D @ Y.entries), 0.0)
 
 
+def _first_primes(d: int) -> np.ndarray:
+    primes = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return np.array(primes)
+
+
+@lru_cache(maxsize=16)  # keyed by (g, budget); the CLI uses one budget
+def _halton(d: int, n: int) -> np.ndarray:
+    """The first n points (index 0 included) of the unscrambled Halton
+    sequence (Halton, Numer. Math. 2, 1960): the radical inverse of the index
+    in each of the first d primes, as a read-only (n, d) array. The digits
+    are summed in the order of scipy's ``qmc.Halton(d, scramble=False)``, so
+    the points are the same to the last bit."""
+    bases = _first_primes(d)
+    q = np.repeat(np.arange(n)[:, None], d, axis=1)
+    v = np.zeros((n, d))
+    b2r = 1.0 / bases
+    for _ in range(max(n - 1, 1).bit_length()):  # the base-2 digits bound all others
+        q, digit = np.divmod(q, bases)
+        v += digit * b2r
+        b2r /= bases
+    v.setflags(write=False)
+    return v
+
+
 def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:
     """Certified enclosure of the inhomogeneous minimum mu(Y).
 
     lo: the best psi_Y value over the Bezout deep point, every half-integer
-    corner (g <= 4), and ``budget`` Halton points; always a true lower bound.
+    corner (g <= 4), and the first ``budget`` points of the Halton sequence
+    in the first g primes (``_halton``, cached per (g, budget)); always a
+    true lower bound.
     hi: the nearest-plane covering bound on an LLL-reduced basis.
     """
     if budget < 1:
@@ -512,9 +544,7 @@ def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:
     if g <= 4:
         corners = _int_box(np.zeros(g), np.ones(g)).astype(float) / 2.0
         pts.append(corners)
-    from scipy.stats import qmc  # deferred: scipy.stats dominates `import mlk`
-
-    pts.append(qmc.Halton(d=g, scramble=False).random(budget))
+    pts.append(_halton(g, budget))
     psi2 = psi_sq_batch(Y, np.vstack(pts))
     lo = math.sqrt(float(psi2.max())) * (1 - 1e-12)
     return IntervalEstimate(lo=lo, hi=Y.covering_upper())

@@ -329,18 +329,36 @@ code = mlk.cli.main(argv) if argv else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
 
+_BLOCK_SCIPY = """
+import sys
+
+class _NoScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, _NoScipy)
+"""
+
+
+def _identity_doc(tmp_path, g: int) -> str:
+    eye = [[float(i == j) for j in range(g)] for i in range(g)]
+    doc = {"g": g, "embeddings": [{"re": [[0.0] * g] * g, "im": eye}]}
+    return write(tmp_path, f"g{g}.json", doc)
+
 
 class TestColdImports:
-    """scipy loads only where it is used: `import mlk`, `mlk bound` and
-    `mlk rho` need numpy alone. Each case runs in a fresh interpreter, so
-    modules the test session imported cannot leak in."""
+    """mlk needs numpy alone: `import mlk` and every subcommand load no
+    scipy module. Each case runs in a fresh interpreter, so modules the test
+    session imported cannot leak in."""
 
     @staticmethod
-    def probe(argv):
+    def probe(argv, prelude=""):
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(mlk.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+        proc = subprocess.run([sys.executable, "-c", prelude + _IMPORT_PROBE, json.dumps(argv)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
@@ -354,7 +372,16 @@ class TestColdImports:
         argv = [command, write(tmp_path, "g2.json", doc)] if command else []
         assert self.probe(argv) == [0, []]
 
-    def test_lattice_suite_loads_stats(self):
-        code, loaded = self.probe(["verify", "--suite", "lattice", "--random", "2"])
-        assert code == 0
-        assert "scipy.stats" in loaded
+    @pytest.mark.parametrize("case", ["lattice", "chain_g2", "chain_g3", "all"])
+    def test_verify_loads_no_scipy(self, tmp_path, case):
+        argv = {
+            "lattice": ["verify", "--suite", "lattice", "--random", "2"],
+            "chain_g2": ["verify", _identity_doc(tmp_path, 2), "--suite", "chain"],
+            "chain_g3": ["verify", _identity_doc(tmp_path, 3), "--suite", "chain",
+                         "--budget", "1024"],
+            "all": ["verify", "--suite", "all"],
+        }[case]
+        assert self.probe(argv) == [0, []]
+
+    def test_verify_all_runs_with_scipy_blocked(self):
+        assert self.probe(["verify", "--suite", "all"], prelude=_BLOCK_SCIPY) == [0, []]

@@ -386,6 +386,21 @@ class TestMuInterval:
             IntervalEstimate(0.0, math.inf)
 
 
+class TestHalton:
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_matches_scipy_bit_for_bit(self, d):
+        from scipy.stats import qmc  # oracle only: mlk itself does not import scipy
+
+        for n in (1, 2, 128, 1000, 4096):
+            want = qmc.Halton(d=d, scramble=False).random(n)
+            assert lattice._halton(d, n).tobytes() == want.tobytes()
+
+    def test_cached_read_only(self):
+        pts = lattice._halton(3, 64)
+        assert lattice._halton(3, 64) is pts
+        assert not pts.flags.writeable
+
+
 class TestReduction:
     def test_lll_transform_is_unimodular(self, rng):
         Y = make_spd(rng, 5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from mlk.quadrature import (
     QuadratureError,
     _gauss_grid,
     _gauss_rule,
+    _sobol,
     integral_ln_f,
     integral_psi_sq,
     integrate_cube,
@@ -82,6 +84,36 @@ class TestIntegrateCube:
         assert a == b
         c = integral_psi_sq(Y, 4096, seed=12)
         assert c.value != a.value
+
+
+class TestSobol:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 16, 40, 64])
+    def test_matches_scipy_bit_for_bit(self, d):
+        from scipy.stats import qmc  # oracle only: mlk itself does not import scipy
+
+        for m in (2, 4, 1024, 65536):
+            want = qmc.Sobol(d=d, scramble=False).random(m)
+            assert _sobol(d, m).tobytes() == want.tobytes()
+
+    def test_dimension_above_the_table_exits_as_a_limit(self):
+        def never(P):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(EnumerationLimitError, match="direction-number table"):
+            integrate_cube(never, 65, 4)
+
+    def test_too_many_points_raise_before_allocating(self):
+        def never(P):
+            raise AssertionError("integrand evaluated")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+                integrate_cube(never, 3, 1 << 31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # 2^31 points of dimension 3 would be 48 GiB
 
 
 class TestIntegratePeriodic:

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mlk import theta
+from mlk.bounds import EmbeddingSet, verify_chain
 from mlk.lattice import GramMatrix, closest_vector
 from mlk.quadrature import integrate_cube
 from mlk.siegel import validate_period_matrix
 from mlk.theta import (
+    _DENORMAL,
     _EXP_CAP,
+    _Q_INFLATION,
     ThetaError,
+    _gamma_q,
     _radius_for,
     _tail_bound,
     cube_norm_batch,
@@ -391,6 +396,50 @@ class TestRoundingBound:
             _, err = cube_norm_batch(om, rng.uniform(0, 1, (4, 2 * g)), tol=tol)
             tail = _tail_bound(om.Y, 1.0, 1.0, _radius_for(om.Y, 1.0, 1.0, tol))
             assert det4 * tail < err <= det4 * (tail + 1e-10)
+
+
+class TestGammaQ:
+    """The closed-form Q(k/2, x) behind every truncation radius, against a
+    40-digit incomplete gamma and, for the radii, against scipy's."""
+
+    XS = [*np.geomspace(1e-3, 800.0, 41), 0.5, 1.0, 7.5, 700.0, 727.5, 745.0, 760.0]
+
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_upper_bound_within_1e12_of_mpmath(self, k):
+        s = k / 2.0
+        for x in self.XS:
+            with mp.workdps(40):
+                want = mp.gammainc(mp.mpf(s), mp.mpf(x), mp.inf, regularized=True)
+            got = _gamma_q(s, x)
+            if want >= np.finfo(float).tiny:
+                assert got >= want, (s, x)
+                # the value before the stated inflation is within 1e-12 relative
+                assert abs(got / (1.0 + _Q_INFLATION) / want - 1) <= 1e-12, (s, x)
+            else:  # denormal or below: each term and sum rounds by <= half a step
+                assert got >= want - (s + 1.0) * _DENORMAL, (s, x)
+
+    def test_no_early_underflow(self):
+        # e^-x times the sum underflows at x = 800; the terms themselves do not
+        assert _gamma_q(16.0, 800.0) >= 1.0e-316
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_chain_radii_match_scipy_tail(self, rng, g, monkeypatch):
+        from scipy.special import gammaincc  # oracle only: mlk itself does not import scipy
+
+        calls = []
+
+        def logged(Y, det_sqrt, t, target):
+            r = _radius_for(Y, det_sqrt, t, target)
+            calls.append((Y, det_sqrt, t, target, r))
+            return r
+
+        monkeypatch.setattr(theta, "_radius_for", logged)
+        om = make_reduced_period(rng, g)
+        verify_chain(EmbeddingSet(g, 1, [om]), budget=64)
+        monkeypatch.setattr(theta, "_gamma_q", lambda s, x: float(gammaincc(s, x)))
+        assert calls
+        for Y, det_sqrt, t, target, r in calls:
+            assert _radius_for(Y, det_sqrt, t, target) == r
 
 
 SKEWED = {

@@ -226,7 +226,7 @@ def log_gaussian_bound(lam: float, g: int) -> float:
 
 
 def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
-                          seed: int = 0) -> QuadratureResult:
+                          seed: int = 0, *, decided=None) -> QuadratureResult:
     """I = -int ln||s|| dnu + (1/2) ln int ||s||^2 dnu over the torus.
 
     The Haar measure is realized through (x, y) in [0,1]^{2g}, z = x + Omega y
@@ -240,7 +240,10 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     *downward* and every one-sided ">= rhs" use stays valid. Requires a
     reduced period matrix. The rule is ``integrate_cube``'s for d = 2g:
     tensor Gauss-Legendre (``budget`` nodes per axis) at g = 1, QMC
-    (``budget`` points per shift, ``seed``) at g >= 2.
+    (``budget`` points per shift, ``seed``) at g >= 2. A predicate
+    ``decided(I, error) -> bool`` makes ``budget`` a cap at g >= 2: the QMC
+    set doubles from 2^8 points per shift until the predicate holds for the
+    invariant and its estimate (``integrate_cube``); it is not used at g = 1.
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
@@ -252,8 +255,10 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
         clipped += int(np.count_nonzero(vals < _CLIP_FLOOR))
         return np.log(np.maximum(vals, _CLIP_FLOOR))
 
-    r = integrate_cube(f_log, 2 * om.g, budget, seed)
-    return replace(r, value=-r.value - 0.25 * om.g * math.log(2.0), n_clipped=clipped)
+    half_log_norm_sq = 0.25 * om.g * math.log(2.0)
+    on_log = None if decided is None else (lambda v, err: decided(-v - half_log_norm_sq, err))
+    r = integrate_cube(f_log, 2 * om.g, budget, seed, decided=on_log)
+    return replace(r, value=-r.value - half_log_norm_sq, n_clipped=clipped)
 
 
 def height_from_theta_invariants(I_values, g: int, degree: int) -> float:
@@ -282,8 +287,14 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     invariants' error estimates. (a) is a ``CheckEntry.equal`` check, (b)
     ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
     on ``integrate_periodic`` to ``tolerance``; ``budget`` and ``seed`` size
-    the invariant of (c) only. One 2g-dimensional shortest-vector search per
-    embedding gives the lam of (b), (c) and the rho of (d).
+    the invariant of (c) only. At g >= 2, ``budget`` caps the invariant's
+    QMC points per shift: the set doubles from 2^8 and stops once (c) is
+    decided at either end of its value +- estimate (slack - err >= -tol or
+    slack + err < -tol, err the check's estimate, twice the invariant's), so
+    the reported I is only as precise as that decision needs. At g = 1 the invariant's rule is fixed by ``budget``.
+    The slack of (d) is the mean of the (c) slacks. One 2g-dimensional
+    shortest-vector search per embedding gives the lam of (b), (c) and the
+    rho of (d).
     """
     _require_complete(E)
     for i, om in enumerate(E.periods):
@@ -310,12 +321,17 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
         out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value,
                                       log_gaussian_bound(lam, g), tolerance, r_ln.error_estimate))
 
-        inv = archimedean_invariant(om, budget, seed)
         rhs_c = (
             math.pi / (6.0 * lam * lam)
             + g * math.log(lam)
             + (g / 2.0) * math.log(3.0 * g / (math.pi * math.e))
         )
+
+        def decided(I, err):  # the check's slack is 2I - rhs_c, its estimate 2 err
+            slack = 2.0 * I - rhs_c
+            return slack - 2.0 * err >= -tolerance or slack + 2.0 * err < -tolerance
+
+        inv = archimedean_invariant(om, budget, seed, decided=decided)
         out.append(CheckEntry.at_least(f"theta_invariant_lower[{idx}]", 2.0 * inv.value, rhs_c,
                                        tolerance, 2.0 * inv.error_estimate))
         return out, inv, rho

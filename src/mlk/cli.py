@@ -9,8 +9,11 @@ Subcommands:
 
 Input is a strict JSON document; unknown fields are rejected. options.budget
 (or --budget) sizes the chain's 2g-dimensional invariant, whose rule follows
-from g: QMC points per shift at g >= 2, and at g = 1 tensor Gauss-Legendre
-with min(max(budget, 4), 256) nodes per axis, so a budget above 256 changes
+from g. At g >= 2 it caps the QMC points per shift: the set doubles from 2^8
+points and stops once the invariant's check is decided at either end of
+value +- estimate, so the reported invariant is only as precise as that
+decision needs. At g = 1 the rule is tensor Gauss-Legendre with
+min(max(budget, 4), 256) nodes per axis, so a budget above 256 changes
 nothing there. --budget also sizes the integrals suite's psi^2 integral,
 which runs at g <= 2 under the same clamp. Reports go to stdout,
 diagnostics to stderr. Exit codes: 0 success, 1 a verify check failed, 2
@@ -380,7 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
     p_verify.add_argument("--dim", type=_int_at_least(1), default=3)
     p_verify.add_argument("--budget", type=_int_at_least(1), default=None,
-                          help="QMC points per shift of the chain invariant at g >= 2; "
+                          help="cap on the QMC points per shift of the chain invariant "
+                               "at g >= 2, which doubles from 256 and stops once its check "
+                               "is decided at value +- estimate; "
                                "Gauss nodes per axis, min(max(budget, 4), 256), at g = 1 "
                                "and in the integrals suite, so above 256 it changes "
                                "nothing there")

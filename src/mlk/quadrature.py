@@ -37,6 +37,7 @@ __all__ = [
 _MAX_GAUSS_DIM = 2  # integrate_cube: tensor Gauss-Legendre up to here, QMC above
 _MAX_GAUSS_NODES = 256
 _DEFAULT_QMC_POINTS = 1 << 16
+_FIRST_QMC_POINTS = 1 << 8  # points per shift before the first doubling
 _N_SHIFTS = 8
 _LOG2_MAX_GRID = 19  # periodic grids hold <= 2^19 points, one default QMC integral
 _SOBOL_BITS = 30     # points are multiples of 2^-30, so a set holds <= 2^30 of them
@@ -159,14 +160,23 @@ def _sobol(d: int, m: int) -> np.ndarray:
     return x * 2.0 ** -_SOBOL_BITS
 
 
-def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0) -> QuadratureResult:
+def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
+                   decided=None) -> QuadratureResult:
     """Integrate a vectorized f: (N, d) -> (N,) over [0,1]^d by a rule chosen from d.
 
     d <= 2: tensor Gauss-Legendre, ``budget`` nodes per axis (clamped to
     [4, 256], default 256), error the distance to the rule on half the
-    nodes. d >= 3: an unscrambled Sobol set of ``budget`` points (rounded
-    down to a power of two, default 2^16) under 8 shifts drawn from
-    ``seed``, error 3x the standard deviation of the per-shift means.
+    nodes; ``decided`` is not used. d >= 3: an unscrambled Sobol set of
+    ``budget`` points (rounded down to a power of two, default 2^16) under 8
+    shifts drawn from ``seed``, error 3x the standard deviation of the
+    per-shift means.
+
+    With a predicate ``decided(value, error) -> bool`` at d >= 3, ``budget``
+    is a cap: the set starts at min(2^8, cap) points per shift and doubles
+    until the predicate holds or the cap is reached. The first m points of
+    the 2m-point set are the m-point set, so each doubling evaluates only
+    the new points, and a predicate that never holds returns what no
+    predicate returns, bit for bit.
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
@@ -176,12 +186,20 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0) -> Quadr
         value = _gauss_value(f, d, n)
         err = abs(value - _gauss_value(f, d, coarse))
         return QuadratureResult(value, err, n**d + coarse**d, "tensor-gauss")
-    m = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
-    base = _sobol(d, m)
+    m_cap = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
+    m = m_cap if decided is None else min(_FIRST_QMC_POINTS, m_cap)
     shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
-    est = [float(np.mean(_evaluate(f, (base + s) % 1.0))) for s in shifts]
-    return QuadratureResult(float(np.mean(est)), 3.0 * float(np.std(est, ddof=1)),
-                            _N_SHIFTS * m, "qmc-shifted")
+    vals = [[] for _ in shifts]  # per shift, the values of each doubling in point order
+    done = 0
+    while True:
+        new = _sobol(d, m)[done:]
+        for s, v in zip(shifts, vals):
+            v.append(_evaluate(f, (new + s) % 1.0))
+        est = [float(np.mean(np.concatenate(v))) for v in vals]
+        value, err = float(np.mean(est)), 3.0 * float(np.std(est, ddof=1))
+        if m == m_cap or decided(value, err):
+            return QuadratureResult(value, err, _N_SHIFTS * m, "qmc-shifted")
+        done, m = m, 2 * m
 
 
 def integrate_periodic(f, d: int, tol: float) -> QuadratureResult:

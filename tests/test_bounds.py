@@ -38,6 +38,23 @@ def om_of(tau: complex):
     return validate_period_matrix([[tau.real]], [[tau.imag]])
 
 
+def conjugated_product(rng, g):
+    """(Omega, taus): a reduced representative of the product diag(taus),
+    whose invariant ``conftest.invariant_exact`` gives exactly."""
+    taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 1.5)) for _ in range(g)]
+    if g == 1:  # tau -> -1/(tau + k), an element of SL_2(Z)
+        tau = -1.0 / (taus[0] + int(rng.integers(-2, 3)))
+        X, Y = np.array([[tau.real]]), np.array([[tau.imag]])
+    else:  # U^T diag(taus) U for a product U of elementary operations
+        U = np.eye(g)
+        for _ in range(2 * g):
+            i, j = rng.choice(g, size=2, replace=False)
+            U[:, j] += rng.choice((-1.0, 1.0)) * U[:, i]
+        X = U.T @ np.diag([t.real for t in taus]) @ U
+        Y = U.T @ np.diag([t.imag for t in taus]) @ U
+    return siegel_reduce(validate_period_matrix((X + X.T) / 2.0, (Y + Y.T) / 2.0)), taus
+
+
 class TestConstants:
     def test_kappa_value_and_identity(self):
         k = kappa()
@@ -210,20 +227,20 @@ class TestArchimedeanInvariant:
     @pytest.mark.parametrize("g", [1, 2])
     def test_matches_exact_invariant_of_conjugated_products(self, rng, g):
         for _ in range(2):
-            taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 1.5)) for _ in range(g)]
-            if g == 1:  # tau -> -1/(tau + k), an element of SL_2(Z)
-                tau = -1.0 / (taus[0] + int(rng.integers(-2, 3)))
-                X, Y = np.array([[tau.real]]), np.array([[tau.imag]])
-            else:  # U^T diag(taus) U for a product U of elementary operations
-                U = np.eye(g)
-                for _ in range(2 * g):
-                    i, j = rng.choice(g, size=2, replace=False)
-                    U[:, j] += rng.choice((-1.0, 1.0)) * U[:, i]
-                X = U.T @ np.diag([t.real for t in taus]) @ U
-                Y = U.T @ np.diag([t.imag for t in taus]) @ U
-            om = siegel_reduce(validate_period_matrix((X + X.T) / 2.0, (Y + Y.T) / 2.0))
+            om, taus = conjugated_product(rng, g)
             inv = archimedean_invariant(om, budget=16384)
             assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_estimate_covers_the_error_at_the_first_doubling(self, g):
+        # verify_chain may stop the invariant at 2^8 points per shift, so its
+        # estimate must be honest there: 100 of 100 cases at each g, the
+        # largest |I - I_exact| / estimate 0.68 at g = 2 and 0.42 at g = 3
+        rng = np.random.default_rng([2024, g])
+        for k in range(100):
+            om, taus = conjugated_product(rng, g)
+            inv = archimedean_invariant(om, budget=256, seed=k)
+            assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate, k
 
     @pytest.mark.parametrize("tau", [60j, 80j])
     def test_large_imaginary_part_needs_no_clip(self, tau):
@@ -336,6 +353,33 @@ class TestVerifyChain:
         (chain,) = [e for e in rep.entries if e.name == "height_chain"]
         assert len(lower) == 2 and min(lower) > 0.0
         assert chain.error_estimate == pytest.approx(sum(lower) / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("om", [om_of(1j), om_of(0.5 + 1j), om_of(2j),
+                                    validate_period_matrix(np.zeros((2, 2)), np.eye(2)),
+                                    validate_period_matrix(np.zeros((3, 3)), np.eye(3))],
+                             ids=["i", "half+i", "2i", "iI2", "iI3"])
+    def test_stopping_the_invariant_early_keeps_every_verdict(self, monkeypatch, om):
+        # the acceptance suite's chain cases and Omega = i I_3, at default budget
+        E = EmbeddingSet(om.g, 1, [om])
+        invariant = mlk.bounds.archimedean_invariant
+        sizes = []
+
+        def spied(*args, **kwargs):
+            r = invariant(*args, **kwargs)
+            sizes.append(r.n_points)
+            return r
+
+        monkeypatch.setattr(mlk.bounds, "archimedean_invariant", spied)
+        early = verify_chain(E)
+        monkeypatch.setattr(mlk.bounds, "archimedean_invariant",
+                            lambda om_, budget, seed, decided: invariant(om_, budget, seed))
+        full = verify_chain(E)
+        assert sizes == [8 * 256 if om.g >= 2 else 256**2 + 128**2]
+        assert [e.passed for e in early.entries] == [e.passed for e in full.entries]
+        for a, b in zip(early.entries, full.entries):
+            if om.g == 1 or not (a.name.startswith("theta_invariant_lower")
+                                 or a.name == "height_chain"):
+                assert a == b
 
     def test_one_period_gram_search_per_embedding(self, monkeypatch):
         # injectivity_diameter builds the 2g x 2g period Gram matrix once per

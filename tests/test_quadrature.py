@@ -116,6 +116,55 @@ class TestSobol:
         assert peak < 1 << 20  # 2^31 points of dimension 3 would be 48 GiB
 
 
+class TestDecidedDoubling:
+    @staticmethod
+    def smooth(P):
+        return np.cos(2.0 * P.sum(axis=1)) + P[:, 0] ** 2
+
+    def test_doublings_evaluate_each_sobol_point_once(self):
+        d, seed = 4, 5
+        batches, asked = [], []
+
+        def counted(P):
+            batches.append(P.copy())
+            return self.smooth(P)
+
+        def decided(value, err):
+            asked.append((value, err))
+            return len(asked) == 2
+
+        r = integrate_cube(counted, d, 4096, seed, decided=decided)
+        assert [len(P) for P in batches] == 16 * [256]  # 8 shifts x (256, 256 new)
+        assert r.n_points == 8 * 512 and len(asked) == 2
+        shifts = np.random.default_rng(seed).random((8, d))
+        for k, s in enumerate(shifts):  # the first size runs every shift, then the second
+            got = np.concatenate([batches[k], batches[8 + k]])
+            assert np.array_equal(got, (_sobol(d, 512) + s) % 1.0)
+        assert (r.value, r.error_estimate) == asked[-1]
+        assert r == integrate_cube(self.smooth, d, 512, seed)
+
+    @pytest.mark.parametrize("d, budget", [(3, 4096), (5, 1 << 16), (4, 300), (3, 64)])
+    def test_predicate_that_never_holds_changes_no_bit(self, d, budget):
+        asked = []
+
+        def never(value, err):
+            asked.append(value)
+            return False
+
+        r = integrate_cube(self.smooth, d, budget, 7, decided=never)
+        assert r == integrate_cube(self.smooth, d, budget, 7)
+        m_cap = 1 << int(math.log2(budget))
+        assert r.n_points == 8 * m_cap
+        assert len(asked) == max(0, int(math.log2(m_cap / 256)))  # none at the cap
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tensor_rule_never_asks(self, d):
+        def ask(value, err):
+            raise AssertionError("predicate called on the tensor rule")
+
+        assert integrate_cube(self.smooth, d, 64, decided=ask) == integrate_cube(self.smooth, d, 64)
+
+
 class TestIntegratePeriodic:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_trig_polynomials_exact(self, rng, d):

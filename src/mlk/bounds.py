@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -165,6 +164,8 @@ def _pmap(fn, items):
     except ValueError:
         workers = 1
     if workers > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so serial runs never load it
+
         with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

@@ -10,12 +10,17 @@ integer lattice Z^g is studied through four quantities:
   psi_Y(x) >= 1 / (2 lambda_1(Y^{-1})).
 
 Minima are found by Fincke-Pohst ellipsoid enumeration on the Cholesky
-factor R of an LLL-reduced basis (one vectorized enumerator, level by level
-for many target points at once). The squared radius is min_j ||b_j||^2 for
+factor R of an LLL-reduced basis. The squared radius is min_j ||b_j||^2 for
 the first minimum and the nearest-plane distance for closest vectors, each
 inflated against rounding, so the returned vectors are exact minimizers (up
 to floating-point evaluation of the norm itself); a search tree that
-outgrows its cap raises EnumerationLimitError. LLL runs on the Gram matrix,
+outgrows its cap raises EnumerationLimitError. The search, and the
+nearest-plane point before it, run on one of two paths with the same
+arithmetic and so the same bits: level by level in numpy for many targets
+at once (the frontier), or depth first on Python floats for one target.
+The input alone picks: one target whose tree holds at most 2^12 nodes by
+the Gaussian heuristic takes the Python path (one nearest-plane target
+always does), everything else the frontier. LLL runs on the Gram matrix,
 updating the Gram-Schmidt data from its Cholesky factor incrementally.
 mu(Y) is NP-hard to compute exactly and is returned only as a certified
 two-sided enclosure.
@@ -52,6 +57,9 @@ _COND_LIMIT = 1e12
 _LLL_DELTA = 0.99
 _BOX_CAP = 1 << 21          # hard cap on a search tree's nodes (and on a box's points)
 _RADIUS_SAFETY = 1 + 1e-12  # inflation so fp rounding cannot lose the minimizer
+_ONE_TARGET_NODES = 1 << 12  # largest estimated tree that one target searches on Python floats
+_LOG_ONE_TARGET_NODES = math.log(_ONE_TARGET_NODES)
+_LOG_PI = math.log(math.pi)
 
 
 class LatticeError(ValueError):
@@ -293,8 +301,12 @@ def _nearest_plane(R, T):
     ``_closest`` forms the partial sums of the same path, and
     gap = min_{k >= 1} R_kk^2 (1 - |u_k - c_k|)^2. Every lattice point that
     leaves the path at a level k >= 1 is at squared distance >= gap, so u
-    is a closest point where s < gap."""
+    is a closest point where s < gap. One row runs on Python floats, with
+    the same arithmetic and so the same bits."""
     N, g = T.shape
+    if N == 1:
+        u, s, gap = _nearest_plane_one(R.T.tolist(), T[0].tolist())
+        return np.array([u]), np.array([s]), np.array([gap])
     diag = np.diag(R)
     u = np.empty((N, g))
     s = np.zeros(N)
@@ -309,6 +321,49 @@ def _nearest_plane(R, T):
             gap = np.minimum(gap, (diag[k] - np.abs(y)) ** 2)
             acc[:, :k] += (u[:, k] - T[:, k])[:, None] * R[:k, k]
     return u, s, gap
+
+
+def _rint(x: float) -> float:
+    """np.rint on a Python float: nearest integer, ties to even, sign kept."""
+    return math.copysign(round(x), x)
+
+
+def _nearest_plane_one(cols, t):
+    """``_nearest_plane`` for one target t (a list), with cols[k][i] = R_ik."""
+    g = len(t)
+    u = [0.0] * g
+    s, gap = 0.0, math.inf
+    acc = [0.0] * g
+    for k in range(g - 1, -1, -1):
+        col = cols[k]
+        c = t[k] - acc[k] / col[k]
+        u[k] = uk = _rint(c)
+        y = col[k] * (uk - c)
+        s = s + y * y
+        if k > 0:
+            d = col[k] - abs(y)
+            gap = min(gap, d * d)
+            a = uk - t[k]
+            for i in range(k):
+                acc[i] += a * col[i]
+    return u, s, gap
+
+
+def _small_tree(diag, bound: float) -> bool:
+    """Whether the Gaussian-heuristic size of one target's search tree,
+    sum_j V_j(sqrt(bound)) / prod_{i >= g - j} R_ii with V_j(r) the volume
+    of the j-ball of radius r, is at most _ONE_TARGET_NODES."""
+    if bound <= 0.0:
+        return True
+    log_r = 0.5 * math.log(bound)
+    total = log_det = 0.0
+    for j, r in enumerate(reversed(diag), 1):
+        log_det += math.log(r)
+        e = j * (0.5 * _LOG_PI + log_r) - math.lgamma(0.5 * j + 1.0) - log_det
+        if e > _LOG_ONE_TARGET_NODES:
+            return False
+        total += math.exp(e)
+    return total <= _ONE_TARGET_NODES
 
 
 def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
@@ -328,8 +383,22 @@ def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
     levels hold at most 2^22 entries. A row whose search tree grows past
     _BOX_CAP nodes raises EnumerationLimitError, however many rows there
     are. A row with no lattice point within its bound keeps u = 0.
+
+    One row whose tree is small by the Gaussian heuristic (``_small_tree``)
+    is searched depth first on Python floats (``_closest_one``), where
+    numpy's per-call cost would outweigh the arithmetic of its few nodes. It
+    visits the same nodes in the same order with the same arithmetic, so it
+    returns the same u and exceeds the cap exactly when the frontier would.
+    Batches and large trees stay on the frontier.
+
+    Ties: among points at exactly the same squared distance, the last in the
+    search order wins; the order is ascending in u_{g-1}, then in u_{g-2},
+    and so on. The frontier follows that rule within each frontier it
+    expands whole; across the halves of a split frontier the first wins.
     """
     N, g = T.shape
+    if N == 1 and _small_tree(np.diag(R).tolist(), float(bound[0])):
+        return np.array([_closest_one(R.T.tolist(), T[0].tolist(), float(bound[0]), nonzero)])
     Tt = np.ascontiguousarray(T.T)
     diag = np.diag(R)
     block = max(1, (1 << 22) // (g * g))
@@ -378,13 +447,53 @@ def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
     return best_u
 
 
+def _closest_one(cols, t, bound: float, nonzero: bool):
+    """``_closest`` for one target t (a list), with cols[k][i] = R_ik: the
+    frontier search run depth first, children in ascending order, so the
+    leaves come in the frontier's order and the last of equal ones wins."""
+    g = len(t)
+    diag = [cols[k][k] for k in range(g)]
+    u = [0.0] * g
+    best, best_u, nodes = math.inf, [0.0] * g, 0
+
+    def visit(k, s, Z):
+        nonlocal best, best_u, nodes
+        c = t[k] - Z[k] / diag[k]
+        if k == 0:
+            u0 = _rint(c)
+            if nonzero and u0 == 0.0 and s == 0.0:  # the all-zero path, at t = 0 only
+                u0 = -1.0 if c < 0.0 else 1.0
+            y = diag[0] * (u0 - c)
+            s = s + y * y
+            if s <= best:
+                best, best_u = s, [u0] + u[1:]
+            return
+        w = math.sqrt(max(bound - s, 0.0)) / diag[k]
+        lo, hi = math.ceil(c - w), math.floor(c + w)
+        nodes += hi - lo + 1  # >= 0, as w >= 0
+        if nodes > _BOX_CAP:
+            raise EnumerationLimitError(
+                f"enumeration tree of {nodes} nodes exceeds cap {_BOX_CAP}")
+        col, tk, dk = cols[k], t[k], diag[k]
+        for uk in range(lo, hi + 1):
+            uk = float(uk)
+            y = dk * (uk - c)
+            a = uk - tk
+            u[k] = uk
+            visit(k - 1, s + y * y, [Z[i] + a * col[i] for i in range(k)])
+
+    visit(g - 1, 0.0, [0.0] * g)
+    return best_u
+
+
 def shortest_vector(Y: GramMatrix) -> ShortestVector:
     """Exact first minimum: a nonzero m in Z^g minimizing ||m||_Y.
 
     Ellipsoid enumeration (``_closest`` at t = 0, u != 0) over the
     LLL-reduced basis, with squared radius min_j ||b_j||^2 (inflated by
-    _RADIUS_SAFETY against rounding), so no minimizer is missed. Ties are
-    broken arbitrarily. The result is cached on Y, with m read-only.
+    _RADIUS_SAFETY against rounding), so no minimizer is missed. Of equal
+    minimizers (m and -m among them), the last in ``_closest``'s search
+    order wins. The result is cached on Y, with m read-only.
     """
     if "shortest" not in Y._cache:
         red = Y._reduced()

@@ -324,9 +324,9 @@ class TestVerifyCommand:
 _IMPORT_PROBE = """
 import json, sys
 import mlk, mlk.cli
-argv = json.loads(sys.argv[1])
+argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 code = mlk.cli.main(argv) if argv else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in watched)]))
 """
 
 _BLOCK_SCIPY = """
@@ -350,27 +350,44 @@ def _identity_doc(tmp_path, g: int) -> str:
 
 class TestColdImports:
     """mlk needs numpy alone: `import mlk` and every subcommand load no
-    scipy module. Each case runs in a fresh interpreter, so modules the test
-    session imported cannot leak in."""
+    scipy module, and no thread pool unless MLK_THREADS asks for one. Each
+    case runs in a fresh interpreter, so modules the test session imported
+    cannot leak in."""
+
+    G2_DOC = {"g": 2, "degree": 2, "embeddings": [
+        {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]},
+        {"re": [[0.1, 0.05], [0.05, -0.2]], "im": [[1.5, 0.3], [0.3, 1.2]]},
+    ]}
 
     @staticmethod
-    def probe(argv, prelude=""):
+    def probe(argv, prelude="", watched=("scipy",)):
+        """[exit code, loaded modules under the top-level names ``watched``]."""
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(mlk.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", prelude + _IMPORT_PROBE, json.dumps(argv)],
+        proc = subprocess.run([sys.executable, "-c", prelude + _IMPORT_PROBE, json.dumps(argv),
+                               json.dumps(list(watched))],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
     @pytest.mark.parametrize("command", [None, "bound", "rho"])
     def test_import_bound_and_rho_skip_stats_and_special(self, tmp_path, command):
-        doc = {"g": 2, "degree": 2, "embeddings": [
-            {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]},
-            {"re": [[0.1, 0.05], [0.05, -0.2]], "im": [[1.5, 0.3], [0.3, 1.2]]},
-        ]}
-        argv = [command, write(tmp_path, "g2.json", doc)] if command else []
+        argv = [command, write(tmp_path, "g2.json", self.G2_DOC)] if command else []
         assert self.probe(argv) == [0, []]
+
+    @pytest.mark.parametrize("command", ["bound", "rho", "verify"])
+    def test_no_thread_pool_without_mlk_threads(self, tmp_path, command, monkeypatch):
+        monkeypatch.delenv("MLK_THREADS", raising=False)
+        argv = (["verify", "--suite", "all"] if command == "verify"
+                else [command, write(tmp_path, "g2.json", self.G2_DOC)])
+        assert self.probe(argv, watched=("concurrent",)) == [0, []]
+
+    def test_mlk_threads_loads_the_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MLK_THREADS", "2")
+        code, loaded = self.probe(["bound", write(tmp_path, "g2.json", self.G2_DOC)],
+                                  watched=("concurrent",))
+        assert code == 0 and "concurrent.futures" in loaded
 
     @pytest.mark.parametrize("case", ["lattice", "chain_g2", "chain_g3", "all"])
     def test_verify_loads_no_scipy(self, tmp_path, case):

@@ -308,6 +308,102 @@ class TestClosestVector:
         assert a == pytest.approx(math.sqrt(c) * closest_vector(Y, x).value, rel=1e-12, abs=1e-15)
 
 
+_A3 = [[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]
+_D4 = [[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, -1.0], [0.0, -1.0, 2.0, 0.0],
+       [0.0, -1.0, 0.0, 2.0]]
+
+
+class TestOneTarget:
+    """One target runs ``_closest`` depth first on Python floats; it must give
+    the frontier path's bits. The frontier is forced by a negative node limit."""
+
+    @staticmethod
+    def both(monkeypatch, R, t, bound, nonzero=False):
+        T, b = np.reshape(t, (1, -1)), np.array([bound])
+        assert lattice._small_tree(np.diag(R).tolist(), bound)
+        one = lattice._closest(R, T, b, nonzero)
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "_ONE_TARGET_NODES", -1)
+            frontier = lattice._closest(R, T, b, nonzero)
+        assert one.tobytes() == frontier.tobytes()
+        return one[0]
+
+    @staticmethod
+    def svp_bound(Y):
+        return float(Y._reduced()["col_sq"].min()) * lattice._RADIUS_SAFETY
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_svp_and_cvp_match_the_frontier(self, g, monkeypatch):
+        rng = np.random.default_rng(100 + g)
+        for cond in (1e0, 1e3, 1e6):
+            for _ in range(4):
+                A = make_spd(rng, g, cond_max=cond)
+                for Y in (A, A.inverse()):
+                    R = Y._reduced()["R"]
+                    u = self.both(monkeypatch, R, np.zeros(g), self.svp_bound(Y), nonzero=True)
+                    assert np.any(u != 0)
+                    for t in rng.uniform(-2.0, 2.0, (3, g)):
+                        s = lattice._nearest_plane(R, t.reshape(1, -1))[1][0]
+                        self.both(monkeypatch, R, t, s * lattice._RADIUS_SAFETY + 1e-300)
+
+    @pytest.mark.parametrize("entries", [
+        *[np.eye(g) for g in range(1, 9)], [[1.0, 0.5], [0.5, 1.0]], _A3, _D4,
+    ], ids=[*(f"I{g}" for g in range(1, 9)), "hexagonal", "A3", "D4"])
+    def test_ties_keep_the_frontiers_choice(self, entries, monkeypatch):
+        Y = GramMatrix(entries)
+        R, g = Y._reduced()["R"], Y.g
+        self.both(monkeypatch, R, np.zeros(g), self.svp_bound(Y), nonzero=True)
+        rng = np.random.default_rng(g)
+        for t in [np.full(g, 0.5), *rng.integers(0, 3, (4, g)) / 2.0]:
+            s = lattice._nearest_plane(R, t.reshape(1, -1))[1][0]
+            self.both(monkeypatch, R, t, s * lattice._RADIUS_SAFETY + 1e-300)
+
+    @pytest.mark.parametrize("g", [2, 5, 8])
+    def test_bound_below_the_minimum_keeps_zero(self, g, monkeypatch):
+        # at t = (1/2, ..., 1/2) no integer lies within the top level's window
+        rng = np.random.default_rng(g)
+        for Y in (GramMatrix(np.eye(g)), make_spd(rng, g), make_spd(rng, g, cond_max=1e6)):
+            R = Y._reduced()["R"]
+            bound = 0.99 * (R[-1, -1] / 2.0) ** 2
+            assert bound < closest_vector(Y, np.full(g, 0.5)).value ** 2
+            u = self.both(monkeypatch, R, np.full(g, 0.5), bound)
+            assert not np.any(u)
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_nearest_plane_matches_the_batch(self, g):
+        rng = np.random.default_rng(200 + g)
+        for cond in (1e0, 1e3, 1e6):
+            R = make_spd(rng, g, cond_max=cond)._reduced()["R"]
+            for t in [*rng.uniform(-2.0, 2.0, (6, g)), np.full(g, 0.5), np.zeros(g)]:
+                batch = lattice._nearest_plane(R, np.vstack([t, t]))
+                one = lattice._nearest_plane(R, t.reshape(1, -1))
+                for a, b in zip(one, batch):
+                    assert a.tobytes() == b[:1].tobytes()
+
+    def test_cap_raises_on_the_one_target_path(self, monkeypatch):
+        # the tree of one deep hole of Z^8 counts 2 + 4 + ... + 2^7 = 254 nodes
+        calls = []
+        one = lattice._closest_one
+
+        def spy(*args):
+            calls.append(args)
+            return one(*args)
+
+        monkeypatch.setattr(lattice, "_BOX_CAP", 100)
+        monkeypatch.setattr(lattice, "_closest_one", spy)
+        with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+            closest_vector(GramMatrix(np.eye(8)), np.full(8, 0.5))
+        assert len(calls) == 1
+
+    def test_large_tree_stays_on_the_frontier(self, monkeypatch):
+        def spy(*args):
+            raise AssertionError("a 22-dimensional deep hole took the one-target path")
+
+        monkeypatch.setattr(lattice, "_closest_one", spy)
+        with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+            closest_vector(GramMatrix(np.eye(22)), np.full(22, 0.5))
+
+
 class TestBezoutDeepPoint:
     def test_identity_is_tight(self):
         x, lo = bezout_deep_point(GramMatrix(np.eye(2)))

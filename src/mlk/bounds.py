@@ -21,9 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import QuadratureResult, integral_ln_f, integrate_cube, integrate_periodic
+from .quadrature import (QuadratureResult, _tensor_gauss, integral_ln_f, integrate_cube,
+                         integrate_periodic)
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
-from .theta import cube_norm_batch, f_series
+from .theta import _cube_norm_grid, cube_norm_batch, f_series
 
 __all__ = [
     "BoundsError",
@@ -239,26 +240,33 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     where the Gaussian factor of ||s|| leaves the range of doubles at large
     Y); the clip raises the log integral, so the returned I is biased
     *downward* and every one-sided ">= rhs" use stays valid. Requires a
-    reduced period matrix. The rule is ``integrate_cube``'s for d = 2g:
-    tensor Gauss-Legendre (``budget`` nodes per axis) at g = 1, QMC
-    (``budget`` points per shift, ``seed``) at g >= 2. A predicate
-    ``decided(I, error) -> bool`` makes ``budget`` a cap at g >= 2: the QMC
-    set doubles from 2^8 points per shift until the predicate holds for the
-    invariant and its estimate (``integrate_cube``); it is not used at g = 1.
+    reduced period matrix.
+
+    g = 1: tensor Gauss-Legendre on [0,1]^2 (``quadrature._tensor_gauss``,
+    ``budget`` nodes per axis), with ||s|| on each rule's whole grid from
+    one matrix product (``theta._cube_norm_grid``); ``seed`` and ``decided``
+    are not used. g >= 2: ``integrate_cube``'s QMC for d = 2g (``budget``
+    points per shift, ``seed``) on ``cube_norm_batch``. A predicate
+    ``decided(I, error) -> bool`` makes ``budget`` a cap there: the set
+    doubles from 2^8 points per shift until the predicate holds for the
+    invariant and its estimate.
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
     clipped = 0
 
-    def f_log(P):
+    def clipped_log(vals):
         nonlocal clipped
-        vals, _ = cube_norm_batch(om, P)
         clipped += int(np.count_nonzero(vals < _CLIP_FLOOR))
         return np.log(np.maximum(vals, _CLIP_FLOOR))
 
     half_log_norm_sq = 0.25 * om.g * math.log(2.0)
-    on_log = None if decided is None else (lambda v, err: decided(-v - half_log_norm_sq, err))
-    r = integrate_cube(f_log, 2 * om.g, budget, seed, decided=on_log)
+    if om.g == 1:
+        r = _tensor_gauss(lambda x: clipped_log(_cube_norm_grid(om, x, x)), 2, budget)
+    else:
+        on_log = None if decided is None else (lambda v, err: decided(-v - half_log_norm_sq, err))
+        r = integrate_cube(lambda P: clipped_log(cube_norm_batch(om, P)[0]), 2 * om.g, budget,
+                           seed, decided=on_log)
     return replace(r, value=-r.value - half_log_norm_sq, n_clipped=clipped)
 
 

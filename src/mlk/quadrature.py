@@ -5,13 +5,18 @@
   Review 56, 2014): ln f_Y(t; .) and the Parseval slices of ``verify_chain``.
 * ``integrate_cube``, its rule chosen from d: tensor Gauss-Legendre at
   d <= 2 (psi_Y^2 at g <= 2, split at the half-integers, where the rule is
-  exact for diagonal Y; the g = 1 invariant) and shifted Sobol QMC at d >= 3
-  (Dick, Kuo & Sloan, Acta Numerica 22, 2013): psi_Y^2 at g >= 3 and the
-  2g-dimensional archimedean invariant at g >= 2. The Sobol points are the
-  unscrambled Gray-code sequence (Bratley & Fox, ACM TOMS 14, 1988) on the
-  Joe-Kuo direction numbers (SIAM J. Sci. Comput. 30, 2008) of dimensions
-  1-64, as scipy ships them, so they match ``qmc.Sobol(d, scramble=False)``
-  bit for bit.
+  exact for diagonal Y) and shifted Sobol QMC at d >= 3 (Dick, Kuo & Sloan,
+  Acta Numerica 22, 2013): psi_Y^2 at g >= 3 and the 2g-dimensional
+  archimedean invariant at g >= 2. The Sobol points are the unscrambled
+  Gray-code sequence (Bratley & Fox, ACM TOMS 14, 1988) on the Joe-Kuo
+  direction numbers (SIAM J. Sci. Comput. 30, 2008) of dimensions 1-64, as
+  scipy ships them, so they match ``qmc.Sobol(d, scramble=False)`` bit for
+  bit.
+* ``_tensor_gauss``, the one tensor Gauss-Legendre rule. It hands the
+  integrand the nodes of one axis and takes its values on their product
+  grid, so an integrand that is cheaper on a whole grid than point by point
+  is evaluated that way: the g = 1 invariant (``theta._cube_norm_grid``).
+  ``integrate_cube`` feeds it f at the grid's points.
 """
 
 from __future__ import annotations
@@ -92,13 +97,17 @@ class QuadratureResult:
     n_clipped: int = 0
 
 
-def _evaluate(f, points: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(points), dtype=float).ravel()
-    if vals.shape != (points.shape[0],):
+def _checked(vals, size: int) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float).ravel()
+    if vals.shape != (size,):
         raise QuadratureError("integrand returned a wrong number of values")
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced a non-finite value (singularity?)")
     return vals
+
+
+def _evaluate(f, points: np.ndarray) -> np.ndarray:
+    return _checked(f(points), points.shape[0])
 
 
 @lru_cache(maxsize=None)
@@ -112,15 +121,30 @@ def _tensor_points(x: np.ndarray, d: int) -> np.ndarray:
     return np.stack(np.meshgrid(*(d * [x]), indexing="ij"), axis=-1).reshape(-1, d)
 
 
-def _gauss_grid(d: int, n: int):
-    """Nodes (n^d, d) and weights (n^d,) of the tensor rule, in C order."""
+def _tensor_weights(w: np.ndarray, d: int) -> np.ndarray:
+    """The weights of w^d, in the C order of ``_tensor_points``."""
+    return reduce(np.multiply.outer, d * [w]).ravel()
+
+
+def _gauss_value(f_grid, d: int, n: int) -> float:
     x, w = _gauss_rule(n)
-    return _tensor_points(x, d), reduce(np.multiply.outer, d * [w]).ravel()
+    return float(_tensor_weights(w, d) @ _checked(f_grid(x), n**d))
 
 
-def _gauss_value(f, d: int, n: int) -> float:
-    pts, wts = _gauss_grid(d, n)
-    return float(wts @ _evaluate(f, pts))
+def _tensor_gauss(f_grid, d: int, budget: int | None) -> QuadratureResult:
+    """Tensor Gauss-Legendre on [0,1]^d, d <= 2, for an integrand given on the
+    rule's axes: ``f_grid(x)`` gets the n nodes of one axis (every axis has
+    the same) and returns the n^d values on their product grid in C order,
+    as an array of shape (n,) * d whose axis k runs over coordinate k (or
+    flat, as at the points of ``_tensor_points(x, d)``). n = ``budget``
+    clamped to [4, 256] (default 256); the error is the distance to the rule
+    on n // 2 nodes, and ``n_points`` counts both grids.
+    """
+    n = min(max(int(budget or _MAX_GAUSS_NODES), 4), _MAX_GAUSS_NODES)
+    coarse = n // 2  # >= 2 and < n, so the error estimate compares two rules
+    value = _gauss_value(f_grid, d, n)
+    err = abs(value - _gauss_value(f_grid, d, coarse))
+    return QuadratureResult(value, err, n**d + coarse**d, "tensor-gauss")
 
 
 @lru_cache(maxsize=None)
@@ -164,12 +188,12 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
                    decided=None) -> QuadratureResult:
     """Integrate a vectorized f: (N, d) -> (N,) over [0,1]^d by a rule chosen from d.
 
-    d <= 2: tensor Gauss-Legendre, ``budget`` nodes per axis (clamped to
-    [4, 256], default 256), error the distance to the rule on half the
-    nodes; ``decided`` is not used. d >= 3: an unscrambled Sobol set of
-    ``budget`` points (rounded down to a power of two, default 2^16) under 8
-    shifts drawn from ``seed``, error 3x the standard deviation of the
-    per-shift means.
+    d <= 2: ``_tensor_gauss`` on f at the points of its grids, ``budget``
+    nodes per axis (clamped to [4, 256], default 256), error the distance to
+    the rule on half the nodes; ``decided`` is not used. d >= 3: an
+    unscrambled Sobol set of ``budget`` points (rounded down to a power of
+    two, default 2^16) under 8 shifts drawn from ``seed``, error 3x the
+    standard deviation of the per-shift means.
 
     With a predicate ``decided(value, error) -> bool`` at d >= 3, ``budget``
     is a cap: the set starts at min(2^8, cap) points per shift and doubles
@@ -181,11 +205,7 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
     if d <= _MAX_GAUSS_DIM:
-        n = min(max(int(budget or _MAX_GAUSS_NODES), 4), _MAX_GAUSS_NODES)
-        coarse = n // 2  # >= 2 and < n, so the error estimate compares two rules
-        value = _gauss_value(f, d, n)
-        err = abs(value - _gauss_value(f, d, coarse))
-        return QuadratureResult(value, err, n**d + coarse**d, "tensor-gauss")
+        return _tensor_gauss(lambda x: f(_tensor_points(x, d)), d, budget)
     m_cap = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
     m = m_cap if decided is None else min(_FIRST_QMC_POINTS, m_cap)
     shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))

@@ -30,6 +30,12 @@ that the powers would grow past exp(_SPLIT_EXP) (and toward the end of the
 range of doubles), the points' box is split into cells, each with its own
 centre and coefficients; the cells are chosen from Y and the radius.
 
+At g = 1, ||s|| on a product grid (x_i, y_j) has a simpler form
+(``_cube_norm_grid``): the x-dependence of a term is the pure phase
+exp(-2 pi i m x_i), so the n x n values are one (n x M)(M x n) matrix
+product over the M terms of the same box, every factor a single exp whose
+real part is <= 0. The g = 1 archimedean invariant runs on it.
+
 The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
 lattice points are disjoint, so the tail sum is dominated by a continuous
 Gaussian integral outside the ellipsoid, an incomplete-gamma expression
@@ -421,3 +427,22 @@ def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
     sums, err, _ = _lll_sums(om.Y, 1.0, om.X, ys, xs + ys @ om.X, tol, tol, 1.0, True)
     det4 = om.Y.det_sqrt ** 0.5
     return det4 * np.abs(sums), det4 * err
+
+
+def _cube_norm_grid(om: PeriodMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||s||(x_i + tau y_j) at g = 1 on the product grid of x and y in [0, 1),
+    as a (len(x), len(y)) array.
+
+    Over the box and radius of ``cube_norm_batch`` at its default tol, the sum at
+    (x_i, y_j) is sum_m B[i, m] A[m, j] with A[m, j] = exp(-pi Y (y_j - m)^2
+    + i pi X m (m - 2 y_j)) and B[i, m] = exp(-2 pi i m x_i): one matrix
+    product of 2 n M exps. Every exp has a real part <= 0, so nothing
+    overflows and no cell split is needed; the truncation error is that of
+    ``cube_norm_batch``.
+    """
+    Yv, Xv = float(om.Y.entries[0, 0]), float(om.X[0, 0])
+    m = _candidate_box(om.Y, _radius_for(om.Y, 1.0, 1.0, 1e-12))  # (M, 1)
+    dy = y - m
+    A = np.exp(-math.pi * Yv * dy * dy + 1j * math.pi * Xv * m * (m - 2.0 * y))
+    B = np.exp(-2j * math.pi * np.outer(x, m))
+    return om.Y.det_sqrt ** 0.5 * np.abs(B @ A)

@@ -21,7 +21,7 @@ from mlk.bounds import (
 )
 from mlk.quadrature import integrate_cube
 from mlk.siegel import reduce as siegel_reduce, validate_period_matrix
-from mlk.theta import cube_norm_batch
+from mlk.theta import _cube_norm_grid, cube_norm_batch
 
 from conftest import invariant_exact, make_reduced_period
 
@@ -250,6 +250,11 @@ class TestArchimedeanInvariant:
         assert inv.n_clipped == 0
         assert abs(inv.value - invariant_exact([tau])) <= inv.error_estimate
 
+    def test_clipped_count_in_the_underflow_band(self):
+        # at Im tau = 1000 ||s|| underflows on a band of y; the grid form
+        # clips exactly the values the point form clipped
+        assert archimedean_invariant(om_of(0.25 + 1000j)).n_clipped == 2560
+
     def test_requires_reduced(self):
         with pytest.raises(BoundsError, match="reduced"):
             archimedean_invariant(om_of(0.7 + 2j))
@@ -270,19 +275,32 @@ class TestArchimedeanInvariant:
         r_log = integrate_cube(f_log, 2 * g, budget, 3)
         value = -r_log.value - 0.25 * g * math.log(2.0)
 
-        calls = []
+        calls, grids = [], []
 
         def counted(om_, P):
             calls.append(P.shape[0])
             return cube_norm_batch(om_, P)
 
+        def counted_grid(om_, x, y):
+            grids.append((x.shape[0], y.shape[0]))
+            return _cube_norm_grid(om_, x, y)
+
         monkeypatch.setattr(mlk.bounds, "cube_norm_batch", counted)
+        monkeypatch.setattr(mlk.bounds, "_cube_norm_grid", counted_grid)
         inv = archimedean_invariant(om, budget, 3)
         assert inv.scheme == rule
-        assert len(calls) == (8 if rule == "qmc-shifted" else 2)
+        assert inv.n_clipped == clipped
+        if g == 1:
+            # one grid per rule (n and n // 2 nodes per axis), none point by
+            # point; the matrix-product sum differs from the points' in the
+            # last bits only
+            assert calls == [] and grids == [(32, 32), (16, 16)]
+            assert inv.n_points == 32**2 + 16**2 == r_log.n_points
+            assert abs(inv.value - value) <= 1e-13 * max(1.0, abs(value))
+            return
+        assert grids == [] and len(calls) == 8
         assert inv.n_points == sum(calls) == r_log.n_points
-        assert (inv.value, inv.error_estimate, inv.n_clipped) == (
-            value, r_log.error_estimate, clipped)
+        assert (inv.value, inv.error_estimate) == (value, r_log.error_estimate)
 
     def test_orbit_invariance(self):
         tau0 = 0.2 + 1.3j

@@ -8,9 +8,11 @@ import pytest
 from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_batch
 from mlk.quadrature import (
     QuadratureError,
-    _gauss_grid,
     _gauss_rule,
     _sobol,
+    _tensor_gauss,
+    _tensor_points,
+    _tensor_weights,
     integral_ln_f,
     integral_psi_sq,
     integrate_cube,
@@ -72,9 +74,29 @@ class TestIntegrateCube:
     @pytest.mark.parametrize("d", [1, 2])
     def test_tensor_grid_matches_product_form(self, d):
         x, w = _gauss_rule(256)
-        pts, wts = _gauss_grid(d, 256)
+        pts, wts = _tensor_points(x, d), _tensor_weights(w, d)
         assert np.array_equal(pts, np.array(list(product(x, repeat=d))))
         assert np.array_equal(wts, np.array([math.prod(c) for c in product(w, repeat=d)]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("budget", [None, 3, 32])
+    def test_grid_integrand_matches_point_integrand(self, d, budget):
+        # axis k of a grid integrand's values runs over coordinate k, and the
+        # two forms of one integrand give the same bits
+        def f(P):
+            return np.cos(3.0 * P[:, 0]) * np.exp(P[:, -1] - P[:, 0] ** 2)
+
+        def f_grid(x):
+            x0 = x.reshape((-1,) + (1,) * (d - 1))  # coordinate 0 along axis 0
+            return np.cos(3.0 * x0) * np.exp(x - x0 ** 2)
+
+        assert _tensor_gauss(f_grid, d, budget) == integrate_cube(f, d, budget)
+
+    def test_grid_integrand_of_wrong_shape_or_value_rejected(self):
+        with pytest.raises(QuadratureError, match="wrong number"):
+            _tensor_gauss(lambda x: np.ones((x.shape[0] + 1, x.shape[0])), 2, 8)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            _tensor_gauss(lambda x: np.full((x.shape[0],) * 2, np.nan), 2, 8)
 
     def test_reproducible_bit_identical(self, rng):
         Y = make_spd(rng, 3)

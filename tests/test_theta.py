@@ -8,13 +8,14 @@ from hypothesis import given, strategies as st
 from mlk import theta
 from mlk.bounds import EmbeddingSet, verify_chain
 from mlk.lattice import GramMatrix, closest_vector
-from mlk.quadrature import integrate_cube
+from mlk.quadrature import _gauss_rule, _tensor_points, integrate_cube
 from mlk.siegel import validate_period_matrix
 from mlk.theta import (
     _DENORMAL,
     _EXP_CAP,
     _Q_INFLATION,
     ThetaError,
+    _cube_norm_grid,
     _gamma_q,
     _radius_for,
     _tail_bound,
@@ -314,6 +315,20 @@ class TestContractionOracle:
             got, err = cube_norm_batch(om, xy)
             _assert_agrees(got, oracle_cube_norm(om, xy))
             assert 0.0 < err < 1e-10
+
+    @pytest.mark.parametrize("tau", [1j, 0.5 + 1j, 0.3897 + 1.279j, 2j, 50j, 0.25 + 1000j,
+                                     0.25 + 1500j])
+    def test_cube_norm_grid(self, tau):
+        # the g = 1 product-grid form on the 32-node Gauss rule's grid, also
+        # in the band of large Im tau where ||s|| nears the end of the
+        # normal doubles
+        om = om_of(tau)
+        x, _ = _gauss_rule(32)
+        got = _cube_norm_grid(om, x, x)
+        ref = oracle_cube_norm(om, _tensor_points(x, 2)).reshape(32, 32)
+        normal = ref >= np.finfo(float).tiny
+        assert got.shape == (32, 32) and normal.any()
+        assert np.all(np.abs(np.log(got[normal]) - np.log(ref[normal])) <= 1e-12)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_cube_norm_s(self, rng, g):

@@ -16,7 +16,6 @@ here as a numeric check with explicit slack.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .quadrature import (QuadratureResult, _tensor_gauss, integral_ln_f, integrate_cube,
                          integrate_periodic)
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
-from .theta import _cube_norm_grid, cube_norm_batch, f_series
+from .theta import _cube_norm_box, _cube_norm_grid, _cube_norm_slice, cube_norm_batch, f_series
 
 __all__ = [
     "BoundsError",
@@ -158,20 +157,6 @@ def height_term(rho: float, g: int) -> float:
     return math.pi / (6.0 * rc * rc) + g * math.log(kappa() * rc * math.sqrt(g))
 
 
-def _pmap(fn, items):
-    """Map preserving order; MLK_THREADS > 1 enables thread parallelism."""
-    try:
-        workers = int(os.environ.get("MLK_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, so serial runs never load it
-
-        with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _require_complete(E: EmbeddingSet):
     if len(E.periods) != E.degree:
         raise BoundsError(
@@ -183,7 +168,7 @@ def height_lower_bound(E: EmbeddingSet, epsilon: float = 0.5) -> BoundReport:
     """Averaged height lower bound over all embeddings (which must all be
     supplied: silently averaging a partial sum would be wrong)."""
     _require_complete(E)
-    rhos = _pmap(injectivity_diameter, E.periods)
+    rhos = [injectivity_diameter(om) for om in E.periods]
     clamp = rho_clamp(E.g)
     per = tuple(
         EmbeddingTerm(rho=r, rho_clamped=min(r, clamp), term=height_term(r, E.g)) for r in rhos
@@ -213,7 +198,7 @@ def weakened_height_bound(E: EmbeddingSet, epsilon: float) -> float:
     -(g/2) ln(2 pi^2 / eps) + (1-eps) pi / (6d) * sum 1/rho_s^2,
     with the raw (unclamped) injectivity diameters."""
     _require_complete(E)
-    rhos = _pmap(injectivity_diameter, E.periods)
+    rhos = [injectivity_diameter(om) for om in E.periods]
     return _weakened_from_rhos(rhos, E.g, E.degree, epsilon)
 
 
@@ -295,15 +280,23 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     dominates the clamped-diameter bound, with (2/d) times the sum of the
     invariants' error estimates. (a) is a ``CheckEntry.equal`` check, (b)
     ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
-    on ``integrate_periodic`` to ``tolerance``; ``budget`` and ``seed`` size
-    the invariant of (c) only. At g >= 2, ``budget`` caps the invariant's
-    QMC points per shift: the set doubles from 2^8 and stops once (c) is
-    decided at either end of its value +- estimate (slack - err >= -tol or
-    slack + err < -tol, err the check's estimate, twice the invariant's), so
-    the reported I is only as precise as that decision needs. At g = 1 the invariant's rule is fixed by ``budget``.
-    The slack of (d) is the mean of the (c) slacks. One 2g-dimensional
-    shortest-vector search per embedding gives the lam of (b), (c) and the
-    rho of (d).
+    on ``integrate_periodic`` to ``tolerance``, each grid one FFT of the
+    integrand's Fourier coefficients: (a) on ``theta._cube_norm_slice``, whose
+    box is built once per embedding, compared with a direct ``f_series``;
+    (b) on ``theta._f_grid`` (the Poisson dual of f, or ``f_series_batch``
+    where the dual's rounding is not certified small). So (a) no longer runs
+    ``cube_norm_batch``, the invariant's integrand at g >= 2; the oracle
+    tests and the check of (c) against exact invariants cover it there.
+
+    ``budget`` and ``seed`` size the invariant of (c) only. At g >= 2,
+    ``budget`` caps the invariant's QMC points per shift: the set doubles
+    from 2^8 and stops once (c) is decided at either end of its value +-
+    estimate (slack - err >= -tol or slack + err < -tol, err the check's
+    estimate, twice the invariant's), so the reported I is only as precise
+    as that decision needs. At g = 1 the invariant's rule is fixed by
+    ``budget``. The slack of (d) is the mean of the (c) slacks. One
+    2g-dimensional shortest-vector search per embedding gives the lam of
+    (b), (c) and the rho of (d).
     """
     _require_complete(E)
     for i, om in enumerate(E.periods):
@@ -311,18 +304,15 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
             raise BoundsError(f"embedding {i}: period matrix must be reduced first")
     g = E.g
 
-    def run_embedding(item):
-        idx, om = item
+    def run_embedding(idx, om):
         Y = om.Y
         out: list[CheckEntry] = []
         lam, _, _, rho = lambda_clamped(om)
 
+        box = _cube_norm_box(om)
         for k, yv in enumerate(_parseval_samples(g)):
-            def slice_norm_sq(P, _y=yv):
-                vals, _ = cube_norm_batch(om, np.hstack([P, np.broadcast_to(_y, P.shape)]))
-                return vals * vals
-
-            r = integrate_periodic(slice_norm_sq, g, tolerance)
+            norm = _cube_norm_slice(om, box, yv)
+            r = integrate_periodic(lambda n, s: norm(n, s) ** 2, g, tolerance)
             out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, f_series(Y, 2.0, yv).value,
                                         tolerance, r.error_estimate))
 
@@ -345,7 +335,7 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
                                        tolerance, 2.0 * inv.error_estimate))
         return out, inv, rho
 
-    results = _pmap(run_embedding, list(enumerate(E.periods)))
+    results = [run_embedding(idx, om) for idx, om in enumerate(E.periods)]
     entries = [e for out, _, _ in results for e in out]
     invariants = [inv for _, inv, _ in results]
     entries.append(

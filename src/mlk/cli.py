@@ -22,7 +22,7 @@ parse error (also a --random, --dim or --budget below 1 or a --seed below
 lattice enumeration or quadrature grid exceeded its cap, or a theta series
 or integrand left the range of double precision (a QuadratureError or
 ThetaError). height_chain's error_estimate is (2/d) times the sum of the
-invariants' estimates. MLK_THREADS caps per-embedding parallelism.
+invariants' estimates.
 """
 
 from __future__ import annotations

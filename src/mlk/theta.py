@@ -36,6 +36,23 @@ exp(-2 pi i m x_i), so the n x n values are one (n x M)(M x n) matrix
 product over the M terms of the same box, every factor a single exp whose
 real part is <= 0. The g = 1 archimedean invariant runs on it.
 
+The chain's x-integrands are Fourier series in x, and on the grid
+(k + s)/n of ``quadrature.integrate_periodic`` a series sum_j c_j
+exp(-2 pi i j . x) takes the values of its coefficients (times
+exp(-2 pi i j . s / n)) summed over each class j mod n: one
+``numpy.fft.fftn`` per grid (``_fourier_grid``; numpy.fft is loaded on the
+first call, not on import). Two grid integrands use it:
+
+* ``_cube_norm_slice``, the Parseval slice ||s||(x + Omega y) =
+  det(Y)^{1/4} |fftn(A)|, a_m = exp(-pi ||y - m||_Y^2 + i pi m^T X m
+  - 2 pi i m . X y) over the box of ``cube_norm_batch``;
+* ``_f_grid``, f_Y(t; x) = t^{-g/2} fftn(B) by Poisson summation,
+  b_j = exp(-pi j^T Y^{-1} j / t) over a box of Y^{-1}. These dual values
+  cancel where f is small against sum_j b_j (large Y), so they are taken
+  only where a componentwise FFT rounding bound (Higham, ch. 24) keeps
+  them within 1e-12 relative of f, and ``f_series_batch`` gives the grid
+  elsewhere.
+
 The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
 lattice points are disjoint, so the tail sum is dominated by a continuous
 Gaussian integral outside the ellipsoid, an incomplete-gamma expression
@@ -70,6 +87,7 @@ _DENORMAL = 5e-324
 _SPLIT_EXP = 64.0   # cap on the summed real exponents of one cell's per-axis powers
 _UNIT_ROUNDOFF = 2.0 ** -53
 _UNDERFLOW = 746.0   # exp(-746) rounds to 0 in double precision
+_DUAL_RTOL = 1e-12  # _f_grid: the dual's certified rounding, relative to f
 _Q_INFLATION = 1e-12  # covers _gamma_q's rounding: <= 1.2e-13 relative against 40 digits
 
 
@@ -429,20 +447,152 @@ def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
     return det4 * np.abs(sums), det4 * err
 
 
+def _cube_norm_box(om: PeriodMatrix) -> np.ndarray:
+    """The lattice points (float, (M, g)) of ``cube_norm_batch``'s box and
+    radius at its default tol, in the coordinates of Omega: every term above
+    its truncation at every y in [0, 1]^g."""
+    return _candidate_box(om.Y, _radius_for(om.Y, 1.0, 1.0, 1e-12))
+
+
 def _cube_norm_grid(om: PeriodMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """||s||(x_i + tau y_j) at g = 1 on the product grid of x and y in [0, 1),
     as a (len(x), len(y)) array.
 
-    Over the box and radius of ``cube_norm_batch`` at its default tol, the sum at
-    (x_i, y_j) is sum_m B[i, m] A[m, j] with A[m, j] = exp(-pi Y (y_j - m)^2
+    Over the terms m of ``_cube_norm_box``, the sum at (x_i, y_j) is
+    sum_m B[i, m] A[m, j] with A[m, j] = exp(-pi Y (y_j - m)^2
     + i pi X m (m - 2 y_j)) and B[i, m] = exp(-2 pi i m x_i): one matrix
     product of 2 n M exps. Every exp has a real part <= 0, so nothing
     overflows and no cell split is needed; the truncation error is that of
     ``cube_norm_batch``.
     """
     Yv, Xv = float(om.Y.entries[0, 0]), float(om.X[0, 0])
-    m = _candidate_box(om.Y, _radius_for(om.Y, 1.0, 1.0, 1e-12))  # (M, 1)
+    m = _cube_norm_box(om)  # (M, 1)
     dy = y - m
     A = np.exp(-math.pi * Yv * dy * dy + 1j * math.pi * Xv * m * (m - 2.0 * y))
     B = np.exp(-2j * math.pi * np.outer(x, m))
     return om.Y.det_sqrt ** 0.5 * np.abs(B @ A)
+
+
+def _fourier_grid(c: np.ndarray, m: np.ndarray, n: int, s: np.ndarray) -> np.ndarray:
+    """sum_j c_j exp(-2 pi i j . (k + s) / n) for k in {0, ..., n-1}^g, as an
+    (n,) * g complex array, over the integer rows j of m (float, (M, g)), for
+    an offset s in {0, 1/2}^g.
+
+    The coefficients, times exp(-2 pi i j . s / n) (its phase reduced mod
+    2 pi in integers first), are summed over each class j mod n and
+    transformed by one ``numpy.fft.fftn``: on the grid, exp(-2 pi i j . k / n)
+    depends on j mod n only.
+    """
+    g = m.shape[1]
+    j = m.astype(np.int64)
+    if np.any(s):
+        c = c * np.exp(-1j * math.pi / n * ((j @ np.rint(2.0 * s).astype(np.int64)) % (2 * n)))
+    r = np.ravel_multi_index(tuple((j % n).T), (n,) * g)
+    B = np.bincount(r, c.real, n**g)
+    if np.iscomplexobj(c):
+        B = B + 1j * np.bincount(r, c.imag, n**g)
+    return np.fft.fftn(B.reshape((n,) * g))
+
+
+def _cube_norm_slice(om: PeriodMatrix, m: np.ndarray, y):
+    """The grid integrand (see ``quadrature.integrate_periodic``) of the
+    Parseval slice at y: ``values(n, s)`` is ||s||(x + Omega y) at the
+    points x = (k + s)/n, as an (n,) * g array.
+
+    In x, ||s||(x + Omega y) = det(Y)^{1/4} |sum_m a_m exp(-2 pi i m . x)|
+    with a_m = exp(-pi ||y - m||_Y^2 + i pi m^T X m - 2 pi i m . X y) over
+    the terms m of ``_cube_norm_box(om)``, the truncation of
+    ``cube_norm_batch``: one ``_fourier_grid`` per call. Every exponent has
+    a real part <= 0, so no coefficient overflows.
+    """
+    Y, X = om.Y.entries, om.X
+    y = np.asarray(y, dtype=float)
+    y = y - np.floor(y)  # ||s|| is invariant under z -> z + Omega k
+    d = y - m
+    a = np.exp(-math.pi * np.einsum("ij,ij->i", d, d @ Y)
+               + 1j * math.pi * (np.einsum("ij,ij->i", m, m @ X) - 2.0 * (m @ (X @ y))))
+    det4 = om.Y.det_sqrt ** 0.5
+    return lambda n, s: det4 * np.abs(_fourier_grid(a, m, n, s))
+
+
+def _gamma(k: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
+    """The grid integrand (see ``quadrature.integrate_periodic``) of f_Y(t; .):
+    ``values(n, s)`` is f_Y(t; x) at the points x = (k + s)/n, flat in C
+    order, from the Poisson dual where its rounding is certified small and
+    from ``f_series_batch`` (to ``tol``) elsewhere.
+
+    The dual: f_Y(t; x) = t^{-g/2} sum_j b_j exp(-2 pi i j . x) with
+    b_j = exp(-pi j^T Y^{-1} j / t), summed by ``_fourier_grid`` over the
+    box of Y^{-1} that ``_radius_for`` gives at scale 1/t for the target of
+    ``f_series_batch``, tol det_sqrt exp(-pi t mu_hi^2) (``_tail_bound`` is
+    uniform in x, so it bounds the omitted b_j at x = 0). The box is built
+    once, on the first call that may use it.
+
+    The guard. Every dual value is within
+        beta = t^{-g/2} (gamma_{8 L + p + 18} S + gamma_{2g+3} S_x)
+    of the exact sum over the box, with S = sum_j b_j,
+    S_x = sum_j b_j pi |j|^T |Y^{-1}| |j| / t, L = log2(n^g) and p the most
+    terms folded into one class. A power-of-two FFT is L levels of
+    butterflies, and each output is reached from each input along one path
+    of unit-modulus weights; with twiddle factors within u, every level
+    multiplies the paths' errors by at most 1 + 7u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 24, the eta of
+    Theorem 24.2), so the transform of the folded B is within
+    gamma_{7L} sum|B| <= gamma_{7L} S componentwise; 8L leaves a unit per
+    level for pocketfft's radix-4 and radix-8 passes. The fold adds p - 1,
+    the twist exp(-2 pi i j . s / n) and its product 12, the exp of b_j 4
+    and the scaling by t^{-g/2} 3 units; gamma_{2g+3} S_x covers the
+    rounding of the exponents (Y^{-1} is the form as ``GramMatrix.inverse``
+    computes it). Where f is small the dual values cancel, so a call takes
+    them only when beta <= 1e-12 (min value - beta), which keeps every value
+    within 1e-12 relative of the box sum (and ln f within 1e-12). Otherwise
+    that call and every later one take ``f_series_batch``. The minimum of f
+    is at most its mean t^{-g/2}, and S is t^{g/2} f(0) up to the tail, with
+    f(0) >= det_sqrt (the term m = 0 of the direct sum), so where
+    gamma_{8L} t^{g/2} det_sqrt > 1e-12 the guard cannot hold and no dual
+    box is built.
+    """
+    if not 0.0 < t < math.inf:
+        raise ThetaError("t must be positive and finite")
+    g, det_sqrt = Y.g, Y.det_sqrt
+    mu_hi = Y.covering_upper()
+    target = tol * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
+    scale = t ** (-g / 2.0)
+    dual = None  # [m, b, S, S_x, widths] once built; False once the direct path is taken
+
+    def direct(n, s):
+        axes = [(np.arange(n) + sk) / n for sk in s]
+        P = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+        return f_series_batch(Y, t, P, tol)[0]
+
+    def values(n, s):
+        nonlocal dual
+        levels = g * round(math.log2(n))
+        if dual is None:
+            if _gamma(8 * levels) * det_sqrt / scale > _DUAL_RTOL:
+                dual = False
+            else:
+                Yi = Y.inverse()
+                R = _radius_for(Yi, 1.0, 1.0 / t, target / scale)
+                lo, hi = _candidate_range(Yi, R, 0.0, 0.0)
+                m = _int_box(lo, hi).astype(float)
+                q = np.einsum("ij,ij->i", m, m @ Yi.entries)
+                qa = np.einsum("ij,ij->i", np.abs(m), np.abs(m) @ np.abs(Yi.entries))
+                b = np.exp(-math.pi / t * q)
+                dual = [m, b, float(b.sum()), math.pi / t * float(b @ qa), hi - lo + 1.0]
+        if dual:
+            m, b, S, S_x, widths = dual
+            v = scale * _fourier_grid(b, m, n, s).real.ravel()
+            p = float(np.prod(np.ceil(widths / n)))
+            beta = scale * (_gamma(8 * levels + p + 18) * S + _gamma(2 * g + 3) * S_x)
+            if beta <= _DUAL_RTOL * (float(v.min()) - beta):
+                return v
+            dual = False
+        return direct(n, s)
+
+    return values

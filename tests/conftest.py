@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,13 @@ def invariant_exact(taus) -> float:
                for t in taus)
 
 
+def grid_points(n: int, s) -> np.ndarray:
+    """The points (k + s)/n, k in {0, ..., n-1}^d, of a grid integrand's call
+    (``quadrature.integrate_periodic``), as (n^d, d) rows in C order."""
+    axes = [(np.arange(n) + sk) / n for sk in s]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(s))
+
+
 def theta_box_sum(om, p, u, radius, lo=0.0, hi=1.0) -> np.ndarray:
     """Theta-sum oracle: for each row i, the direct sum over every lattice
     point m of ``_candidate_box(Y, radius, lo, hi)`` of
@@ -166,6 +174,19 @@ def oracle_cube_norm(om, xy, tol: float = 1e-12) -> np.ndarray:
     xs, ys = xy[:, :g], xy[:, g:]
     R = _radius_for(om.Y, 1.0, 1.0, tol)
     return om.Y.det_sqrt ** 0.5 * np.abs(theta_box_sum(om, ys, xs + ys @ om.X, R))
+
+
+def oracle_f(Y, t: float, P, tol: float = 1e-12) -> np.ndarray:
+    """f_Y(t; x) at the rows x of P by ``theta_box_sum`` on the form t Y with
+    X = 0 and no phases, over the box of ``f_series_batch``'s truncation
+    radius for ``tol`` (its target tol * det_sqrt * exp(-pi t mu_hi^2)) around
+    [0, 1]^g."""
+    P = np.asarray(P, dtype=float)
+    P = P - np.floor(P)
+    mu = Y.covering_upper()
+    R = _radius_for(Y, Y.det_sqrt, t, tol * Y.det_sqrt * math.exp(-math.pi * t * mu * mu))
+    form = SimpleNamespace(Y=GramMatrix(t * Y.entries), X=np.zeros((Y.g, Y.g)))
+    return Y.det_sqrt * theta_box_sum(form, P, np.zeros_like(P), math.sqrt(t) * R).real
 
 
 def oracle_theta(om, z, tol: float = 1e-12):

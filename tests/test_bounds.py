@@ -333,15 +333,6 @@ class TestHeightFromInvariants:
             height_from_theta_invariants([0.0], 1, 2)
 
 
-class TestThreading:
-    def test_thread_cap_env_preserves_results(self, monkeypatch):
-        E = EmbeddingSet(1, 2, [om_of(2j), om_of(3j)])
-        serial = height_lower_bound(E)
-        monkeypatch.setenv("MLK_THREADS", "4")
-        threaded = height_lower_bound(E)
-        assert serial == threaded
-
-
 class TestVerifyChain:
     def test_tau_i_all_links_hold(self):
         E = EmbeddingSet(1, 1, [om_of(1j)])

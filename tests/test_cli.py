@@ -326,7 +326,8 @@ import json, sys
 import mlk, mlk.cli
 argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 code = mlk.cli.main(argv) if argv else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in watched)]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                              if any(m == w or m.startswith(w + ".") for w in watched))]))
 """
 
 _BLOCK_SCIPY = """
@@ -350,9 +351,9 @@ def _identity_doc(tmp_path, g: int) -> str:
 
 class TestColdImports:
     """mlk needs numpy alone: `import mlk` and every subcommand load no
-    scipy module, and no thread pool unless MLK_THREADS asks for one. Each
-    case runs in a fresh interpreter, so modules the test session imported
-    cannot leak in."""
+    scipy module and no thread pool, and only `verify` loads numpy.fft (the
+    chain's x-integrals). Each case runs in a fresh interpreter, so modules
+    the test session imported cannot leak in."""
 
     G2_DOC = {"g": 2, "degree": 2, "embeddings": [
         {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[1.0, 0.0], [0.0, 1.0]]},
@@ -361,7 +362,7 @@ class TestColdImports:
 
     @staticmethod
     def probe(argv, prelude="", watched=("scipy",)):
-        """[exit code, loaded modules under the top-level names ``watched``]."""
+        """[exit code, loaded modules named by ``watched`` or under it]."""
         env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(mlk.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -374,20 +375,18 @@ class TestColdImports:
     @pytest.mark.parametrize("command", [None, "bound", "rho"])
     def test_import_bound_and_rho_skip_stats_and_special(self, tmp_path, command):
         argv = [command, write(tmp_path, "g2.json", self.G2_DOC)] if command else []
-        assert self.probe(argv) == [0, []]
+        assert self.probe(argv, watched=("scipy", "numpy.fft")) == [0, []]
+
+    def test_verify_chain_loads_fft(self, tmp_path):
+        code, loaded = self.probe(["verify", _identity_doc(tmp_path, 2), "--suite", "chain"],
+                                  watched=("numpy.fft",))
+        assert code == 0 and "numpy.fft" in loaded
 
     @pytest.mark.parametrize("command", ["bound", "rho", "verify"])
-    def test_no_thread_pool_without_mlk_threads(self, tmp_path, command, monkeypatch):
-        monkeypatch.delenv("MLK_THREADS", raising=False)
+    def test_no_thread_pool_without_mlk_threads(self, tmp_path, command):
         argv = (["verify", "--suite", "all"] if command == "verify"
                 else [command, write(tmp_path, "g2.json", self.G2_DOC)])
         assert self.probe(argv, watched=("concurrent",)) == [0, []]
-
-    def test_mlk_threads_loads_the_pool(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MLK_THREADS", "2")
-        code, loaded = self.probe(["bound", write(tmp_path, "g2.json", self.G2_DOC)],
-                                  watched=("concurrent",))
-        assert code == 0 and "concurrent.futures" in loaded
 
     @pytest.mark.parametrize("case", ["lattice", "chain_g2", "chain_g3", "all"])
     def test_verify_loads_no_scipy(self, tmp_path, case):

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from mlk import theta
 from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_batch
 from mlk.quadrature import (
     QuadratureError,
@@ -18,9 +19,9 @@ from mlk.quadrature import (
     integrate_cube,
     integrate_periodic,
 )
-from mlk.theta import cube_norm_batch, f_series
+from mlk.theta import _cube_norm_box, _cube_norm_slice, cube_norm_batch, f_series
 
-from conftest import make_reduced_period, make_spd
+from conftest import grid_points, make_reduced_period, make_spd
 
 # mpmath (40 digits): int_0^1 ln sum_m exp(-pi t (x-m)^2) dx
 INT_LNF_T1 = -0.0018726824497685461156385794799613989
@@ -187,6 +188,11 @@ class TestDecidedDoubling:
         assert integrate_cube(self.smooth, d, 64, decided=ask) == integrate_cube(self.smooth, d, 64)
 
 
+def on_points(f):
+    """The grid integrand of a point integrand f: (N, d) -> (N,)."""
+    return lambda n, s: f(grid_points(n, s))
+
+
 class TestIntegratePeriodic:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_trig_polynomials_exact(self, rng, d):
@@ -200,13 +206,15 @@ class TestIntegratePeriodic:
         def f(P):
             return 0.75 + np.cos(2.0 * math.pi * P @ K.T + phase) @ c
 
-        r = integrate_periodic(f, d, 1e-12)
+        r = integrate_periodic(on_points(f), d, 1e-12)
         assert r.value == pytest.approx(exact, abs=1e-14)
         assert r.error_estimate <= 1e-14
         assert (r.n_points, r.scheme) == (8**d, "periodic")
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_parseval_slice_matches_f_series(self, rng, g):
+        # the Parseval slice by cube_norm_batch at the grid's points and by
+        # its FFT grid form (the chain's), each against f_Y(2; y)
         om = make_reduced_period(rng, g)
         y = rng.uniform(0.0, 1.0, g)
 
@@ -214,25 +222,36 @@ class TestIntegratePeriodic:
             vals, _ = cube_norm_batch(om, np.hstack([P, np.broadcast_to(y, P.shape)]))
             return vals * vals
 
-        r = integrate_periodic(slice_norm_sq, g, 1e-10)
-        assert r.error_estimate <= 1e-10
-        assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)
+        norm = _cube_norm_slice(om, _cube_norm_box(om), y)
+        for f_grid in (on_points(slice_norm_sq), lambda n, s: norm(n, s) ** 2):
+            r = integrate_periodic(f_grid, g, 1e-10)
+            assert r.error_estimate <= 1e-10
+            assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)
 
     def test_each_point_evaluated_once(self):
         # frequencies 12 and 24 alias onto the subgrids of n = 8 and 16, so the
         # rule doubles twice and stops at n = 32 with the exact mean 0.5; each
-        # doubling evaluates only the points off the previous grid
-        batches = []
+        # doubling asks only for the points off the previous grid
+        calls = []
 
         def f(P):
-            batches.append(P.copy())
             return 0.5 + np.cos(24.0 * math.pi * P[:, 0]) + np.cos(48.0 * math.pi * P[:, 1])
 
-        r = integrate_periodic(f, 3, 1e-12)
-        assert [len(P) for P in batches] == [8**3, 16**3 - 8**3, 32**3 - 16**3]
+        def f_grid(n, s):
+            calls.append((n, s.copy(), grid_points(n, s)))
+            return f(calls[-1][2])
+
+        r = integrate_periodic(f_grid, 3, 1e-12)
+        offsets = [tuple(2 * s) for _, s, _ in calls]
+        assert offsets == [(0, 0, 0)] + 2 * list(product((0, 1), repeat=3))[1:]
+        assert [n for n, _, _ in calls] == [8] + 7 * [8] + 7 * [16]
+        sizes = [len(calls[0][2]), sum(len(P) for n, s, P in calls[1:8]),
+                 sum(len(P) for n, s, P in calls[8:])]
+        assert sizes == [8**3, 16**3 - 8**3, 32**3 - 16**3]
         assert r.n_points == 32**3 and r.value == pytest.approx(0.5, abs=1e-14)
-        k = np.rint(np.vstack(batches) * 32).astype(np.int64)
-        assert np.array_equal(k, np.vstack(batches) * 32)
+        points = np.vstack([P for _, _, P in calls])
+        k = np.rint(points * 32).astype(np.int64)
+        assert np.array_equal(k, points * 32)
         assert np.unique(k, axis=0).shape == (32**3, 3) and k.min() == 0 and k.max() == 31
 
     def test_rejects_non_finite(self):
@@ -242,25 +261,30 @@ class TestIntegratePeriodic:
             return out
 
         with pytest.raises(QuadratureError, match="non-finite"):
-            integrate_periodic(f, 2, 1e-12)
+            integrate_periodic(on_points(f), 2, 1e-12)
 
     def test_grid_never_exceeds_two_to_the_19(self):
         # tol < 0 is never met: n doubles until the next grid would pass 2^19
         sizes = []
 
-        def f(P):
-            sizes.append(P.shape)
+        def f_grid(n, s):
+            P = grid_points(n, s)
+            sizes.append((2 * n if s.any() else n, P.shape))
             return np.cos(2.0 * math.pi * P[:, 0])
 
-        r = integrate_periodic(f, 14, -1.0)
-        assert sizes == [(2**14, 14)] and r.n_points == 2**14
+        def per_grid():
+            grids = sorted({n for n, _ in sizes})
+            return [sum(shape[0] for m, shape in sizes if m == n) for n in grids]
+
+        r = integrate_periodic(f_grid, 14, -1.0)
+        assert sizes == [(2, (2**14, 14))] and r.n_points == 2**14
         sizes.clear()
-        r = integrate_periodic(f, 3, -1.0)
-        assert [s[0] for s in sizes] == [8**3, 16**3 - 8**3, 32**3 - 16**3, 64**3 - 32**3]
-        assert r.n_points == sum(s[0] for s in sizes) == 64**3
+        r = integrate_periodic(f_grid, 3, -1.0)
+        assert per_grid() == [8**3, 16**3 - 8**3, 32**3 - 16**3, 64**3 - 32**3]
+        assert r.n_points == sum(shape[0] for _, shape in sizes) == 64**3
         sizes.clear()
         with pytest.raises(EnumerationLimitError, match="exceeds cap"):
-            integrate_periodic(f, 20, 1.0)
+            integrate_periodic(f_grid, 20, 1.0)
         assert sizes == []
 
 
@@ -328,3 +352,30 @@ class TestIntegralLnF:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(QuadratureError):
             integral_ln_f(GramMatrix([[1.0]]), 0.0)
+
+    # Where f is small against its dual's sum (large Y), the dual's rounding
+    # is not certified and every value comes from f_series_batch: the result
+    # is bit for bit the point rule's on f_series_batch (frozen from it, at
+    # the chain's tol 1e-6). The g = 1 cases are tau = 60i, 80i and 470i.
+    @pytest.mark.parametrize("g, c, value, error, n_points", [
+        (1, 16.0, "-0x1.beeb307804200p+2", "0x1.d4102ced5933fp-25", 256),
+        (2, 4.0, "-0x1.5e5785f1c64e8p+1", "0x1.d4102bcbe8a43p-22", 4096),
+        (3, 2.0, "-0x1.e7d04fec6aaf1p+0", "0x1.40f7e89be63b6p-39", 262144),
+        (1, 60.0, "-0x1.d5dd7b3937f79p+4", "0x1.950b0dc4d4798p-28", 1024),
+        (1, 80.0, "-0x1.3d8fe088d6340p+5", "0x1.6925f740a5e74p-23", 1024),
+        (1, 470.0, "-0x1.e607b5bd19922p+7", "0x1.8d5213cd1e8e4p-22", 65536),
+    ], ids=["16I", "4I", "2I", "tau=60i", "tau=80i", "tau=470i"])
+    def test_direct_where_the_dual_is_not_certified(self, g, c, value, error, n_points,
+                                                     monkeypatch):
+        direct = []
+        f_series_batch = theta.f_series_batch
+
+        def spy(Y, t, P, tol):
+            direct.append(len(P))
+            return f_series_batch(Y, t, P, tol)
+
+        monkeypatch.setattr(theta, "f_series_batch", spy)
+        r = integral_ln_f(GramMatrix(c * np.eye(g)), 2.0, 1e-6)
+        assert (r.value, r.error_estimate, r.n_points) == (
+            float.fromhex(value), float.fromhex(error), n_points)
+        assert sum(direct) == n_points

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mlk import theta
-from mlk.bounds import EmbeddingSet, verify_chain
+from mlk.bounds import EmbeddingSet, _parseval_samples, verify_chain
 from mlk.lattice import GramMatrix, closest_vector
 from mlk.quadrature import _gauss_rule, _tensor_points, integrate_cube
 from mlk.siegel import validate_period_matrix
@@ -15,7 +15,10 @@ from mlk.theta import (
     _EXP_CAP,
     _Q_INFLATION,
     ThetaError,
+    _cube_norm_box,
     _cube_norm_grid,
+    _cube_norm_slice,
+    _f_grid,
     _gamma_q,
     _radius_for,
     _tail_bound,
@@ -26,7 +29,8 @@ from mlk.theta import (
     theta_siegel,
 )
 
-from conftest import make_reduced_period, make_spd, oracle_cube_norm, oracle_theta
+from conftest import (grid_points, make_reduced_period, make_spd, oracle_cube_norm, oracle_f,
+                      oracle_theta)
 
 spd = st.integers(0, 10**9).map(lambda s: np.random.default_rng(s))
 
@@ -385,6 +389,57 @@ class TestContractionOracle:
         assert scale > 1e298
         _assert_agrees(got.value, theta, 1e-15 * scale)
         assert math.isfinite(got.tail_bound)
+
+
+class TestFourierGrids:
+    """The FFT grid forms of the chain's x-integrands against direct sums."""
+
+    @staticmethod
+    def grids(g):
+        """(n, s) of a first grid and of doublings, n = 16 only at g <= 2."""
+        offsets = [np.zeros(g), np.full(g, 0.5), np.r_[0.5, np.zeros(g - 1)]]
+        return [(n, s) for n in ((8, 16) if g <= 2 else (8,)) for s in offsets]
+
+    @staticmethod
+    def dual_only(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dual guard fell back to f_series_batch")
+
+        monkeypatch.setattr(theta, "f_series_batch", refuse)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_dual_f_grid(self, rng, g, monkeypatch):
+        # t = 1 on random reduced Y, and t = 2 at Y = I, where the chain's
+        # inputs sit: the guard keeps the dual, within 1e-13 relative of
+        # f_series_batch and of the direct box sum
+        cases = [(make_reduced_period(rng, g).Y, 1.0) for _ in range(3)]
+        cases.append((GramMatrix(np.eye(g)), 2.0))
+        for Y, t in cases:
+            refs = []
+            for n, s in self.grids(g):
+                P = grid_points(n, s)
+                refs.append((n, s, f_series_batch(Y, t, P)[0], oracle_f(Y, t, P)))
+            with monkeypatch.context() as mp:
+                self.dual_only(mp)
+                f_grid = _f_grid(Y, t)
+                for n, s, direct, box_sum in refs:
+                    got = np.asarray(f_grid(n, s)).ravel()
+                    _assert_agrees(got, direct, 0.0)
+                    _assert_agrees(got, box_sum, 0.0)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_cube_norm_slice(self, rng, g):
+        # on random reduced Omega (the chain's), at random y and at the
+        # chain's three Parseval samples
+        for om in (make_reduced_period(rng, g) for _ in range(2)):
+            box = _cube_norm_box(om)
+            for y in [rng.uniform(0, 1, g), *_parseval_samples(g)]:
+                norm = _cube_norm_slice(om, box, y)
+                for n, s in self.grids(g):
+                    P = grid_points(n, s)
+                    got = np.asarray(norm(n, s)).ravel()
+                    ref = oracle_cube_norm(om, np.hstack([P, np.broadcast_to(y, P.shape)]))
+                    _assert_agrees(got, ref)
 
 
 class TestRoundingBound:

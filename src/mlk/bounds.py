@@ -23,7 +23,8 @@ import numpy as np
 from .quadrature import (QuadratureResult, _tensor_gauss, integral_ln_f, integrate_cube,
                          integrate_periodic)
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
-from .theta import _cube_norm_box, _cube_norm_grid, _cube_norm_slice, cube_norm_batch, f_series
+from .theta import (_cube_norm_box, _cube_norm_grid, _cube_norm_slice, cube_norm_batch,
+                    f_series_batch)
 
 __all__ = [
     "BoundsError",
@@ -229,9 +230,11 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
 
     g = 1: tensor Gauss-Legendre on [0,1]^2 (``quadrature._tensor_gauss``,
     ``budget`` nodes per axis), with ||s|| on each rule's whole grid from
-    one matrix product (``theta._cube_norm_grid``); ``seed`` and ``decided``
-    are not used. g >= 2: ``integrate_cube``'s QMC for d = 2g (``budget``
-    points per shift, ``seed``) on ``cube_norm_batch``. A predicate
+    one matrix product (``theta._cube_norm_grid``) over one box of terms
+    (``theta._cube_norm_box``) built for both rules; ``seed`` and
+    ``decided`` are not used. g >= 2: ``integrate_cube``'s QMC for d = 2g
+    (``budget`` points per shift, ``seed``) on ``cube_norm_batch``, which
+    gets the points of several shifts per call. A predicate
     ``decided(I, error) -> bool`` makes ``budget`` a cap there: the set
     doubles from 2^8 points per shift until the predicate holds for the
     invariant and its estimate.
@@ -247,7 +250,8 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
 
     half_log_norm_sq = 0.25 * om.g * math.log(2.0)
     if om.g == 1:
-        r = _tensor_gauss(lambda x: clipped_log(_cube_norm_grid(om, x, x)), 2, budget)
+        box = _cube_norm_box(om)
+        r = _tensor_gauss(lambda x: clipped_log(_cube_norm_grid(om, box, x, x)), 2, budget)
     else:
         on_log = None if decided is None else (lambda v, err: decided(-v - half_log_norm_sq, err))
         r = integrate_cube(lambda P: clipped_log(cube_norm_batch(om, P)[0]), 2 * om.g, budget,
@@ -263,10 +267,9 @@ def height_from_theta_invariants(I_values, g: int, degree: int) -> float:
     return -(g / 2.0) * math.log(2.0 * math.pi**2) + 2.0 * sum(I_values) / degree
 
 
-def _parseval_samples(g: int):
-    yield np.zeros(g)
-    yield np.full(g, 0.25)
-    yield (np.arange(1, g + 1)) / (2.0 * g + 1.0)
+def _parseval_samples(g: int) -> np.ndarray:
+    """The y of the Parseval checks, one per row."""
+    return np.array([np.zeros(g), np.full(g, 0.25), np.arange(1, g + 1) / (2.0 * g + 1.0)])
 
 
 def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
@@ -282,7 +285,8 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
     on ``integrate_periodic`` to ``tolerance``, each grid one FFT of the
     integrand's Fourier coefficients: (a) on ``theta._cube_norm_slice``, whose
-    box is built once per embedding, compared with a direct ``f_series``;
+    box is built once per embedding, compared with f_Y(2; y) at the sampled
+    y from one direct ``f_series_batch`` call per embedding;
     (b) on ``theta._f_grid`` (the Poisson dual of f, or ``f_series_batch``
     where the dual's rounding is not certified small). So (a) no longer runs
     ``cube_norm_batch``, the invariant's integrand at g >= 2; the oracle
@@ -310,11 +314,13 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
         lam, _, _, rho = lambda_clamped(om)
 
         box = _cube_norm_box(om)
-        for k, yv in enumerate(_parseval_samples(g)):
+        samples = _parseval_samples(g)
+        f_y = f_series_batch(Y, 2.0, samples)[0]
+        for k, (yv, rhs) in enumerate(zip(samples, f_y)):
             norm = _cube_norm_slice(om, box, yv)
             r = integrate_periodic(lambda n, s: norm(n, s) ** 2, g, tolerance)
-            out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, f_series(Y, 2.0, yv).value,
-                                        tolerance, r.error_estimate))
+            out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, float(rhs), tolerance,
+                                        r.error_estimate))
 
         r_ln = integral_ln_f(Y, 2.0, tolerance)
         out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value,

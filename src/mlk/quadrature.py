@@ -15,7 +15,9 @@
   Gray-code sequence (Bratley & Fox, ACM TOMS 14, 1988) on the Joe-Kuo
   direction numbers (SIAM J. Sci. Comput. 30, 2008) of dimensions 1-64, as
   scipy ships them, so they match ``qmc.Sobol(d, scramble=False)`` bit for
-  bit.
+  bit. The integrand gets the shifted copies of a point set together, up to
+  2^16 rows per call, so its per-call set-up (the theta box and bounds) is
+  paid once per set, not once per shift.
 * ``_tensor_gauss``, the one tensor Gauss-Legendre rule. It hands the
   integrand the nodes of one axis and takes its values on their product
   grid, so an integrand that is cheaper on a whole grid than point by point
@@ -201,6 +203,12 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
     the 2m-point set are the m-point set, so each doubling evaluates only
     the new points, and a predicate that never holds returns what no
     predicate returns, bit for bit.
+
+    f gets the new points of several shifts in one call, shift-major (the
+    rows of shift k, then those of shift k + 1), as many shifts as keep a
+    call at <= 2^16 rows (at least one), so a set's per-call set-up is paid
+    once rather than once per shift while a large set stays in bounded
+    memory.
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
@@ -209,13 +217,17 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
     m_cap = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
     m = m_cap if decided is None else min(_FIRST_QMC_POINTS, m_cap)
     shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
-    vals = [[] for _ in shifts]  # per shift, the values of each doubling in point order
+    vals = np.empty((_N_SHIFTS, 0))  # row k: shift k's values, in point order
     done = 0
     while True:
         new = _sobol(d, m)[done:]
-        for s, v in zip(shifts, vals):
-            v.append(_checked(f((new + s) % 1.0), new.shape[0]))
-        est = [float(np.mean(np.concatenate(v))) for v in vals]
+        vals, old = np.empty((_N_SHIFTS, m)), vals
+        vals[:, :done] = old
+        per_call = max(1, _DEFAULT_QMC_POINTS // new.shape[0])
+        for k in range(0, _N_SHIFTS, per_call):
+            P = ((new + shifts[k:k + per_call, None, :]) % 1.0).reshape(-1, d)  # shift-major
+            vals[k:k + per_call, done:] = _checked(f(P), P.shape[0]).reshape(-1, new.shape[0])
+        est = [float(np.mean(v)) for v in vals]
         value, err = float(np.mean(est)), 3.0 * float(np.std(est, ddof=1))
         if m == m_cap or decided(value, err):
             return QuadratureResult(value, err, _N_SHIFTS * m, "qmc-shifted")

@@ -34,7 +34,8 @@ At g = 1, ||s|| on a product grid (x_i, y_j) has a simpler form
 (``_cube_norm_grid``): the x-dependence of a term is the pure phase
 exp(-2 pi i m x_i), so the n x n values are one (n x M)(M x n) matrix
 product over the M terms of the same box, every factor a single exp whose
-real part is <= 0. The g = 1 archimedean invariant runs on it.
+real part is <= 0. The g = 1 archimedean invariant runs on it, with the box
+built once for both of its Gauss rules.
 
 The chain's x-integrands are Fourier series in x, and on the grid
 (k + s)/n of ``quadrature.integrate_periodic`` a series sum_j c_j
@@ -454,11 +455,12 @@ def _cube_norm_box(om: PeriodMatrix) -> np.ndarray:
     return _candidate_box(om.Y, _radius_for(om.Y, 1.0, 1.0, 1e-12))
 
 
-def _cube_norm_grid(om: PeriodMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _cube_norm_grid(om: PeriodMatrix, m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """||s||(x_i + tau y_j) at g = 1 on the product grid of x and y in [0, 1),
     as a (len(x), len(y)) array.
 
-    Over the terms m of ``_cube_norm_box``, the sum at (x_i, y_j) is
+    Over the terms m (float, (M, 1)) of ``_cube_norm_box(om)``, which the
+    caller builds once for all its grids, the sum at (x_i, y_j) is
     sum_m B[i, m] A[m, j] with A[m, j] = exp(-pi Y (y_j - m)^2
     + i pi X m (m - 2 y_j)) and B[i, m] = exp(-2 pi i m x_i): one matrix
     product of 2 n M exps. Every exp has a real part <= 0, so nothing
@@ -466,7 +468,6 @@ def _cube_norm_grid(om: PeriodMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarra
     ``cube_norm_batch``.
     """
     Yv, Xv = float(om.Y.entries[0, 0]), float(om.X[0, 0])
-    m = _cube_norm_box(om)  # (M, 1)
     dy = y - m
     A = np.exp(-math.pi * Yv * dy * dy + 1j * math.pi * Xv * m * (m - 2.0 * y))
     B = np.exp(-2j * math.pi * np.outer(x, m))

@@ -21,7 +21,7 @@ from mlk.bounds import (
 )
 from mlk.quadrature import integrate_cube
 from mlk.siegel import reduce as siegel_reduce, validate_period_matrix
-from mlk.theta import _cube_norm_grid, cube_norm_batch
+from mlk.theta import _cube_norm_box, _cube_norm_grid, cube_norm_batch, f_series, f_series_batch
 
 from conftest import invariant_exact, make_reduced_period
 
@@ -275,30 +275,35 @@ class TestArchimedeanInvariant:
         r_log = integrate_cube(f_log, 2 * g, budget, 3)
         value = -r_log.value - 0.25 * g * math.log(2.0)
 
-        calls, grids = [], []
+        calls, grids, boxes = [], [], []
 
         def counted(om_, P):
             calls.append(P.shape[0])
             return cube_norm_batch(om_, P)
 
-        def counted_grid(om_, x, y):
+        def counted_grid(om_, m, x, y):
             grids.append((x.shape[0], y.shape[0]))
-            return _cube_norm_grid(om_, x, y)
+            return _cube_norm_grid(om_, m, x, y)
+
+        def counted_box(om_):
+            boxes.append(om_)
+            return _cube_norm_box(om_)
 
         monkeypatch.setattr(mlk.bounds, "cube_norm_batch", counted)
         monkeypatch.setattr(mlk.bounds, "_cube_norm_grid", counted_grid)
+        monkeypatch.setattr(mlk.bounds, "_cube_norm_box", counted_box)
         inv = archimedean_invariant(om, budget, 3)
         assert inv.scheme == rule
         assert inv.n_clipped == clipped
         if g == 1:
-            # one grid per rule (n and n // 2 nodes per axis), none point by
-            # point; the matrix-product sum differs from the points' in the
-            # last bits only
-            assert calls == [] and grids == [(32, 32), (16, 16)]
+            # one grid per rule (n and n // 2 nodes per axis) over one box,
+            # none point by point; the matrix-product sum differs from the
+            # points' in the last bits only
+            assert calls == [] and grids == [(32, 32), (16, 16)] and len(boxes) == 1
             assert inv.n_points == 32**2 + 16**2 == r_log.n_points
             assert abs(inv.value - value) <= 1e-13 * max(1.0, abs(value))
             return
-        assert grids == [] and len(calls) == 8
+        assert grids == [] and boxes == [] and calls == [8 * 256]  # every shift in one call
         assert inv.n_points == sum(calls) == r_log.n_points
         assert (inv.value, inv.error_estimate) == (value, r_log.error_estimate)
 
@@ -406,6 +411,27 @@ class TestVerifyChain:
         rep = verify_chain(E, budget=16)
         assert [id(om) for om in calls] == [id(om) for om in E.periods]
         assert rep.entries[-1].name == "height_chain" and rep.entries[-1].rhs == rhs
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_parseval_right_sides_in_one_batch(self, monkeypatch, rng, g):
+        # f_Y(2; y_k) of the three Parseval checks comes from one
+        # f_series_batch call per embedding, within 1e-15 of one-point f_series
+        periods = [make_reduced_period(rng, g) for _ in range(2)]
+        batches = []
+
+        def counted(Y, t, points, *args):
+            batches.append((Y, t, np.array(points)))
+            return f_series_batch(Y, t, points, *args)
+
+        monkeypatch.setattr(mlk.bounds, "f_series_batch", counted)
+        rep = verify_chain(EmbeddingSet(g, 2, periods), budget=256)
+        assert [(Y, t) for Y, t, _ in batches] == [(om.Y, 2.0) for om in periods]
+        for i, (Y, _, samples) in enumerate(batches):
+            assert samples.shape == (3, g)
+            for k, y in enumerate(samples):
+                entry = next(e for e in rep.entries if e.name == f"parseval[{i},{k}]")
+                ref = f_series(Y, 2.0, y).value
+                assert abs(entry.rhs - ref) <= 1e-15 * ref
 
     def test_requires_reduced_and_complete(self):
         with pytest.raises(BoundsError):

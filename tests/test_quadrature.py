@@ -19,7 +19,9 @@ from mlk.quadrature import (
     integrate_cube,
     integrate_periodic,
 )
-from mlk.theta import _cube_norm_box, _cube_norm_slice, cube_norm_batch, f_series
+from mlk.cli import _random_spd
+from mlk.siegel import validate_period_matrix
+from mlk.theta import _cube_norm_box, _cube_norm_slice, cube_norm_batch, f_series, f_series_batch
 
 from conftest import grid_points, make_reduced_period, make_spd
 
@@ -157,14 +159,31 @@ class TestDecidedDoubling:
             return len(asked) == 2
 
         r = integrate_cube(counted, d, 4096, seed, decided=decided)
-        assert [len(P) for P in batches] == 16 * [256]  # 8 shifts x (256, 256 new)
+        # one call per doubling, every shift's new points in it, shift-major
+        assert [len(P) for P in batches] == [8 * 256, 8 * 256]
         assert r.n_points == 8 * 512 and len(asked) == 2
         shifts = np.random.default_rng(seed).random((8, d))
-        for k, s in enumerate(shifts):  # the first size runs every shift, then the second
-            got = np.concatenate([batches[k], batches[8 + k]])
+        first, second = (P.reshape(8, 256, d) for P in batches)
+        for k, s in enumerate(shifts):
+            got = np.concatenate([first[k], second[k]])
             assert np.array_equal(got, (_sobol(d, 512) + s) % 1.0)
         assert (r.value, r.error_estimate) == asked[-1]
         assert r == integrate_cube(self.smooth, d, 512, seed)
+
+    def test_calls_hold_at_most_two_to_the_16_rows(self):
+        d, cap = 4, 1 << 16
+        calls = []
+
+        def counted(P):
+            calls.append(len(P))
+            return self.smooth(P)
+
+        r = integrate_cube(counted, d, cap, 3, decided=lambda value, err: False)
+        assert max(calls) <= cap and sum(calls) == 8 * cap
+        # the doublings from 256 points per shift: all 8 shifts per call up
+        # to 2^13 new points, then 4 and 2 shifts (2^14, 2^15 new points)
+        assert calls == [2048, 2048, 4096, 8192, 16384, 32768] + 7 * [65536]
+        assert r == integrate_cube(self.smooth, d, cap, 3)
 
     @pytest.mark.parametrize("d, budget", [(3, 4096), (5, 1 << 16), (4, 300), (3, 64)])
     def test_predicate_that_never_holds_changes_no_bit(self, d, budget):
@@ -179,6 +198,26 @@ class TestDecidedDoubling:
         m_cap = 1 << int(math.log2(budget))
         assert r.n_points == 8 * m_cap
         assert len(asked) == max(0, int(math.log2(m_cap / 256)))  # none at the cap
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
+    def test_kernels_agree_on_grouped_rows(self, g, scale):
+        # integrate_cube hands the integrand several shifts' points at once:
+        # each row's value must not depend on the rows beside it (the sums'
+        # GEMMs may block differently, so last bits only; psi_sq exactly)
+        rng = np.random.default_rng(17)
+        Y = GramMatrix(scale * _random_spd(rng, g).entries)
+        X = rng.uniform(-0.5, 0.5, (g, g))
+        om = validate_period_matrix((X + X.T) / 2.0, Y.entries)
+        P = rng.random((8 * 256, 2 * g))
+        kernels = [lambda Q: cube_norm_batch(om, Q)[0],
+                   lambda Q: f_series_batch(Y, 2.0, Q[:, :g])[0]]
+        for kernel in kernels:
+            whole = kernel(P)
+            parts = np.concatenate([kernel(Q) for Q in np.split(P, 8)])
+            assert np.all(np.abs(whole - parts) <= 2e-15 * np.abs(whole))
+        parts = np.concatenate([psi_sq_batch(Y, Q[:, :g]) for Q in np.split(P, 8)])
+        assert np.array_equal(psi_sq_batch(Y, P[:, :g]), parts)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_tensor_rule_never_asks(self, d):

@@ -283,12 +283,13 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     dominates the clamped-diameter bound, with (2/d) times the sum of the
     invariants' error estimates. (a) is a ``CheckEntry.equal`` check, (b)
     ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
-    on ``integrate_periodic`` to ``tolerance``, each grid one FFT of the
-    integrand's Fourier coefficients: (a) on ``theta._cube_norm_slice``, whose
-    box is built once per embedding, compared with f_Y(2; y) at the sampled
-    y from one direct ``f_series_batch`` call per embedding;
-    (b) on ``theta._f_grid`` (the Poisson dual of f, or ``f_series_batch``
-    where the dual's rounding is not certified small). So (a) no longer runs
+    on ``integrate_periodic`` to ``tolerance``, each grid k/n one integrand
+    call and one FFT of the integrand's Fourier coefficients: (a) on
+    ``theta._cube_norm_slice``, whose box is built once per embedding,
+    compared with f_Y(2; y) at the sampled y from one direct
+    ``f_series_batch`` call per embedding; (b) on ``theta._f_grid`` (the
+    Poisson dual of f, or ``f_series_batch`` where the dual's rounding is
+    not certified small). So (a) no longer runs
     ``cube_norm_batch``, the invariant's integrand at g >= 2; the oracle
     tests and the check of (c) against exact invariants cover it there.
 
@@ -318,7 +319,7 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
         f_y = f_series_batch(Y, 2.0, samples)[0]
         for k, (yv, rhs) in enumerate(zip(samples, f_y)):
             norm = _cube_norm_slice(om, box, yv)
-            r = integrate_periodic(lambda n, s: norm(n, s) ** 2, g, tolerance)
+            r = integrate_periodic(lambda n: norm(n) ** 2, g, tolerance)
             out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, float(rhs), tolerance,
                                         r.error_estimate))
 

@@ -280,7 +280,8 @@ def is_lll_reduced(Y: GramMatrix, delta: float = _LLL_DELTA, tol: float = 1e-9) 
 
 
 def _int_box(lows, highs):
-    """All integer points of the axis-aligned box [lows, highs], as (M, g) int64."""
+    """All integer points of the axis-aligned box [lows, highs], as (M, g)
+    C-contiguous int64 rows in C order (the last coordinate runs fastest)."""
     lows = np.asarray(lows, dtype=np.int64)
     highs = np.asarray(highs, dtype=np.int64)
     sizes = highs - lows + 1
@@ -289,9 +290,8 @@ def _int_box(lows, highs):
     total = int(np.prod(sizes.astype(object)))
     if total > _BOX_CAP:
         raise EnumerationLimitError(f"enumeration box of {total} points exceeds cap {_BOX_CAP}")
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(lows, highs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+    rows = np.indices(sizes, dtype=np.int64).reshape(len(sizes), -1).T + lows
+    return np.ascontiguousarray(rows)
 
 
 def _nearest_plane(R, T):

@@ -3,10 +3,10 @@
 * ``integrate_periodic``: the trapezoid rule on the grid k/n, geometrically
   convergent on smooth Z^d-periodic integrands (Trefethen & Weideman, SIAM
   Review 56, 2014): ln f_Y(t; .) and the Parseval slices of ``verify_chain``.
-  Its integrand is given on whole grids, n and an offset s in, the values
-  at the points (k + s)/n out. On such a grid a Fourier series has the
-  values of its coefficients summed modulo n (the rule's aliasing), so
-  ``theta`` computes each grid with one FFT.
+  Its integrand is given on whole grids, n in, the values at the points
+  k/n out. On such a grid a Fourier series has the values of its
+  coefficients summed modulo n (the rule's aliasing), so ``theta``
+  computes each grid with one FFT.
 * ``integrate_cube``, its rule chosen from d: tensor Gauss-Legendre at
   d <= 2 (psi_Y^2 at g <= 2, split at the half-integers, where the rule is
   exact for diagonal Y) and shifted Sobol QMC at d >= 3 (Dick, Kuo & Sloan,
@@ -237,26 +237,23 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
 def integrate_periodic(f_grid, d: int, tol: float) -> QuadratureResult:
     """Integrate a Z^d-periodic f over [0,1]^d by the trapezoid rule on the grid k/n.
 
-    ``f_grid(n, s)`` gets n and an offset s in {0, 1/2}^d (a float (d,)
-    array) and returns the n^d values of f at the points (k + s)/n,
+    ``f_grid(n)`` returns the n^d values of f at the points k/n,
     k in {0, ..., n-1}^d, in C order (the last coordinate runs fastest), as
     an array of shape (n,) * d whose axis k runs over coordinate k, or flat.
     An integrand that is a Fourier series sum_j c_j exp(-2 pi i j . x) has
     on that grid the values of the n-periodic sum of its coefficients, the
-    c_j exp(-2 pi i j . s / n) added over each class j mod n: one discrete
-    Fourier transform per call (the aliasing identity of the trapezoid rule,
-    Trefethen & Weideman, SIAM Review 56, 2014). ``theta`` evaluates the
-    chain's integrands that way.
+    c_j added over each class j mod n: one discrete Fourier transform per
+    call (the aliasing identity of the trapezoid rule, Trefethen & Weideman,
+    SIAM Review 56, 2014). ``theta`` evaluates the chain's integrands that
+    way.
 
     The value is the mean of f on the grid k/n. The error estimate is its
     distance to the mean on the even-index subgrid, plus eps times the mean of
     |f| (the two means can agree to the last bit). n starts at 8, as coarser
     grids can agree by accident, or at the largest power of two whose grid
     holds at most 2^19 points, and doubles while the estimate exceeds ``tol``
-    and the next grid fits. The grid k/n is the even-index subgrid of the
-    grid k/2n, so a doubling keeps its values and asks only for the 2^d - 1
-    grids of offset s != 0 at n, each point once: ``n_points``, the number
-    of values the integrand produced, is n^d for the final n.
+    and the next grid fits, one call per grid. ``n_points`` is n^d for the
+    final n.
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
@@ -265,18 +262,14 @@ def integrate_periodic(f_grid, d: int, tol: float) -> QuadratureResult:
         raise EnumerationLimitError(f"periodic grid of 2^{d} points exceeds cap 2^19")
     even = (slice(None, None, 2),) * d
     n = min(8, n_max)
-    vals = _checked(f_grid(n, np.zeros(d)), n**d).reshape((n,) * d)
     while True:
+        vals = _checked(f_grid(n), n**d).reshape((n,) * d)
         value = float(np.mean(vals))
         coarse = float(np.mean(vals[even]))
         err = abs(value - coarse) + float(np.finfo(float).eps * np.mean(np.abs(vals)))
         if err <= tol or 2 * n > n_max:
             return QuadratureResult(value, err, vals.size, "periodic")
-        grid = np.empty((2 * n,) * d)
-        for e in _tensor_points(np.array([0.0, 1.0]), d):
-            grid[tuple(slice(int(ek), None, 2) for ek in e)] = (
-                vals if not e.any() else _checked(f_grid(n, e / 2.0), n**d).reshape((n,) * d))
-        vals, n = grid, 2 * n
+        n *= 2
 
 
 def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> QuadratureResult:
@@ -303,15 +296,16 @@ def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> 
 def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResult:
     """integral over [0,1]^g of ln f_Y(t; x) dx (f evaluated to 1e-12 relative)
     by ``integrate_periodic`` to ``tol``: f_Y is smooth, positive and periodic.
-    f comes on each grid from ``theta._f_grid``: one FFT of its Poisson dual,
-    or ``f_series_batch`` where the dual's rounding is not certified small.
+    f comes on each grid k/n, the whole grid in one call, from
+    ``theta._f_grid``: one FFT of its Poisson dual, or ``f_series_batch``
+    where the dual's rounding is not certified small.
     """
     if t <= 0.0:
         raise QuadratureError("t must be positive")
     f_grid = _f_grid(Y, t)
 
-    def ln_f(n, s):
+    def ln_f(n):
         with np.errstate(divide="ignore"):  # f underflowed to 0: _checked rejects -inf
-            return np.log(f_grid(n, s))
+            return np.log(f_grid(n))
 
     return integrate_periodic(ln_f, Y.g, tol)

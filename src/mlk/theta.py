@@ -37,10 +37,9 @@ product over the M terms of the same box, every factor a single exp whose
 real part is <= 0. The g = 1 archimedean invariant runs on it, with the box
 built once for both of its Gauss rules.
 
-The chain's x-integrands are Fourier series in x, and on the grid
-(k + s)/n of ``quadrature.integrate_periodic`` a series sum_j c_j
-exp(-2 pi i j . x) takes the values of its coefficients (times
-exp(-2 pi i j . s / n)) summed over each class j mod n: one
+The chain's x-integrands are Fourier series in x, and on the grid k/n of
+``quadrature.integrate_periodic`` a series sum_j c_j exp(-2 pi i j . x)
+takes the values of its coefficients summed over each class j mod n: one
 ``numpy.fft.fftn`` per grid (``_fourier_grid``; numpy.fft is loaded on the
 first call, not on import). Two grid integrands use it:
 
@@ -474,21 +473,16 @@ def _cube_norm_grid(om: PeriodMatrix, m: np.ndarray, x: np.ndarray, y: np.ndarra
     return om.Y.det_sqrt ** 0.5 * np.abs(B @ A)
 
 
-def _fourier_grid(c: np.ndarray, m: np.ndarray, n: int, s: np.ndarray) -> np.ndarray:
-    """sum_j c_j exp(-2 pi i j . (k + s) / n) for k in {0, ..., n-1}^g, as an
-    (n,) * g complex array, over the integer rows j of m (float, (M, g)), for
-    an offset s in {0, 1/2}^g.
+def _fourier_grid(c: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """sum_j c_j exp(-2 pi i j . k / n) for k in {0, ..., n-1}^g, as an
+    (n,) * g complex array, over the integer rows j of m (float, (M, g)).
 
-    The coefficients, times exp(-2 pi i j . s / n) (its phase reduced mod
-    2 pi in integers first), are summed over each class j mod n and
-    transformed by one ``numpy.fft.fftn``: on the grid, exp(-2 pi i j . k / n)
-    depends on j mod n only.
+    The coefficients are summed over each class j mod n and transformed by
+    one ``numpy.fft.fftn``: on the grid, exp(-2 pi i j . k / n) depends on
+    j mod n only.
     """
     g = m.shape[1]
-    j = m.astype(np.int64)
-    if np.any(s):
-        c = c * np.exp(-1j * math.pi / n * ((j @ np.rint(2.0 * s).astype(np.int64)) % (2 * n)))
-    r = np.ravel_multi_index(tuple((j % n).T), (n,) * g)
+    r = np.ravel_multi_index(tuple((m.astype(np.int64) % n).T), (n,) * g)
     B = np.bincount(r, c.real, n**g)
     if np.iscomplexobj(c):
         B = B + 1j * np.bincount(r, c.imag, n**g)
@@ -497,8 +491,8 @@ def _fourier_grid(c: np.ndarray, m: np.ndarray, n: int, s: np.ndarray) -> np.nda
 
 def _cube_norm_slice(om: PeriodMatrix, m: np.ndarray, y):
     """The grid integrand (see ``quadrature.integrate_periodic``) of the
-    Parseval slice at y: ``values(n, s)`` is ||s||(x + Omega y) at the
-    points x = (k + s)/n, as an (n,) * g array.
+    Parseval slice at y: ``values(n)`` is ||s||(x + Omega y) at the
+    points x = k/n, as an (n,) * g array.
 
     In x, ||s||(x + Omega y) = det(Y)^{1/4} |sum_m a_m exp(-2 pi i m . x)|
     with a_m = exp(-pi ||y - m||_Y^2 + i pi m^T X m - 2 pi i m . X y) over
@@ -513,7 +507,7 @@ def _cube_norm_slice(om: PeriodMatrix, m: np.ndarray, y):
     a = np.exp(-math.pi * np.einsum("ij,ij->i", d, d @ Y)
                + 1j * math.pi * (np.einsum("ij,ij->i", m, m @ X) - 2.0 * (m @ (X @ y))))
     det4 = om.Y.det_sqrt ** 0.5
-    return lambda n, s: det4 * np.abs(_fourier_grid(a, m, n, s))
+    return lambda n: det4 * np.abs(_fourier_grid(a, m, n))
 
 
 def _gamma(k: float) -> float:
@@ -523,8 +517,8 @@ def _gamma(k: float) -> float:
 
 def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     """The grid integrand (see ``quadrature.integrate_periodic``) of f_Y(t; .):
-    ``values(n, s)`` is f_Y(t; x) at the points x = (k + s)/n, flat in C
-    order, from the Poisson dual where its rounding is certified small and
+    ``values(n)`` is f_Y(t; x) at the points x = k/n, flat in C order,
+    from the Poisson dual where its rounding is certified small and
     from ``f_series_batch`` (to ``tol``) elsewhere.
 
     The dual: f_Y(t; x) = t^{-g/2} sum_j b_j exp(-2 pi i j . x) with
@@ -535,7 +529,7 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     once, on the first call that may use it.
 
     The guard. Every dual value is within
-        beta = t^{-g/2} (gamma_{8 L + p + 18} S + gamma_{2g+3} S_x)
+        beta = t^{-g/2} (gamma_{8 L + p + 6} S + gamma_{2g+3} S_x)
     of the exact sum over the box, with S = sum_j b_j,
     S_x = sum_j b_j pi |j|^T |Y^{-1}| |j| / t, L = log2(n^g) and p the most
     terms folded into one class. A power-of-two FFT is L levels of
@@ -546,13 +540,13 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     Theorem 24.2), so the transform of the folded B is within
     gamma_{7L} sum|B| <= gamma_{7L} S componentwise; 8L leaves a unit per
     level for pocketfft's radix-4 and radix-8 passes. The fold adds p - 1,
-    the twist exp(-2 pi i j . s / n) and its product 12, the exp of b_j 4
-    and the scaling by t^{-g/2} 3 units; gamma_{2g+3} S_x covers the
-    rounding of the exponents (Y^{-1} is the form as ``GramMatrix.inverse``
-    computes it). Where f is small the dual values cancel, so a call takes
-    them only when beta <= 1e-12 (min value - beta), which keeps every value
-    within 1e-12 relative of the box sum (and ln f within 1e-12). Otherwise
-    that call and every later one take ``f_series_batch``. The minimum of f
+    the exp of b_j 4 and the scaling by t^{-g/2} 3 units, 6 + p in all
+    beyond the 8L; gamma_{2g+3} S_x covers the rounding of the exponents
+    (Y^{-1} is the form as ``GramMatrix.inverse`` computes it). Where f is
+    small the dual values cancel, so a call takes them only when
+    beta <= 1e-12 (min value - beta), which keeps every value within 1e-12
+    relative of the box sum (and ln f within 1e-12). Otherwise that call
+    and every later one take ``f_series_batch``. The minimum of f
     is at most its mean t^{-g/2}, and S is t^{g/2} f(0) up to the tail, with
     f(0) >= det_sqrt (the term m = 0 of the direct sum), so where
     gamma_{8L} t^{g/2} det_sqrt > 1e-12 the guard cannot hold and no dual
@@ -566,12 +560,10 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     scale = t ** (-g / 2.0)
     dual = None  # [m, b, S, S_x, widths] once built; False once the direct path is taken
 
-    def direct(n, s):
-        axes = [(np.arange(n) + sk) / n for sk in s]
-        P = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
-        return f_series_batch(Y, t, P, tol)[0]
+    def direct(n):
+        return f_series_batch(Y, t, _int_box(np.zeros(g), np.full(g, n - 1)) / n, tol)[0]
 
-    def values(n, s):
+    def values(n):
         nonlocal dual
         levels = g * round(math.log2(n))
         if dual is None:
@@ -588,12 +580,12 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
                 dual = [m, b, float(b.sum()), math.pi / t * float(b @ qa), hi - lo + 1.0]
         if dual:
             m, b, S, S_x, widths = dual
-            v = scale * _fourier_grid(b, m, n, s).real.ravel()
+            v = scale * _fourier_grid(b, m, n).real.ravel()
             p = float(np.prod(np.ceil(widths / n)))
-            beta = scale * (_gamma(8 * levels + p + 18) * S + _gamma(2 * g + 3) * S_x)
+            beta = scale * (_gamma(8 * levels + p + 6) * S + _gamma(2 * g + 3) * S_x)
             if beta <= _DUAL_RTOL * (float(v.min()) - beta):
                 return v
             dual = False
-        return direct(n, s)
+        return direct(n)
 
     return values

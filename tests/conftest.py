@@ -145,11 +145,11 @@ def invariant_exact(taus) -> float:
                for t in taus)
 
 
-def grid_points(n: int, s) -> np.ndarray:
-    """The points (k + s)/n, k in {0, ..., n-1}^d, of a grid integrand's call
+def grid_points(n: int, d: int) -> np.ndarray:
+    """The points k/n, k in {0, ..., n-1}^d, of a grid integrand's call
     (``quadrature.integrate_periodic``), as (n^d, d) rows in C order."""
-    axes = [(np.arange(n) + sk) / n for sk in s]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(s))
+    axes = d * [np.arange(n) / n]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def theta_box_sum(om, p, u, radius, lo=0.0, hi=1.0) -> np.ndarray:

@@ -482,6 +482,27 @@ class TestMuInterval:
             IntervalEstimate(0.0, math.inf)
 
 
+class TestIntBox:
+    @pytest.mark.parametrize("lows, highs", [
+        ([0.0] * 4, [1.0] * 4),        # mu_interval's corners
+        ([-4.0] * 3, [5.0] * 3),       # a theta box
+        ([-3.0, 0.0, -1.0, 2.0], [4.0, 0.0, 5.0, 3.0]),
+        ([-2.0], [7.0]),
+    ])
+    def test_matches_meshgrid(self, lows, highs):
+        axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(lows, highs)]
+        ref = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        got = lattice._int_box(np.array(lows), np.array(highs))
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_cap_and_empty_box(self):
+        with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+            lattice._int_box(np.zeros(2), np.full(2, 2047.0))  # 2^22 points
+        with pytest.raises(LatticeError, match="empty"):
+            lattice._int_box(np.zeros(2), np.array([1.0, -1.0]))
+
+
 class TestHalton:
     @pytest.mark.parametrize("d", range(1, 17))
     def test_matches_scipy_bit_for_bit(self, d):

@@ -227,9 +227,9 @@ class TestDecidedDoubling:
         assert integrate_cube(self.smooth, d, 64, decided=ask) == integrate_cube(self.smooth, d, 64)
 
 
-def on_points(f):
+def on_points(f, d):
     """The grid integrand of a point integrand f: (N, d) -> (N,)."""
-    return lambda n, s: f(grid_points(n, s))
+    return lambda n: f(grid_points(n, d))
 
 
 class TestIntegratePeriodic:
@@ -245,7 +245,7 @@ class TestIntegratePeriodic:
         def f(P):
             return 0.75 + np.cos(2.0 * math.pi * P @ K.T + phase) @ c
 
-        r = integrate_periodic(on_points(f), d, 1e-12)
+        r = integrate_periodic(on_points(f, d), d, 1e-12)
         assert r.value == pytest.approx(exact, abs=1e-14)
         assert r.error_estimate <= 1e-14
         assert (r.n_points, r.scheme) == (8**d, "periodic")
@@ -262,36 +262,29 @@ class TestIntegratePeriodic:
             return vals * vals
 
         norm = _cube_norm_slice(om, _cube_norm_box(om), y)
-        for f_grid in (on_points(slice_norm_sq), lambda n, s: norm(n, s) ** 2):
+        for f_grid in (on_points(slice_norm_sq, g), lambda n: norm(n) ** 2):
             r = integrate_periodic(f_grid, g, 1e-10)
             assert r.error_estimate <= 1e-10
             assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)
 
-    def test_each_point_evaluated_once(self):
+    def test_one_call_per_grid(self):
         # frequencies 12 and 24 alias onto the subgrids of n = 8 and 16, so the
         # rule doubles twice and stops at n = 32 with the exact mean 0.5; each
-        # doubling asks only for the points off the previous grid
+        # grid is one call, and tol < 0 doubles on to n = 64
         calls = []
 
-        def f(P):
+        def f_grid(n):
+            calls.append(n)
+            P = grid_points(n, 3)
             return 0.5 + np.cos(24.0 * math.pi * P[:, 0]) + np.cos(48.0 * math.pi * P[:, 1])
 
-        def f_grid(n, s):
-            calls.append((n, s.copy(), grid_points(n, s)))
-            return f(calls[-1][2])
-
         r = integrate_periodic(f_grid, 3, 1e-12)
-        offsets = [tuple(2 * s) for _, s, _ in calls]
-        assert offsets == [(0, 0, 0)] + 2 * list(product((0, 1), repeat=3))[1:]
-        assert [n for n, _, _ in calls] == [8] + 7 * [8] + 7 * [16]
-        sizes = [len(calls[0][2]), sum(len(P) for n, s, P in calls[1:8]),
-                 sum(len(P) for n, s, P in calls[8:])]
-        assert sizes == [8**3, 16**3 - 8**3, 32**3 - 16**3]
+        assert calls == [8, 16, 32]
         assert r.n_points == 32**3 and r.value == pytest.approx(0.5, abs=1e-14)
-        points = np.vstack([P for _, _, P in calls])
-        k = np.rint(points * 32).astype(np.int64)
-        assert np.array_equal(k, points * 32)
-        assert np.unique(k, axis=0).shape == (32**3, 3) and k.min() == 0 and k.max() == 31
+        calls.clear()
+        r = integrate_periodic(f_grid, 3, -1.0)
+        assert calls == [8, 16, 32, 64]
+        assert r.n_points == 64**3 and r.value == pytest.approx(0.5, abs=1e-14)
 
     def test_rejects_non_finite(self):
         def f(P):
@@ -300,30 +293,24 @@ class TestIntegratePeriodic:
             return out
 
         with pytest.raises(QuadratureError, match="non-finite"):
-            integrate_periodic(on_points(f), 2, 1e-12)
+            integrate_periodic(on_points(f, 2), 2, 1e-12)
 
     def test_grid_never_exceeds_two_to_the_19(self):
         # tol < 0 is never met: n doubles until the next grid would pass 2^19
         sizes = []
 
-        def f_grid(n, s):
-            P = grid_points(n, s)
-            sizes.append((2 * n if s.any() else n, P.shape))
+        def cos_x0(P):
+            sizes.append(P.shape)
             return np.cos(2.0 * math.pi * P[:, 0])
 
-        def per_grid():
-            grids = sorted({n for n, _ in sizes})
-            return [sum(shape[0] for m, shape in sizes if m == n) for n in grids]
-
-        r = integrate_periodic(f_grid, 14, -1.0)
-        assert sizes == [(2, (2**14, 14))] and r.n_points == 2**14
+        r = integrate_periodic(on_points(cos_x0, 14), 14, -1.0)
+        assert sizes == [(2**14, 14)] and r.n_points == 2**14
         sizes.clear()
-        r = integrate_periodic(f_grid, 3, -1.0)
-        assert per_grid() == [8**3, 16**3 - 8**3, 32**3 - 16**3, 64**3 - 32**3]
-        assert r.n_points == sum(shape[0] for _, shape in sizes) == 64**3
+        r = integrate_periodic(on_points(cos_x0, 3), 3, -1.0)
+        assert sizes == [(n**3, 3) for n in (8, 16, 32, 64)] and r.n_points == 64**3
         sizes.clear()
         with pytest.raises(EnumerationLimitError, match="exceeds cap"):
-            integrate_periodic(f_grid, 20, 1.0)
+            integrate_periodic(on_points(cos_x0, 20), 20, 1.0)
         assert sizes == []
 
 
@@ -417,4 +404,20 @@ class TestIntegralLnF:
         r = integral_ln_f(GramMatrix(c * np.eye(g)), 2.0, 1e-6)
         assert (r.value, r.error_estimate, r.n_points) == (
             float.fromhex(value), float.fromhex(error), n_points)
-        assert sum(direct) == n_points
+        assert direct == [(8 << k) ** g for k in range(round(math.log2(n_points)) // g - 2)]
+
+    @pytest.mark.parametrize("g, calls", [(1, [8, 16]), (2, [8, 16, 32]), (3, [8, 16, 32]),
+                                          (4, [8, 16])])
+    def test_one_fft_per_grid(self, g, calls, monkeypatch):
+        # the chain's log-Gaussian at Y = I: each grid k/n is one FFT of the
+        # whole grid, none for the offset grids of earlier doublings
+        sizes = []
+        fourier_grid = theta._fourier_grid
+
+        def spy(c, m, n):
+            sizes.append(n)
+            return fourier_grid(c, m, n)
+
+        monkeypatch.setattr(theta, "_fourier_grid", spy)
+        r = integral_ln_f(GramMatrix(np.eye(g)), 2.0, 1e-6)
+        assert sizes == calls and r.n_points == calls[-1] ** g

@@ -3,11 +3,11 @@
 
 Usage: python scripts/chain_demo.py [--budget N]
 
---budget sizes the 2g-dimensional invariant: nodes per axis at g = 1, and
-at g >= 2 a cap on the points per shift, from which the invariant doubles
-from 2^8 points and stops once its check is decided at value +- estimate, so
-the printed invariant is only as precise as that decision needs. By default
-the library chooses.
+--budget caps the 2g-dimensional invariant: Gauss nodes per axis at g = 1
+(at most 256), from which the rule doubles from 32, and points per shift at
+g >= 2, from which the set doubles from 2^8. Either stops once its check is
+decided at value +- estimate, so the printed invariant is only as precise as
+that decision needs. By default the library chooses.
 """
 
 import argparse

@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import (QuadratureResult, _tensor_gauss, integral_ln_f, integrate_cube,
+from .quadrature import (QuadratureResult, _integral_ln, _tensor_gauss, integrate_cube,
                          integrate_periodic)
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
-from .theta import (_cube_norm_box, _cube_norm_grid, _cube_norm_slice, cube_norm_batch,
-                    f_series_batch)
+from .theta import _cube_norm_box, _cube_norm_grid, _cube_norm_slice, _f_grid, cube_norm_batch
 
 __all__ = [
     "BoundsError",
@@ -229,15 +228,16 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     reduced period matrix.
 
     g = 1: tensor Gauss-Legendre on [0,1]^2 (``quadrature._tensor_gauss``,
-    ``budget`` nodes per axis), with ||s|| on each rule's whole grid from
-    one matrix product (``theta._cube_norm_grid``) over one box of terms
-    (``theta._cube_norm_box``) built for both rules; ``seed`` and
-    ``decided`` are not used. g >= 2: ``integrate_cube``'s QMC for d = 2g
+    ``budget`` nodes per axis, clamped to [4, 256]), with ||s|| on each
+    rule's whole grid from one matrix product (``theta._cube_norm_grid``)
+    over one box of terms (``theta._cube_norm_box``) built for every rule;
+    ``seed`` is not used. g >= 2: ``integrate_cube``'s QMC for d = 2g
     (``budget`` points per shift, ``seed``) on ``cube_norm_batch``, which
     gets the points of several shifts per call. A predicate
-    ``decided(I, error) -> bool`` makes ``budget`` a cap there: the set
-    doubles from 2^8 points per shift until the predicate holds for the
-    invariant and its estimate.
+    ``decided(I, error) -> bool`` makes ``budget`` a cap at every g: the
+    rule doubles, from 32 nodes per axis at g = 1 and from 2^8 points per
+    shift at g >= 2, until the predicate holds for the invariant and its
+    estimate. Without one the whole budget runs.
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
@@ -249,11 +249,12 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
         return np.log(np.maximum(vals, _CLIP_FLOOR))
 
     half_log_norm_sq = 0.25 * om.g * math.log(2.0)
+    on_log = None if decided is None else (lambda v, err: decided(-v - half_log_norm_sq, err))
     if om.g == 1:
         box = _cube_norm_box(om)
-        r = _tensor_gauss(lambda x: clipped_log(_cube_norm_grid(om, box, x, x)), 2, budget)
+        r = _tensor_gauss(lambda x: clipped_log(_cube_norm_grid(om, box, x, x)), 2, budget,
+                          on_log)
     else:
-        on_log = None if decided is None else (lambda v, err: decided(-v - half_log_norm_sq, err))
         r = integrate_cube(lambda P: clipped_log(cube_norm_batch(om, P)[0]), 2 * om.g, budget,
                            seed, decided=on_log)
     return replace(r, value=-r.value - half_log_norm_sq, n_clipped=clipped)
@@ -286,22 +287,25 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     on ``integrate_periodic`` to ``tolerance``, each grid k/n one integrand
     call and one FFT of the integrand's Fourier coefficients: (a) on
     ``theta._cube_norm_slice``, whose box is built once per embedding,
-    compared with f_Y(2; y) at the sampled y from one direct
-    ``f_series_batch`` call per embedding; (b) on ``theta._f_grid`` (the
-    Poisson dual of f, or ``f_series_batch`` where the dual's rounding is
-    not certified small). So (a) no longer runs
-    ``cube_norm_batch``, the invariant's integrand at g >= 2; the oracle
-    tests and the check of (c) against exact invariants cover it there.
+    and (b) on the grid integrand of ``theta._f_grid``. One ``_f_grid``
+    plan per embedding, whose Poisson dual of f_Y(2; .) is built once,
+    gives both (b) and the right sides f_Y(2; y) of (a), those in one call
+    of its point evaluator; each evaluator falls back to ``f_series_batch``
+    where the dual's rounding is not certified small. The lhs of (a) is a
+    theta series of Omega and its rhs a sum over Y^{-1}, so (a) compares
+    two independent computations. (a) does not run ``cube_norm_batch``,
+    the invariant's integrand at g >= 2; the oracle tests and the check of
+    (c) against exact invariants cover it there.
 
-    ``budget`` and ``seed`` size the invariant of (c) only. At g >= 2,
-    ``budget`` caps the invariant's QMC points per shift: the set doubles
-    from 2^8 and stops once (c) is decided at either end of its value +-
-    estimate (slack - err >= -tol or slack + err < -tol, err the check's
-    estimate, twice the invariant's), so the reported I is only as precise
-    as that decision needs. At g = 1 the invariant's rule is fixed by
-    ``budget``. The slack of (d) is the mean of the (c) slacks. One
-    2g-dimensional shortest-vector search per embedding gives the lam of
-    (b), (c) and the rho of (d).
+    ``budget`` and ``seed`` size the invariant of (c) only. ``budget`` is a
+    cap at every g: on the Gauss nodes per axis at g = 1 (clamped to
+    [4, 256]), where the rule doubles from 32, and on the QMC points per
+    shift at g >= 2, where the set doubles from 2^8. Either stops once (c)
+    is decided at either end of its value +- estimate (slack - err >= -tol
+    or slack + err < -tol, err the check's estimate, twice the invariant's),
+    so the reported I is only as precise as that decision needs. The slack
+    of (d) is the mean of the (c) slacks. One 2g-dimensional shortest-vector
+    search per embedding gives the lam of (b), (c) and the rho of (d).
     """
     _require_complete(E)
     for i, om in enumerate(E.periods):
@@ -316,14 +320,14 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
 
         box = _cube_norm_box(om)
         samples = _parseval_samples(g)
-        f_y = f_series_batch(Y, 2.0, samples)[0]
-        for k, (yv, rhs) in enumerate(zip(samples, f_y)):
+        f_grid, f_at = _f_grid(Y, 2.0)
+        for k, (yv, rhs) in enumerate(zip(samples, f_at(samples))):
             norm = _cube_norm_slice(om, box, yv)
             r = integrate_periodic(lambda n: norm(n) ** 2, g, tolerance)
             out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, float(rhs), tolerance,
                                         r.error_estimate))
 
-        r_ln = integral_ln_f(Y, 2.0, tolerance)
+        r_ln = _integral_ln(f_grid, g, tolerance)
         out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value,
                                       log_gaussian_bound(lam, g), tolerance, r_ln.error_estimate))
 

@@ -21,7 +21,8 @@
 * ``_tensor_gauss``, the one tensor Gauss-Legendre rule. It hands the
   integrand the nodes of one axis and takes its values on their product
   grid, so an integrand that is cheaper on a whole grid than point by point
-  is evaluated that way: the g = 1 invariant (``theta._cube_norm_grid``).
+  is evaluated that way: the g = 1 invariant (``theta._cube_norm_grid``),
+  whose rule doubles from 32 nodes per axis until its check is decided.
   ``integrate_cube`` feeds it f at the grid's points.
 """
 
@@ -47,6 +48,7 @@ __all__ = [
 
 _MAX_GAUSS_DIM = 2  # integrate_cube: tensor Gauss-Legendre up to here, QMC above
 _MAX_GAUSS_NODES = 256
+_FIRST_GAUSS_NODES = 32  # _tensor_gauss: nodes per axis before the first doubling
 _DEFAULT_QMC_POINTS = 1 << 16
 _FIRST_QMC_POINTS = 1 << 8  # points per shift before the first doubling
 _N_SHIFTS = 8
@@ -133,20 +135,37 @@ def _gauss_value(f_grid, d: int, n: int) -> float:
     return float(_tensor_weights(w, d) @ _checked(f_grid(x), n**d))
 
 
-def _tensor_gauss(f_grid, d: int, budget: int | None) -> QuadratureResult:
+def _tensor_gauss(f_grid, d: int, budget: int | None, decided=None) -> QuadratureResult:
     """Tensor Gauss-Legendre on [0,1]^d, d <= 2, for an integrand given on the
     rule's axes: ``f_grid(x)`` gets the n nodes of one axis (every axis has
     the same) and returns the n^d values on their product grid in C order,
     as an array of shape (n,) * d whose axis k runs over coordinate k (or
-    flat, as at the points of ``_tensor_points(x, d)``). n = ``budget``
-    clamped to [4, 256] (default 256); the error is the distance to the rule
-    on n // 2 nodes, and ``n_points`` counts both grids.
+    flat, as at the points of ``_tensor_points(x, d)``). The error of the
+    rule on n nodes is its distance to the rule on n // 2 nodes.
+
+    ``budget`` caps n at min(max(budget, 4), 256) (default 256). Without a
+    predicate n is that cap. With a predicate ``decided(value, error) ->
+    bool``, n starts at min(32, cap) and doubles, clamped to the cap, until
+    the predicate holds or n is the cap; the coarse rule of each doubling is
+    the previous fine rule, so no rule is evaluated twice, and a predicate
+    that never holds returns what no predicate returns, bit for bit.
+    ``n_points`` counts every grid evaluated.
     """
-    n = min(max(int(budget or _MAX_GAUSS_NODES), 4), _MAX_GAUSS_NODES)
-    coarse = n // 2  # >= 2 and < n, so the error estimate compares two rules
-    value = _gauss_value(f_grid, d, n)
-    err = abs(value - _gauss_value(f_grid, d, coarse))
-    return QuadratureResult(value, err, n**d + coarse**d, "tensor-gauss")
+    cap = min(max(int(budget or _MAX_GAUSS_NODES), 4), _MAX_GAUSS_NODES)
+    n = cap if decided is None else min(_FIRST_GAUSS_NODES, cap)
+    rules = {}  # nodes -> the rule's value
+
+    def rule(k):
+        if k not in rules:
+            rules[k] = _gauss_value(f_grid, d, k)
+        return rules[k]
+
+    while True:
+        value = rule(n)
+        err = abs(value - rule(n // 2))  # n // 2 >= 2 and < n: two distinct rules
+        if n == cap or decided(value, err):
+            return QuadratureResult(value, err, sum(k**d for k in rules), "tensor-gauss")
+        n = min(2 * n, cap)
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +312,17 @@ def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> 
     return integrate_cube(split, d, budget)
 
 
+def _integral_ln(f_grid, d: int, tol: float) -> QuadratureResult:
+    """``integrate_periodic`` of ln f to ``tol``, f given as the grid
+    integrand ``f_grid(n)`` of f > 0 (see ``integrate_periodic``)."""
+
+    def ln_f(n):
+        with np.errstate(divide="ignore"):  # f underflowed to 0: _checked rejects -inf
+            return np.log(f_grid(n))
+
+    return integrate_periodic(ln_f, d, tol)
+
+
 def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResult:
     """integral over [0,1]^g of ln f_Y(t; x) dx (f evaluated to 1e-12 relative)
     by ``integrate_periodic`` to ``tol``: f_Y is smooth, positive and periodic.
@@ -302,10 +332,4 @@ def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResu
     """
     if t <= 0.0:
         raise QuadratureError("t must be positive")
-    f_grid = _f_grid(Y, t)
-
-    def ln_f(n):
-        with np.errstate(divide="ignore"):  # f underflowed to 0: _checked rejects -inf
-            return np.log(f_grid(n))
-
-    return integrate_periodic(ln_f, Y.g, tol)
+    return _integral_ln(_f_grid(Y, t)[0], Y.g, tol)

@@ -35,7 +35,7 @@ At g = 1, ||s|| on a product grid (x_i, y_j) has a simpler form
 exp(-2 pi i m x_i), so the n x n values are one (n x M)(M x n) matrix
 product over the M terms of the same box, every factor a single exp whose
 real part is <= 0. The g = 1 archimedean invariant runs on it, with the box
-built once for both of its Gauss rules.
+built once for all of its Gauss rules.
 
 The chain's x-integrands are Fourier series in x, and on the grid k/n of
 ``quadrature.integrate_periodic`` a series sum_j c_j exp(-2 pi i j . x)
@@ -51,7 +51,8 @@ first call, not on import). Two grid integrands use it:
   cancel where f is small against sum_j b_j (large Y), so they are taken
   only where a componentwise FFT rounding bound (Higham, ch. 24) keeps
   them within 1e-12 relative of f, and ``f_series_batch`` gives the grid
-  elsewhere.
+  elsewhere. The same dual, under its own guard, gives f at a few points
+  by its cosine sum: the chain's Parseval right sides f_Y(2; y).
 
 The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
 lattice points are disjoint, so the tail sum is dominated by a continuous
@@ -516,19 +517,27 @@ def _gamma(k: float) -> float:
 
 
 def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
-    """The grid integrand (see ``quadrature.integrate_periodic``) of f_Y(t; .):
-    ``values(n)`` is f_Y(t; x) at the points x = k/n, flat in C order,
-    from the Poisson dual where its rounding is certified small and
-    from ``f_series_batch`` (to ``tol``) elsewhere.
+    """f_Y(t; .) two ways over one Poisson dual, built once: the pair
+    ``(values, at)``.
+
+    * ``values(n)``, the grid integrand (see ``quadrature.integrate_periodic``):
+      f_Y(t; x) at the points x = k/n, flat in C order, by one FFT of the
+      dual where its rounding is certified small and from ``f_series_batch``
+      (to ``tol``) elsewhere.
+    * ``at(points)``: f_Y(t; x) at the rows x of ``points`` (reduced mod 1),
+      by the dual's cosine sum where its rounding is certified small and
+      from ``f_series_batch`` elsewhere. It forms the N x M phases, so it
+      is meant for a few points.
 
     The dual: f_Y(t; x) = t^{-g/2} sum_j b_j exp(-2 pi i j . x) with
-    b_j = exp(-pi j^T Y^{-1} j / t), summed by ``_fourier_grid`` over the
-    box of Y^{-1} that ``_radius_for`` gives at scale 1/t for the target of
-    ``f_series_batch``, tol det_sqrt exp(-pi t mu_hi^2) (``_tail_bound`` is
-    uniform in x, so it bounds the omitted b_j at x = 0). The box is built
-    once, on the first call that may use it.
+    b_j = exp(-pi j^T Y^{-1} j / t) over the box of Y^{-1} that
+    ``_radius_for`` gives at scale 1/t for the target of ``f_series_batch``,
+    tol det_sqrt exp(-pi t mu_hi^2) (``_tail_bound`` is uniform in x, so it
+    bounds the omitted b_j at x = 0). The box is symmetric, so the sum is
+    t^{-g/2} sum_j b_j cos(2 pi j . x). It is built once, on the first call
+    of either evaluator that may use it.
 
-    The guard. Every dual value is within
+    The grid guard. Every grid value is within
         beta = t^{-g/2} (gamma_{8 L + p + 6} S + gamma_{2g+3} S_x)
     of the exact sum over the box, with S = sum_j b_j,
     S_x = sum_j b_j pi |j|^T |Y^{-1}| |j| / t, L = log2(n^g) and p the most
@@ -542,15 +551,28 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     level for pocketfft's radix-4 and radix-8 passes. The fold adds p - 1,
     the exp of b_j 4 and the scaling by t^{-g/2} 3 units, 6 + p in all
     beyond the 8L; gamma_{2g+3} S_x covers the rounding of the exponents
-    (Y^{-1} is the form as ``GramMatrix.inverse`` computes it). Where f is
-    small the dual values cancel, so a call takes them only when
-    beta <= 1e-12 (min value - beta), which keeps every value within 1e-12
-    relative of the box sum (and ln f within 1e-12). Otherwise that call
-    and every later one take ``f_series_batch``. The minimum of f
-    is at most its mean t^{-g/2}, and S is t^{g/2} f(0) up to the tail, with
-    f(0) >= det_sqrt (the term m = 0 of the direct sum), so where
-    gamma_{8L} t^{g/2} det_sqrt > 1e-12 the guard cannot hold and no dual
-    box is built.
+    (Y^{-1} is the form as ``GramMatrix.inverse`` computes it).
+
+    The point guard. Every value of ``at`` is within
+        beta = t^{-g/2} (gamma_13 S + gamma_{2g+3} S_x + gamma_{g+2} S_p)
+    of the exact sum over the box, with S_p = 2 pi sum_j b_j |j|_1. The
+    products b_j cos(.) are summed by ``math.fsum``, correctly rounded, so
+    the sum adds one unit however many terms the box holds (a recursive
+    sum of M terms would add M, Higham, sec. 3.1); the exp of b_j adds 4,
+    the cos 4, the product 1 and the scaling 3, 13 in all. The phase
+    2 pi j . x is a g-term dot product times a rounded 2 pi, within
+    gamma_{g+2} 2 pi |j|_1 for x in [0, 1]^g, and cos moves by at most its
+    argument's error: gamma_{g+2} S_p.
+
+    Where f is small the dual values cancel, so an evaluator takes them
+    only when its beta <= 1e-12 (min value - beta), which keeps every value
+    within 1e-12 relative of the box sum (and ln f within 1e-12).
+    Otherwise ``at`` takes ``f_series_batch`` for that call, and ``values``
+    for that call and every later one. The minimum of f is at most its mean
+    t^{-g/2}, and S is t^{g/2} f(0) up to the tail, with f(0) >= det_sqrt
+    (the term m = 0 of the direct sum), so where gamma_k t^{g/2} det_sqrt
+    > 1e-12, k = 8L for a grid and 13 for points, the guard cannot hold and
+    the evaluator builds no dual box.
     """
     if not 0.0 < t < math.inf:
         raise ThetaError("t must be positive and finite")
@@ -558,34 +580,46 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     mu_hi = Y.covering_upper()
     target = tol * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
     scale = t ** (-g / 2.0)
-    dual = None  # [m, b, S, S_x, widths] once built; False once the direct path is taken
+    built = None  # (m, b, S, S_x, S_p, widths) once built
+    grid_dual = True  # False once a grid has taken f_series_batch
 
-    def direct(n):
-        return f_series_batch(Y, t, _int_box(np.zeros(g), np.full(g, n - 1)) / n, tol)[0]
+    def dual():
+        nonlocal built
+        if built is None:
+            Yi = Y.inverse()
+            R = _radius_for(Yi, 1.0, 1.0 / t, target / scale)
+            lo, hi = _candidate_range(Yi, R, 0.0, 0.0)
+            m = _int_box(lo, hi).astype(float)
+            q = np.einsum("ij,ij->i", m, m @ Yi.entries)
+            qa = np.einsum("ij,ij->i", np.abs(m), np.abs(m) @ np.abs(Yi.entries))
+            b = np.exp(-math.pi / t * q)
+            built = (m, b, float(b.sum()), math.pi / t * float(b @ qa),
+                     2.0 * math.pi * float(b @ np.abs(m).sum(axis=1)), hi - lo + 1.0)
+        return built
 
     def values(n):
-        nonlocal dual
+        nonlocal grid_dual
         levels = g * round(math.log2(n))
-        if dual is None:
-            if _gamma(8 * levels) * det_sqrt / scale > _DUAL_RTOL:
-                dual = False
-            else:
-                Yi = Y.inverse()
-                R = _radius_for(Yi, 1.0, 1.0 / t, target / scale)
-                lo, hi = _candidate_range(Yi, R, 0.0, 0.0)
-                m = _int_box(lo, hi).astype(float)
-                q = np.einsum("ij,ij->i", m, m @ Yi.entries)
-                qa = np.einsum("ij,ij->i", np.abs(m), np.abs(m) @ np.abs(Yi.entries))
-                b = np.exp(-math.pi / t * q)
-                dual = [m, b, float(b.sum()), math.pi / t * float(b @ qa), hi - lo + 1.0]
-        if dual:
-            m, b, S, S_x, widths = dual
+        possible = built is not None or _gamma(8 * levels) * det_sqrt / scale <= _DUAL_RTOL
+        if grid_dual and possible:
+            m, b, S, S_x, _, widths = dual()
             v = scale * _fourier_grid(b, m, n).real.ravel()
             p = float(np.prod(np.ceil(widths / n)))
             beta = scale * (_gamma(8 * levels + p + 6) * S + _gamma(2 * g + 3) * S_x)
             if beta <= _DUAL_RTOL * (float(v.min()) - beta):
                 return v
-            dual = False
-        return direct(n)
+        grid_dual = False
+        return f_series_batch(Y, t, _int_box(np.zeros(g), np.full(g, n - 1)) / n, tol)[0]
 
-    return values
+    def at(points):
+        P = _torus_points(points, g, f"g={g}")
+        if built is not None or _gamma(13) * det_sqrt / scale <= _DUAL_RTOL:
+            m, b, S, S_x, S_p, _ = dual()
+            terms = np.cos(2.0 * math.pi * (P @ m.T)) * b
+            v = scale * np.array([math.fsum(row) for row in terms.tolist()])
+            beta = scale * (_gamma(13) * S + _gamma(2 * g + 3) * S_x + _gamma(g + 2) * S_p)
+            if beta <= _DUAL_RTOL * (float(v.min()) - beta):
+                return v
+        return f_series_batch(Y, t, P, tol)[0]
+
+    return values, at

@@ -21,7 +21,8 @@ from mlk.bounds import (
 )
 from mlk.quadrature import integrate_cube
 from mlk.siegel import reduce as siegel_reduce, validate_period_matrix
-from mlk.theta import _cube_norm_box, _cube_norm_grid, cube_norm_batch, f_series, f_series_batch
+import mlk.theta
+from mlk.theta import _cube_norm_box, _cube_norm_grid, _f_grid, cube_norm_batch, f_series
 
 from conftest import invariant_exact, make_reduced_period
 
@@ -231,15 +232,22 @@ class TestArchimedeanInvariant:
             inv = archimedean_invariant(om, budget=16384)
             assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate
 
-    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("g", [1, 2, 3])
     def test_estimate_covers_the_error_at_the_first_doubling(self, g):
-        # verify_chain may stop the invariant at 2^8 points per shift, so its
-        # estimate must be honest there: 100 of 100 cases at each g, the
-        # largest |I - I_exact| / estimate 0.68 at g = 2 and 0.42 at g = 3
+        # verify_chain may stop the invariant at its first size, 32 nodes per
+        # axis at g = 1 (tau in the fundamental domain, Im tau log-uniform in
+        # [1, 50]) and 2^8 points per shift at g >= 2, so its estimate must be
+        # honest there: 100 of 100 cases at each g, the largest
+        # |I - I_exact| / estimate 0.35 at g = 1, 0.68 at g = 2 and 0.42 at g = 3
         rng = np.random.default_rng([2024, g])
         for k in range(100):
-            om, taus = conjugated_product(rng, g)
-            inv = archimedean_invariant(om, budget=256, seed=k)
+            if g == 1:
+                re, im = rng.uniform(-0.5, 0.5), math.exp(rng.uniform(0.0, math.log(50.0)))
+                taus = [complex(re, im)]
+                om, budget = om_of(taus[0]), 32
+            else:
+                (om, taus), budget = conjugated_product(rng, g), 256
+            inv = archimedean_invariant(om, budget=budget, seed=k)
             assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate, k
 
     @pytest.mark.parametrize("tau", [60j, 80j])
@@ -296,9 +304,9 @@ class TestArchimedeanInvariant:
         assert inv.scheme == rule
         assert inv.n_clipped == clipped
         if g == 1:
-            # one grid per rule (n and n // 2 nodes per axis) over one box,
-            # none point by point; the matrix-product sum differs from the
-            # points' in the last bits only
+            # without a predicate n = budget: one grid per rule (n and n // 2
+            # nodes per axis) over one box, none point by point; the
+            # matrix-product sum differs from the points' in the last bits only
             assert calls == [] and grids == [(32, 32), (16, 16)] and len(boxes) == 1
             assert inv.n_points == 32**2 + 16**2 == r_log.n_points
             assert abs(inv.value - value) <= 1e-13 * max(1.0, abs(value))
@@ -306,6 +314,57 @@ class TestArchimedeanInvariant:
         assert grids == [] and boxes == [] and calls == [8 * 256]  # every shift in one call
         assert inv.n_points == sum(calls) == r_log.n_points
         assert (inv.value, inv.error_estimate) == (value, r_log.error_estimate)
+
+    @pytest.mark.parametrize("budget, nodes, n_asked", [(32, [32, 16], 0),
+                                                        (100, [32, 16, 64, 100, 50], 2),
+                                                        (256, [32, 16, 64, 128, 256], 3)],
+                             ids=["32", "100", "256"])
+    def test_g1_rule_doubles_to_the_clamp(self, monkeypatch, budget, nodes, n_asked):
+        # with a predicate that never holds, n doubles from 32 nodes per axis
+        # to the clamp, each coarse rule the previous fine rule (only the
+        # clamped last size, 100, needs its own n // 2), and the result is the
+        # one without a predicate, bit for bit
+        om = om_of(0.2 + 1.3j)
+        full = archimedean_invariant(om, budget)
+        grids, asked = [], []
+
+        def counted_grid(om_, m, x, y):
+            grids.append((x.shape[0], y.shape[0]))
+            return _cube_norm_grid(om_, m, x, y)
+
+        def never(I, err):
+            asked.append((I, err))
+            return False
+
+        monkeypatch.setattr(mlk.bounds, "_cube_norm_grid", counted_grid)
+        r = archimedean_invariant(om, budget, decided=never)
+        assert grids == [(n, n) for n in nodes]
+        assert (r.value, r.error_estimate, r.n_clipped) == (
+            full.value, full.error_estimate, full.n_clipped)
+        assert r.n_points == sum(n * n for n in nodes)
+        assert len(asked) == n_asked  # once per size below the cap
+
+    def test_g1_rule_stops_once_decided(self, monkeypatch):
+        # a predicate that holds at once stops at the first size: the rules
+        # on 32 and 16 nodes, the value and estimate of budget 32, asked in
+        # terms of I
+        om = om_of(0.2 + 1.3j)
+        grids, asked = [], []
+
+        def counted_grid(om_, m, x, y):
+            grids.append((x.shape[0], y.shape[0]))
+            return _cube_norm_grid(om_, m, x, y)
+
+        def at_once(I, err):
+            asked.append((I, err))
+            return True
+
+        monkeypatch.setattr(mlk.bounds, "_cube_norm_grid", counted_grid)
+        r = archimedean_invariant(om, decided=at_once)
+        assert grids == [(32, 32), (16, 16)] and r.n_points == 32**2 + 16**2
+        assert asked == [(r.value, r.error_estimate)]
+        monkeypatch.undo()
+        assert r == archimedean_invariant(om, 32)
 
     def test_orbit_invariance(self):
         tau0 = 0.2 + 1.3j
@@ -368,12 +427,17 @@ class TestVerifyChain:
         assert len(lower) == 2 and min(lower) > 0.0
         assert chain.error_estimate == pytest.approx(sum(lower) / 2, rel=1e-15)
 
-    @pytest.mark.parametrize("om", [om_of(1j), om_of(0.5 + 1j), om_of(2j),
-                                    validate_period_matrix(np.zeros((2, 2)), np.eye(2)),
-                                    validate_period_matrix(np.zeros((3, 3)), np.eye(3))],
-                             ids=["i", "half+i", "2i", "iI2", "iI3"])
-    def test_stopping_the_invariant_early_keeps_every_verdict(self, monkeypatch, om):
-        # the acceptance suite's chain cases and Omega = i I_3, at default budget
+    @pytest.mark.parametrize("om, n_points", [
+        (om_of(1j), 32**2 + 16**2), (om_of(0.5 + 1j), 32**2 + 16**2), (om_of(2j), 32**2 + 16**2),
+        (om_of(60j), 32**2 + 16**2 + 64**2), (om_of(80j), 32**2 + 16**2 + 64**2),
+        (om_of(470j), 32**2 + 16**2 + 64**2 + 128**2),
+        (validate_period_matrix(np.zeros((2, 2)), np.eye(2)), 8 * 256),
+        (validate_period_matrix(np.zeros((3, 3)), np.eye(3)), 8 * 256)],
+        ids=["i", "half+i", "2i", "60i", "80i", "470i", "iI2", "iI3"])
+    def test_stopping_the_invariant_early_keeps_every_verdict(self, monkeypatch, om, n_points):
+        # the acceptance suite's chain cases, large Im tau and Omega = i I_3,
+        # at default budget: the invariant stops at its first size or soon
+        # after at every g
         E = EmbeddingSet(om.g, 1, [om])
         invariant = mlk.bounds.archimedean_invariant
         sizes = []
@@ -388,11 +452,10 @@ class TestVerifyChain:
         monkeypatch.setattr(mlk.bounds, "archimedean_invariant",
                             lambda om_, budget, seed, decided: invariant(om_, budget, seed))
         full = verify_chain(E)
-        assert sizes == [8 * 256 if om.g >= 2 else 256**2 + 128**2]
+        assert sizes == [n_points]
         assert [e.passed for e in early.entries] == [e.passed for e in full.entries]
         for a, b in zip(early.entries, full.entries):
-            if om.g == 1 or not (a.name.startswith("theta_invariant_lower")
-                                 or a.name == "height_chain"):
+            if not (a.name.startswith("theta_invariant_lower") or a.name == "height_chain"):
                 assert a == b
 
     def test_one_period_gram_search_per_embedding(self, monkeypatch):
@@ -414,24 +477,40 @@ class TestVerifyChain:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_parseval_right_sides_in_one_batch(self, monkeypatch, rng, g):
-        # f_Y(2; y_k) of the three Parseval checks comes from one
-        # f_series_batch call per embedding, within 1e-15 of one-point f_series
+        # f_Y(2; y_k) of the three Parseval checks comes from one call of the
+        # point evaluator of one f_Y(2; .) plan per embedding, whose dual is
+        # built once for it and the log-Gaussian, within 1e-13 relative of
+        # one-point f_series
         periods = [make_reduced_period(rng, g) for _ in range(2)]
-        batches = []
+        plans, batches, builds = [], [], []
+        radius_for = mlk.theta._radius_for
 
-        def counted(Y, t, points, *args):
-            batches.append((Y, t, np.array(points)))
-            return f_series_batch(Y, t, points, *args)
+        def counted_plan(Y, t):
+            plans.append((Y, t))
+            values, at = _f_grid(Y, t)
 
-        monkeypatch.setattr(mlk.bounds, "f_series_batch", counted)
+            def counted_at(points):
+                batches.append(np.array(points))
+                return at(points)
+
+            return values, counted_at
+
+        def counted_radius(Y, det_sqrt, t, target):
+            if t == 0.5:  # the dual's box, at scale 1/t
+                builds.append(Y)
+            return radius_for(Y, det_sqrt, t, target)
+
+        monkeypatch.setattr(mlk.bounds, "_f_grid", counted_plan)
+        monkeypatch.setattr(mlk.theta, "_radius_for", counted_radius)
         rep = verify_chain(EmbeddingSet(g, 2, periods), budget=256)
-        assert [(Y, t) for Y, t, _ in batches] == [(om.Y, 2.0) for om in periods]
-        for i, (Y, _, samples) in enumerate(batches):
+        assert plans == [(om.Y, 2.0) for om in periods]
+        assert builds == [om.Y.inverse() for om in periods]
+        for i, samples in enumerate(batches):
             assert samples.shape == (3, g)
             for k, y in enumerate(samples):
                 entry = next(e for e in rep.entries if e.name == f"parseval[{i},{k}]")
-                ref = f_series(Y, 2.0, y).value
-                assert abs(entry.rhs - ref) <= 1e-15 * ref
+                ref = f_series(periods[i].Y, 2.0, y).value
+                assert abs(entry.rhs - ref) <= 1e-13 * ref
 
     def test_requires_reduced_and_complete(self):
         with pytest.raises(BoundsError):

@@ -420,11 +420,47 @@ class TestFourierGrids:
                 refs.append((n, f_series_batch(Y, t, P)[0], oracle_f(Y, t, P)))
             with monkeypatch.context() as mp:
                 self.dual_only(mp)
-                f_grid = _f_grid(Y, t)
+                f_grid = _f_grid(Y, t)[0]
                 for n, direct, box_sum in refs:
                     got = np.asarray(f_grid(n)).ravel()
                     _assert_agrees(got, direct, 0.0)
                     _assert_agrees(got, box_sum, 0.0)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_dual_points(self, rng, g, monkeypatch):
+        # the point evaluator at the chain's Parseval samples and at random
+        # points, on the forms of test_dual_f_grid: within 1e-13 relative of
+        # f_series_batch and of the direct box sum, with no f_series_batch
+        # call, and the chain at Omega = i I_g makes none either
+        cases = [(make_reduced_period(rng, g).Y, 1.0) for _ in range(3)]
+        cases.append((GramMatrix(np.eye(g)), 2.0))
+        P = np.vstack([_parseval_samples(g), rng.uniform(0, 1, (5, g))])
+        for Y, t in cases:
+            direct, box_sum = f_series_batch(Y, t, P)[0], oracle_f(Y, t, P)
+            with monkeypatch.context() as mp:
+                self.dual_only(mp)
+                got = _f_grid(Y, t)[1](P)
+            _assert_agrees(got, direct, 0.0)
+            _assert_agrees(got, box_sum, 0.0)
+        self.dual_only(monkeypatch)
+        om = validate_period_matrix(np.zeros((g, g)), np.eye(g))
+        assert verify_chain(EmbeddingSet(g, 1, [om])).all_passed
+
+    @pytest.mark.parametrize("g, c", [(1, 16.0), (2, 4.0), (3, 4.0)],
+                             ids=["g1-16I", "g2-4I", "g3-4I"])
+    def test_direct_points_where_the_dual_is_not_certified(self, g, c, monkeypatch):
+        # f small at a Parseval sample against the dual's sum: the point
+        # guard refuses and the values are f_series_batch's, bit for bit
+        Y, P = GramMatrix(c * np.eye(g)), _parseval_samples(g)
+        calls = []
+
+        def spy(Y_, t, points, tol):
+            calls.append(len(points))
+            return f_series_batch(Y_, t, points, tol)
+
+        monkeypatch.setattr(theta, "f_series_batch", spy)
+        got = _f_grid(Y, 2.0)[1](P)
+        assert calls == [3] and np.array_equal(got, f_series_batch(Y, 2.0, P)[0])
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_cube_norm_slice(self, rng, g):

@@ -553,16 +553,21 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     beyond the 8L; gamma_{2g+3} S_x covers the rounding of the exponents
     (Y^{-1} is the form as ``GramMatrix.inverse`` computes it).
 
-    The point guard. Every value of ``at`` is within
-        beta = t^{-g/2} (gamma_13 S + gamma_{2g+3} S_x + gamma_{g+2} S_p)
+    The point guard. ``at`` sums the terms with b_j > u S / M, M the terms
+    of the box, and leaves out the rest, whose sum F is at most u S. Every
+    value of ``at`` is within
+        beta = t^{-g/2} (gamma_13 S + gamma_{2g+3} S_x + gamma_{g+2} S_p + F)
     of the exact sum over the box, with S_p = 2 pi sum_j b_j |j|_1. The
     products b_j cos(.) are summed by ``math.fsum``, correctly rounded, so
-    the sum adds one unit however many terms the box holds (a recursive
-    sum of M terms would add M, Higham, sec. 3.1); the exp of b_j adds 4,
-    the cos 4, the product 1 and the scaling 3, 13 in all. The phase
-    2 pi j . x is a g-term dot product times a rounded 2 pi, within
+    the sum adds one unit however many terms it has (a recursive sum of
+    M terms would add M, Higham, sec. 3.1); the exp of b_j adds 4, the
+    cos 4, the product 1 and the scaling 3, 13 in all. The phase 2 pi j . x
+    is a g-term dot product times a rounded 2 pi, within
     gamma_{g+2} 2 pi |j|_1 for x in [0, 1]^g, and cos moves by at most its
-    argument's error: gamma_{g+2} S_p.
+    argument's error: gamma_{g+2} S_p. The plain dot product of the
+    cosines with the kept b_j (M' of them) is within gamma_{M'+2} S of the
+    fsum, so where the guard fails even on the dot product raised by that
+    much, no fsum is run.
 
     Where f is small the dual values cancel, so an evaluator takes them
     only when its beta <= 1e-12 (min value - beta), which keeps every value
@@ -570,9 +575,13 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
     Otherwise ``at`` takes ``f_series_batch`` for that call, and ``values``
     for that call and every later one. The minimum of f is at most its mean
     t^{-g/2}, and S is t^{g/2} f(0) up to the tail, with f(0) >= det_sqrt
-    (the term m = 0 of the direct sum), so where gamma_k t^{g/2} det_sqrt
-    > 1e-12, k = 8L for a grid and 13 for points, the guard cannot hold and
-    the evaluator builds no dual box.
+    (the term m = 0 of the direct sum), so where gamma_{8L} t^{g/2} det_sqrt
+    > 1e-12 the grid guard cannot hold and no dual box is built for that
+    grid. ``at`` builds the box only where this pre-check passes for the
+    grid of 8^g points (n = 8, ``integrate_periodic``'s first), so it never
+    builds a box that the grid integrand would not. The box of Y^{-1} grows
+    with Y, past the enumeration cap at Y = 35 I_3, and on such Y the point
+    guard fails wherever f is small.
     """
     if not 0.0 < t < math.inf:
         raise ThetaError("t must be positive and finite")
@@ -597,11 +606,13 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
                      2.0 * math.pi * float(b @ np.abs(m).sum(axis=1)), hi - lo + 1.0)
         return built
 
+    def possible(levels):  # the guard of a grid of 2^levels points may hold
+        return built is not None or _gamma(8 * levels) * det_sqrt / scale <= _DUAL_RTOL
+
     def values(n):
         nonlocal grid_dual
         levels = g * round(math.log2(n))
-        possible = built is not None or _gamma(8 * levels) * det_sqrt / scale <= _DUAL_RTOL
-        if grid_dual and possible:
+        if grid_dual and possible(levels):
             m, b, S, S_x, _, widths = dual()
             v = scale * _fourier_grid(b, m, n).real.ravel()
             p = float(np.prod(np.ceil(widths / n)))
@@ -613,13 +624,21 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
 
     def at(points):
         P = _torus_points(points, g, f"g={g}")
-        if built is not None or _gamma(13) * det_sqrt / scale <= _DUAL_RTOL:
+        if possible(3 * g):  # no box that the first grid, n = 8, would not build
             m, b, S, S_x, S_p, _ = dual()
-            terms = np.cos(2.0 * math.pi * (P @ m.T)) * b
-            v = scale * np.array([math.fsum(row) for row in terms.tolist()])
-            beta = scale * (_gamma(13) * S + _gamma(2 * g + 3) * S_x + _gamma(g + 2) * S_p)
-            if beta <= _DUAL_RTOL * (float(v.min()) - beta):
-                return v
+            near = b > _UNIT_ROUNDOFF * S / len(b)  # the rest adds at most u S in all
+            far = float(b[~near].sum())
+            m, b = m[near], b[near]
+            C = np.cos(2.0 * math.pi * (P @ m.T))
+            beta = scale * (_gamma(13) * S + _gamma(2 * g + 3) * S_x + _gamma(g + 2) * S_p
+                            + (1.0 + _gamma(len(near))) * far)
+            # C @ b is within gamma_{M'+2} S of the fsum, M' = len(b): no
+            # fsum where the guard fails even on C @ b raised by that much
+            upper = scale * (float((C @ b).min()) + _gamma(len(b) + 2) * S)
+            if beta <= _DUAL_RTOL * (upper - beta):
+                v = scale * np.array([math.fsum(row) for row in (C * b).tolist()])
+                if beta <= _DUAL_RTOL * (float(v.min()) - beta):
+                    return v
         return f_series_batch(Y, t, P, tol)[0]
 
     return values, at

@@ -479,8 +479,8 @@ class TestVerifyChain:
     def test_parseval_right_sides_in_one_batch(self, monkeypatch, rng, g):
         # f_Y(2; y_k) of the three Parseval checks comes from one call of the
         # point evaluator of one f_Y(2; .) plan per embedding, whose dual is
-        # built once for it and the log-Gaussian, within 1e-13 relative of
-        # one-point f_series
+        # built once for it and the log-Gaussian, within 1e-14 relative of
+        # one-point f_series (1.7e-15 at most on these forms)
         periods = [make_reduced_period(rng, g) for _ in range(2)]
         plans, batches, builds = [], [], []
         radius_for = mlk.theta._radius_for
@@ -510,7 +510,26 @@ class TestVerifyChain:
             for k, y in enumerate(samples):
                 entry = next(e for e in rep.entries if e.name == f"parseval[{i},{k}]")
                 ref = f_series(periods[i].Y, 2.0, y).value
-                assert abs(entry.rhs - ref) <= 1e-13 * ref
+                assert abs(entry.rhs - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("c", [20.0, 35.0])
+    def test_large_y_builds_no_dual_box(self, monkeypatch, c):
+        # Omega = c i I_3: the pre-check of the first grid refuses the dual,
+        # so neither evaluator builds its box (614,125 terms at c = 20, past
+        # the enumeration cap at c = 35), and every link holds with the
+        # right sides and the log-Gaussian on f_series_batch
+        builds = []
+        radius_for = mlk.theta._radius_for
+
+        def counted_radius(Y, det_sqrt, t, target):
+            if t == 0.5:  # the dual's box, at scale 1/t
+                builds.append(Y)
+            return radius_for(Y, det_sqrt, t, target)
+
+        monkeypatch.setattr(mlk.theta, "_radius_for", counted_radius)
+        om = validate_period_matrix(np.zeros((3, 3)), c * np.eye(3))
+        rep = verify_chain(EmbeddingSet(3, 1, [om]), budget=16)
+        assert builds == [] and rep.all_passed
 
     def test_requires_reduced_and_complete(self):
         with pytest.raises(BoundsError):

@@ -450,17 +450,25 @@ class TestFourierGrids:
                              ids=["g1-16I", "g2-4I", "g3-4I"])
     def test_direct_points_where_the_dual_is_not_certified(self, g, c, monkeypatch):
         # f small at a Parseval sample against the dual's sum: the point
-        # guard refuses and the values are f_series_batch's, bit for bit
+        # guard refuses, already on the unsummed dot product, so no fsum
+        # runs, and the values are f_series_batch's, bit for bit
         Y, P = GramMatrix(c * np.eye(g)), _parseval_samples(g)
-        calls = []
+        calls, fsums = [], []
+        fsum = math.fsum
 
         def spy(Y_, t, points, tol):
             calls.append(len(points))
             return f_series_batch(Y_, t, points, tol)
 
+        def counted_fsum(row):
+            fsums.append(len(row))
+            return fsum(row)
+
         monkeypatch.setattr(theta, "f_series_batch", spy)
+        monkeypatch.setattr(math, "fsum", counted_fsum)
         got = _f_grid(Y, 2.0)[1](P)
-        assert calls == [3] and np.array_equal(got, f_series_batch(Y, 2.0, P)[0])
+        assert calls == [3] and fsums == []
+        assert np.array_equal(got, f_series_batch(Y, 2.0, P)[0])
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_cube_norm_slice(self, rng, g):

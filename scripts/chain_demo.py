@@ -7,10 +7,12 @@ Usage: python scripts/chain_demo.py [--budget N]
 (at most 256), from which the rule doubles from 32, and points per shift at
 g >= 2, from which the set doubles from 2^8. Either stops once its check is
 decided at value +- estimate, so the printed invariant is only as precise as
-that decision needs. By default the library chooses.
+that decision needs. By default the library chooses. Exits 1 when any
+check fails.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -29,6 +31,7 @@ def main():
         "tau = 2i": (1, validate_period_matrix([[0.0]], [[2.0]])),
         "Omega = i I_2": (2, validate_period_matrix(np.zeros((2, 2)), np.eye(2))),
     }
+    all_passed = True
     for label, (g, om) in cases.items():
         report = verify_chain(EmbeddingSet(g, 1, [om]), budget=args.budget)
         print(f"\n== {label} ==")
@@ -36,7 +39,9 @@ def main():
             print(f"  {e.name:28s} lhs={e.lhs:+12.8f} rhs={e.rhs:+12.8f} "
                   f"slack={e.slack:+10.3e} {'ok' if e.passed else 'FAIL'}")
         print(f"  all passed: {report.all_passed}")
+        all_passed &= report.all_passed
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

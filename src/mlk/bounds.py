@@ -269,8 +269,8 @@ def height_from_theta_invariants(I_values, g: int, degree: int) -> float:
 
 
 def _parseval_samples(g: int) -> np.ndarray:
-    """The y of the Parseval checks, one per row."""
-    return np.array([np.zeros(g), np.full(g, 0.25), np.arange(1, g + 1) / (2.0 * g + 1.0)])
+    """The y of the Parseval checks, one per row, on the grid k/8."""
+    return np.array([np.zeros(g), np.full(g, 0.25), (np.arange(1, g + 1) % 8) / 8.0])
 
 
 def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
@@ -287,11 +287,11 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     on ``integrate_periodic`` to ``tolerance``, each grid k/n one integrand
     call and one FFT of the integrand's Fourier coefficients: (a) on
     ``theta._cube_norm_slice``, whose box is built once per embedding,
-    and (b) on the grid integrand of ``theta._f_grid``. One ``_f_grid``
-    plan per embedding, whose Poisson dual of f_Y(2; .) is built once,
-    gives both (b) and the right sides f_Y(2; y) of (a), those in one call
-    of its point evaluator; each evaluator falls back to ``f_series_batch``
-    where the dual's rounding is not certified small. The lhs of (a) is a
+    and (b) on the grid integrand of ``theta._f_grid``, one FFT of the
+    Poisson dual of f_Y(2; .) per grid, or ``f_series_batch`` where the
+    dual's rounding is not certified small. The samples y of (a) lie on the
+    grid k/8, the first grid of (b), so the right sides f_Y(2; y) are read
+    off that grid, which (b) then takes as its own. The lhs of (a) is a
     theta series of Omega and its rhs a sum over Y^{-1}, so (a) compares
     two independent computations. (a) does not run ``cube_norm_batch``,
     the invariant's integrand at g >= 2; the oracle tests and the check of
@@ -320,14 +320,16 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
 
         box = _cube_norm_box(om)
         samples = _parseval_samples(g)
-        f_grid, f_at = _f_grid(Y, 2.0)
-        for k, (yv, rhs) in enumerate(zip(samples, f_at(samples))):
+        f_grid = _f_grid(Y, 2.0)
+        first = f_grid(8)  # f_Y(2; k/8), flat in C order
+        flat = np.ravel_multi_index(tuple((8 * samples).astype(np.int64).T), (8,) * g)
+        for k, (yv, rhs) in enumerate(zip(samples, first[flat])):
             norm = _cube_norm_slice(om, box, yv)
             r = integrate_periodic(lambda n: norm(n) ** 2, g, tolerance)
             out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, float(rhs), tolerance,
                                         r.error_estimate))
 
-        r_ln = _integral_ln(f_grid, g, tolerance)
+        r_ln = _integral_ln(lambda n: first if n == 8 else f_grid(n), g, tolerance)
         out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value,
                                       log_gaussian_bound(lam, g), tolerance, r_ln.error_estimate))
 

@@ -332,4 +332,4 @@ def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResu
     """
     if t <= 0.0:
         raise QuadratureError("t must be positive")
-    return _integral_ln(_f_grid(Y, t)[0], Y.g, tol)
+    return _integral_ln(_f_grid(Y, t), Y.g, tol)

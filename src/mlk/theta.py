@@ -51,8 +51,8 @@ first call, not on import). Two grid integrands use it:
   cancel where f is small against sum_j b_j (large Y), so they are taken
   only where a componentwise FFT rounding bound (Higham, ch. 24) keeps
   them within 1e-12 relative of f, and ``f_series_batch`` gives the grid
-  elsewhere. The same dual, under its own guard, gives f at a few points
-  by its cosine sum: the chain's Parseval right sides f_Y(2; y).
+  elsewhere. The chain reads its Parseval right sides f_Y(2; y), at y on
+  the grid k/8, off the first grid of its log-Gaussian.
 
 The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
 lattice points are disjoint, so the tail sum is dominated by a continuous
@@ -88,7 +88,7 @@ _DENORMAL = 5e-324
 _SPLIT_EXP = 64.0   # cap on the summed real exponents of one cell's per-axis powers
 _UNIT_ROUNDOFF = 2.0 ** -53
 _UNDERFLOW = 746.0   # exp(-746) rounds to 0 in double precision
-_DUAL_RTOL = 1e-12  # _f_grid: the dual's certified rounding, relative to f
+_F_RTOL = 1e-12  # _f_grid: f's truncation and the dual's certified rounding, relative
 _Q_INFLATION = 1e-12  # covers _gamma_q's rounding: <= 1.2e-13 relative against 40 digits
 
 
@@ -516,80 +516,54 @@ def _gamma(k: float) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
-    """f_Y(t; .) two ways over one Poisson dual, built once: the pair
-    ``(values, at)``.
-
-    * ``values(n)``, the grid integrand (see ``quadrature.integrate_periodic``):
-      f_Y(t; x) at the points x = k/n, flat in C order, by one FFT of the
-      dual where its rounding is certified small and from ``f_series_batch``
-      (to ``tol``) elsewhere.
-    * ``at(points)``: f_Y(t; x) at the rows x of ``points`` (reduced mod 1),
-      by the dual's cosine sum where its rounding is certified small and
-      from ``f_series_batch`` elsewhere. It forms the N x M phases, so it
-      is meant for a few points.
+def _f_grid(Y: GramMatrix, t: float):
+    """The grid integrand (see ``quadrature.integrate_periodic``) of
+    f_Y(t; .): ``values(n)`` is f_Y(t; x) at the points x = k/n, flat in C
+    order, by one FFT of the Poisson dual where its rounding is certified
+    small and from ``f_series_batch`` elsewhere.
 
     The dual: f_Y(t; x) = t^{-g/2} sum_j b_j exp(-2 pi i j . x) with
-    b_j = exp(-pi j^T Y^{-1} j / t) over the box of Y^{-1} that
-    ``_radius_for`` gives at scale 1/t for the target of ``f_series_batch``,
+    b_j = exp(-pi j^T Y^{-1} j / t) over the box that ``_radius_for`` gives
+    at scale 1/t for the target of ``f_series_batch`` at tol = _F_RTOL,
     tol det_sqrt exp(-pi t mu_hi^2) (``_tail_bound`` is uniform in x, so it
-    bounds the omitted b_j at x = 0). The box is symmetric, so the sum is
-    t^{-g/2} sum_j b_j cos(2 pi j . x). It is built once, on the first call
-    of either evaluator that may use it.
+    bounds the omitted b_j at x = 0). The box is taken in the LLL-reduced
+    coordinates of Y^{-1}, j = U k, where it hugs the truncation ellipsoid
+    (in the raw coordinates of a skewed Y^{-1} it can pass the enumeration
+    cap). It is built once, on the first grid that may use it.
 
-    The grid guard. Every grid value is within
+    The guard. Every grid value is within
         beta = t^{-g/2} (gamma_{8 L + p + 6} S + gamma_{2g+3} S_x)
     of the exact sum over the box, with S = sum_j b_j,
     S_x = sum_j b_j pi |j|^T |Y^{-1}| |j| / t, L = log2(n^g) and p the most
-    terms folded into one class. A power-of-two FFT is L levels of
-    butterflies, and each output is reached from each input along one path
-    of unit-modulus weights; with twiddle factors within u, every level
-    multiplies the paths' errors by at most 1 + 7u (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., ch. 24, the eta of
-    Theorem 24.2), so the transform of the folded B is within
+    terms folded into one class j mod n, at most prod_k ceil(w_k / n) for
+    the box widths w in k (k -> U k is a bijection mod n). A power-of-two
+    FFT is L levels of butterflies, and each output is reached from each
+    input along one path of unit-modulus weights; with twiddle factors
+    within u, every level multiplies the paths' errors by at most 1 + 7u
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 24, the eta of Theorem 24.2), so the transform of the folded B is within
     gamma_{7L} sum|B| <= gamma_{7L} S componentwise; 8L leaves a unit per
     level for pocketfft's radix-4 and radix-8 passes. The fold adds p - 1,
     the exp of b_j 4 and the scaling by t^{-g/2} 3 units, 6 + p in all
     beyond the 8L; gamma_{2g+3} S_x covers the rounding of the exponents
     (Y^{-1} is the form as ``GramMatrix.inverse`` computes it).
 
-    The point guard. ``at`` sums the terms with b_j > u S / M, M the terms
-    of the box, and leaves out the rest, whose sum F is at most u S. Every
-    value of ``at`` is within
-        beta = t^{-g/2} (gamma_13 S + gamma_{2g+3} S_x + gamma_{g+2} S_p + F)
-    of the exact sum over the box, with S_p = 2 pi sum_j b_j |j|_1. The
-    products b_j cos(.) are summed by ``math.fsum``, correctly rounded, so
-    the sum adds one unit however many terms it has (a recursive sum of
-    M terms would add M, Higham, sec. 3.1); the exp of b_j adds 4, the
-    cos 4, the product 1 and the scaling 3, 13 in all. The phase 2 pi j . x
-    is a g-term dot product times a rounded 2 pi, within
-    gamma_{g+2} 2 pi |j|_1 for x in [0, 1]^g, and cos moves by at most its
-    argument's error: gamma_{g+2} S_p. The plain dot product of the
-    cosines with the kept b_j (M' of them) is within gamma_{M'+2} S of the
-    fsum, so where the guard fails even on the dot product raised by that
-    much, no fsum is run.
-
-    Where f is small the dual values cancel, so an evaluator takes them
-    only when its beta <= 1e-12 (min value - beta), which keeps every value
-    within 1e-12 relative of the box sum (and ln f within 1e-12).
-    Otherwise ``at`` takes ``f_series_batch`` for that call, and ``values``
-    for that call and every later one. The minimum of f is at most its mean
-    t^{-g/2}, and S is t^{g/2} f(0) up to the tail, with f(0) >= det_sqrt
-    (the term m = 0 of the direct sum), so where gamma_{8L} t^{g/2} det_sqrt
-    > 1e-12 the grid guard cannot hold and no dual box is built for that
-    grid. ``at`` builds the box only where this pre-check passes for the
-    grid of 8^g points (n = 8, ``integrate_periodic``'s first), so it never
-    builds a box that the grid integrand would not. The box of Y^{-1} grows
-    with Y, past the enumeration cap at Y = 35 I_3, and on such Y the point
-    guard fails wherever f is small.
+    Where f is small the dual values cancel, so a grid takes them only when
+    beta <= 1e-12 (min value - beta), which keeps every value within 1e-12
+    relative of the box sum (and ln f within 1e-12). Otherwise that grid and
+    every later one take ``f_series_batch``. The minimum of f is at most its
+    mean t^{-g/2}, and S is t^{g/2} f(0) up to the tail, with
+    f(0) >= det_sqrt (the term m = 0 of the direct sum), so where
+    gamma_{8L} t^{g/2} det_sqrt > 1e-12 the guard cannot hold and the grid
+    builds no dual box.
     """
     if not 0.0 < t < math.inf:
         raise ThetaError("t must be positive and finite")
     g, det_sqrt = Y.g, Y.det_sqrt
     mu_hi = Y.covering_upper()
-    target = tol * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
+    target = _F_RTOL * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
     scale = t ** (-g / 2.0)
-    built = None  # (m, b, S, S_x, S_p, widths) once built
+    built = None  # (m, b, S, S_x, widths) once built
     grid_dual = True  # False once a grid has taken f_series_batch
 
     def dual():
@@ -597,48 +571,25 @@ def _f_grid(Y: GramMatrix, t: float, tol: float = 1e-12):
         if built is None:
             Yi = Y.inverse()
             R = _radius_for(Yi, 1.0, 1.0 / t, target / scale)
-            lo, hi = _candidate_range(Yi, R, 0.0, 0.0)
-            m = _int_box(lo, hi).astype(float)
+            lo, hi = _candidate_range(Yi._scaled_reduced(1.0), R, 0.0, 0.0)
+            m = (_int_box(lo, hi) @ Yi._reduced()["U"].T).astype(float)
             q = np.einsum("ij,ij->i", m, m @ Yi.entries)
             qa = np.einsum("ij,ij->i", np.abs(m), np.abs(m) @ np.abs(Yi.entries))
             b = np.exp(-math.pi / t * q)
-            built = (m, b, float(b.sum()), math.pi / t * float(b @ qa),
-                     2.0 * math.pi * float(b @ np.abs(m).sum(axis=1)), hi - lo + 1.0)
+            built = (m, b, float(b.sum()), math.pi / t * float(b @ qa), hi - lo + 1.0)
         return built
-
-    def possible(levels):  # the guard of a grid of 2^levels points may hold
-        return built is not None or _gamma(8 * levels) * det_sqrt / scale <= _DUAL_RTOL
 
     def values(n):
         nonlocal grid_dual
         levels = g * round(math.log2(n))
-        if grid_dual and possible(levels):
-            m, b, S, S_x, _, widths = dual()
+        if grid_dual and _gamma(8 * levels) * det_sqrt / scale <= _F_RTOL:
+            m, b, S, S_x, widths = dual()
             v = scale * _fourier_grid(b, m, n).real.ravel()
             p = float(np.prod(np.ceil(widths / n)))
             beta = scale * (_gamma(8 * levels + p + 6) * S + _gamma(2 * g + 3) * S_x)
-            if beta <= _DUAL_RTOL * (float(v.min()) - beta):
+            if beta <= _F_RTOL * (float(v.min()) - beta):
                 return v
         grid_dual = False
-        return f_series_batch(Y, t, _int_box(np.zeros(g), np.full(g, n - 1)) / n, tol)[0]
+        return f_series_batch(Y, t, _int_box(np.zeros(g), np.full(g, n - 1)) / n, _F_RTOL)[0]
 
-    def at(points):
-        P = _torus_points(points, g, f"g={g}")
-        if possible(3 * g):  # no box that the first grid, n = 8, would not build
-            m, b, S, S_x, S_p, _ = dual()
-            near = b > _UNIT_ROUNDOFF * S / len(b)  # the rest adds at most u S in all
-            far = float(b[~near].sum())
-            m, b = m[near], b[near]
-            C = np.cos(2.0 * math.pi * (P @ m.T))
-            beta = scale * (_gamma(13) * S + _gamma(2 * g + 3) * S_x + _gamma(g + 2) * S_p
-                            + (1.0 + _gamma(len(near))) * far)
-            # C @ b is within gamma_{M'+2} S of the fsum, M' = len(b): no
-            # fsum where the guard fails even on C @ b raised by that much
-            upper = scale * (float((C @ b).min()) + _gamma(len(b) + 2) * S)
-            if beta <= _DUAL_RTOL * (upper - beta):
-                v = scale * np.array([math.fsum(row) for row in (C * b).tolist()])
-                if beta <= _DUAL_RTOL * (float(v.min()) - beta):
-                    return v
-        return f_series_batch(Y, t, P, tol)[0]
-
-    return values, at
+    return values

@@ -145,6 +145,21 @@ def invariant_exact(taus) -> float:
                for t in taus)
 
 
+def ln_f_exact(y, t: float) -> float:
+    """The integral over [0, 1]^g of ln f_Y(t; x) for Y = U^T diag(y) U, U
+    unimodular, in closed form. x -> U x preserves the torus, so f_Y(t; .)
+    is a product of g one-dimensional sums; by Poisson summation each is
+    t^{-1/2} theta_3(pi x_k, q_k), q_k = exp(-pi / (t y_k)), and by the Jacobi
+    triple product its log averages to -(1/2) ln t + sum_{n >= 1}
+    ln(1 - q_k^{2n}), summed until q_k^{2n} < e^{-40}."""
+    total = -0.5 * len(y) * math.log(t)
+    for yk in y:
+        a = 2.0 * math.pi / (t * yk)
+        n = np.arange(1, math.ceil(40.0 / a) + 2)
+        total += float(np.log1p(-np.exp(-a * n)).sum())
+    return total
+
+
 def grid_points(n: int, d: int) -> np.ndarray:
     """The points k/n, k in {0, ..., n-1}^d, of a grid integrand's call
     (``quadrature.integrate_periodic``), as (n^d, d) rows in C order."""

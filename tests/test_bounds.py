@@ -9,6 +9,7 @@ from mlk.bounds import (
     BoundsError,
     CheckEntry,
     EmbeddingSet,
+    _parseval_samples,
     archimedean_invariant,
     height_from_theta_invariants,
     height_lower_bound,
@@ -477,23 +478,24 @@ class TestVerifyChain:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_parseval_right_sides_in_one_batch(self, monkeypatch, rng, g):
-        # f_Y(2; y_k) of the three Parseval checks comes from one call of the
-        # point evaluator of one f_Y(2; .) plan per embedding, whose dual is
-        # built once for it and the log-Gaussian, within 1e-14 relative of
-        # one-point f_series (1.7e-15 at most on these forms)
+        # f_Y(2; y_k) of the three Parseval checks are entries of the n = 8
+        # grid of one f_Y(2; .) plan per embedding, asked for once and shared
+        # with the log-Gaussian, whose dual is built once: within 1e-14
+        # relative of one-point f_series
         periods = [make_reduced_period(rng, g) for _ in range(2)]
-        plans, batches, builds = [], [], []
+        plans, grids, builds = [], [], []
         radius_for = mlk.theta._radius_for
 
         def counted_plan(Y, t):
             plans.append((Y, t))
-            values, at = _f_grid(Y, t)
+            values, asked = _f_grid(Y, t), []
+            grids.append(asked)
 
-            def counted_at(points):
-                batches.append(np.array(points))
-                return at(points)
+            def counted(n):
+                asked.append(n)
+                return values(n)
 
-            return values, counted_at
+            return counted
 
         def counted_radius(Y, det_sqrt, t, target):
             if t == 0.5:  # the dual's box, at scale 1/t
@@ -505,19 +507,19 @@ class TestVerifyChain:
         rep = verify_chain(EmbeddingSet(g, 2, periods), budget=256)
         assert plans == [(om.Y, 2.0) for om in periods]
         assert builds == [om.Y.inverse() for om in periods]
-        for i, samples in enumerate(batches):
-            assert samples.shape == (3, g)
-            for k, y in enumerate(samples):
+        assert [asked.count(8) for asked in grids] == [1, 1]
+        for i, om in enumerate(periods):
+            for k, y in enumerate(_parseval_samples(g)):
                 entry = next(e for e in rep.entries if e.name == f"parseval[{i},{k}]")
-                ref = f_series(periods[i].Y, 2.0, y).value
+                ref = f_series(om.Y, 2.0, y).value
                 assert abs(entry.rhs - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("c", [20.0, 35.0])
     def test_large_y_builds_no_dual_box(self, monkeypatch, c):
         # Omega = c i I_3: the pre-check of the first grid refuses the dual,
-        # so neither evaluator builds its box (614,125 terms at c = 20, past
-        # the enumeration cap at c = 35), and every link holds with the
-        # right sides and the log-Gaussian on f_series_batch
+        # so its box is never built (614,125 terms at c = 20, past the
+        # enumeration cap at c = 35), and every link holds with the right
+        # sides and the log-Gaussian on f_series_batch
         builds = []
         radius_for = mlk.theta._radius_for
 

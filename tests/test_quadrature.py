@@ -23,7 +23,7 @@ from mlk.cli import _random_spd
 from mlk.siegel import validate_period_matrix
 from mlk.theta import _cube_norm_box, _cube_norm_slice, cube_norm_batch, f_series, f_series_batch
 
-from conftest import grid_points, make_reduced_period, make_spd
+from conftest import grid_points, ln_f_exact, make_reduced_period, make_spd
 
 # mpmath (40 digits): int_0^1 ln sum_m exp(-pi t (x-m)^2) dx
 INT_LNF_T1 = -0.0018726824497685461156385794799613989
@@ -378,6 +378,26 @@ class TestIntegralLnF:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(QuadratureError):
             integral_ln_f(GramMatrix([[1.0]]), 0.0)
+
+    # Y = U^T diag(y) U with U unimodular, against the closed form: the
+    # value is within its error estimate, which covers the rule, plus
+    # 1e-12, ln f's own accuracy (f to 1e-12 relative). The last two forms
+    # are so skewed that a dual box taken in the raw coordinates of Y^{-1}
+    # would pass the enumeration cap (7.0M and 8.9M terms at t = 2).
+    @pytest.mark.parametrize("U, y", [
+        ([[1]], [3.7]),
+        ([[1]], [0.6]),
+        ([[1, 1], [0, 1]], [1.3, 2.1]),
+        ([[2, 1], [1, 1]], [0.8, 5.0]),
+        ([[1, 0, 1], [0, 1, 0], [1, 1, 2]], [1.2, 0.9, 2.5]),
+        ([[1, 0, 0], [2, 5, 2], [0, 2, 1]], [1.488, 18.887, 4.853]),
+        ([[3, -1, 0], [-2, 1, 0], [-2, 1, 1]], [28.33, 1.595, 35.937]),
+    ], ids=["g1-3.7", "g1-0.6", "g2-shear", "g2-skew", "g3-shear", "g3-skew-a", "g3-skew-b"])
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_matches_the_exact_value(self, U, y, t):
+        U = np.array(U, dtype=float)
+        r = integral_ln_f(GramMatrix(U.T @ np.diag(y) @ U), t)
+        assert abs(r.value - ln_f_exact(y, t)) <= r.error_estimate + 1e-12
 
     # Where f is small against its dual's sum (large Y), the dual's rounding
     # is not certified and every value comes from f_series_batch: the result

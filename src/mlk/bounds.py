@@ -23,7 +23,8 @@ import numpy as np
 from .quadrature import (QuadratureResult, _integral_ln, _tensor_gauss, integrate_cube,
                          integrate_periodic)
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
-from .theta import _cube_norm_box, _cube_norm_grid, _cube_norm_slice, _f_grid, cube_norm_batch
+from .theta import (_cube_norm_box, _cube_norm_coeffs, _cube_norm_grid, _f_grid, _fourier_grid,
+                    cube_norm_batch)
 
 __all__ = [
     "BoundsError",
@@ -285,11 +286,12 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     invariants' error estimates. (a) is a ``CheckEntry.equal`` check, (b)
     ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
     on ``integrate_periodic`` to ``tolerance``, each grid k/n one integrand
-    call and one FFT of the integrand's Fourier coefficients: (a) on
-    ``theta._cube_norm_slice``, whose box is built once per embedding,
-    and (b) on the grid integrand of ``theta._f_grid``, one FFT of the
-    Poisson dual of f_Y(2; .) per grid, or ``f_series_batch`` where the
-    dual's rounding is not certified small. The samples y of (a) lie on the
+    call and one FFT of the integrand's Fourier coefficients: (a) on the
+    coefficients of ||s|| in x that the g = 1 invariant of (c) runs on,
+    ``theta._cube_norm_coeffs``, for all three samples y over one box, and
+    (b) on the grid integrand of ``theta._f_grid``, one FFT of the Poisson
+    dual of f_Y(2; .) per grid, or ``f_series_batch`` where the dual's
+    rounding is not certified small. The samples y of (a) lie on the
     grid k/8, the first grid of (b), so the right sides f_Y(2; y) are read
     off that grid, which (b) then takes as its own. The lhs of (a) is a
     theta series of Omega and its rhs a sum over Y^{-1}, so (a) compares
@@ -320,12 +322,13 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
 
         box = _cube_norm_box(om)
         samples = _parseval_samples(g)
+        coeffs = _cube_norm_coeffs(om, box, samples)
         f_grid = _f_grid(Y, 2.0)
         first = f_grid(8)  # f_Y(2; k/8), flat in C order
         flat = np.ravel_multi_index(tuple((8 * samples).astype(np.int64).T), (8,) * g)
-        for k, (yv, rhs) in enumerate(zip(samples, first[flat])):
-            norm = _cube_norm_slice(om, box, yv)
-            r = integrate_periodic(lambda n: norm(n) ** 2, g, tolerance)
+        for k, rhs in enumerate(first[flat]):
+            r = integrate_periodic(lambda n: np.abs(_fourier_grid(coeffs[:, k], box, n)) ** 2, g,
+                                   tolerance)
             out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, float(rhs), tolerance,
                                         r.error_estimate))
 

@@ -120,8 +120,10 @@ class GramMatrix:
 
     @property
     def det_sqrt(self) -> float:
-        """sqrt(det Y), from the Cholesky diagonal."""
-        return float(np.prod(np.diag(self.chol)))
+        """sqrt(det Y), from the Cholesky diagonal (cached)."""
+        if "det_sqrt" not in self._cache:
+            self._cache["det_sqrt"] = float(np.prod(np.diag(self.chol)))
+        return self._cache["det_sqrt"]
 
     def inverse(self) -> "GramMatrix":
         """Y^{-1} = L^{-T} L^{-1} from the Cholesky factor L, as a GramMatrix
@@ -284,10 +286,10 @@ def _int_box(lows, highs):
     C-contiguous int64 rows in C order (the last coordinate runs fastest)."""
     lows = np.asarray(lows, dtype=np.int64)
     highs = np.asarray(highs, dtype=np.int64)
-    sizes = highs - lows + 1
-    if np.any(sizes <= 0):
+    sizes = (highs - lows + 1).tolist()  # Python ints: their product cannot overflow
+    if min(sizes) <= 0:
         raise LatticeError("empty enumeration box")
-    total = int(np.prod(sizes.astype(object)))
+    total = math.prod(sizes)
     if total > _BOX_CAP:
         raise EnumerationLimitError(f"enumeration box of {total} points exceeds cap {_BOX_CAP}")
     rows = np.indices(sizes, dtype=np.int64).reshape(len(sizes), -1).T + lows

@@ -6,7 +6,8 @@
   Its integrand is given on whole grids, n in, the values at the points
   k/n out. On such a grid a Fourier series has the values of its
   coefficients summed modulo n (the rule's aliasing), so ``theta``
-  computes each grid with one FFT.
+  computes each grid with one FFT: of f's Poisson dual (``theta._f_grid``),
+  and of the coefficients of ||s|| in x (``theta._cube_norm_coeffs``).
 * ``integrate_cube``, its rule chosen from d: tensor Gauss-Legendre at
   d <= 2 (psi_Y^2 at g <= 2, split at the half-integers, where the rule is
   exact for diagonal Y) and shifted Sobol QMC at d >= 3 (Dick, Kuo & Sloan,

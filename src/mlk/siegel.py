@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import GramMatrix, LatticeError, is_lll_reduced, shortest_vector
+from .lattice import GramMatrix, LatticeError, shortest_vector
 
 __all__ = [
     "SiegelError",
@@ -43,7 +43,6 @@ class SiegelError(ValueError):
 @dataclass(frozen=True)
 class ReducedFlags:
     re_normalized: bool   # all |X_ij| <= 1/2 (+1e-12)
-    im_lll: bool          # Cholesky basis of Y already LLL-reduced
     lambda1_ok: bool      # lambda_1(Y)^2 >= sqrt(3)/2 (-1e-10)
 
 
@@ -69,7 +68,6 @@ class PeriodMatrix:
             "flags",
             ReducedFlags(
                 re_normalized=bool(np.max(np.abs(X)) <= 0.5 + _RE_TOL),
-                im_lll=is_lll_reduced(Y),
                 lambda1_ok=lam1 * lam1 >= _SQRT3_HALF - _LAM_TOL,
             ),
         )
@@ -80,11 +78,6 @@ class PeriodMatrix:
 
     def __repr__(self):
         return f"PeriodMatrix(g={self.g}, flags={self.flags})"
-
-    @property
-    def omega(self) -> np.ndarray:
-        """Omega = X + iY as a complex matrix."""
-        return self.X + 1j * self.Y.entries
 
     @property
     def is_reduced(self) -> bool:

@@ -30,29 +30,24 @@ that the powers would grow past exp(_SPLIT_EXP) (and toward the end of the
 range of doubles), the points' box is split into cells, each with its own
 centre and coefficients; the cells are chosen from Y and the radius.
 
-At g = 1, ||s|| on a product grid (x_i, y_j) has a simpler form
-(``_cube_norm_grid``): the x-dependence of a term is the pure phase
-exp(-2 pi i m x_i), so the n x n values are one (n x M)(M x n) matrix
-product over the M terms of the same box, every factor a single exp whose
-real part is <= 0. The g = 1 archimedean invariant runs on it, with the box
-built once for all of its Gauss rules.
+On a slice y, ||s||(x + Omega y) = |sum_m c_m(y) exp(-2 pi i m . x)| over a
+box taken in the LLL coordinates of Y (``_cube_norm_box``). The
+coefficients c_m(y) are written once, in ``_cube_norm_coeffs``, for two
+evaluators: ``_cube_norm_grid``, the g = 1 invariant's values on a product
+grid (x_i, y_j), one matrix product with the phases exp(-2 pi i m x_i),
+every exp with a real part <= 0; and ``_fourier_grid``, the chain's
+Parseval slices on the grid k/n of ``quadrature.integrate_periodic``, where
+a series sum_j c_j exp(-2 pi i j . x) takes the values of its coefficients
+summed over each class j mod n: one ``numpy.fft.fftn`` per grid (numpy.fft
+is loaded on the first call, not on import).
 
-The chain's x-integrands are Fourier series in x, and on the grid k/n of
-``quadrature.integrate_periodic`` a series sum_j c_j exp(-2 pi i j . x)
-takes the values of its coefficients summed over each class j mod n: one
-``numpy.fft.fftn`` per grid (``_fourier_grid``; numpy.fft is loaded on the
-first call, not on import). Two grid integrands use it:
-
-* ``_cube_norm_slice``, the Parseval slice ||s||(x + Omega y) =
-  det(Y)^{1/4} |fftn(A)|, a_m = exp(-pi ||y - m||_Y^2 + i pi m^T X m
-  - 2 pi i m . X y) over the box of ``cube_norm_batch``;
-* ``_f_grid``, f_Y(t; x) = t^{-g/2} fftn(B) by Poisson summation,
-  b_j = exp(-pi j^T Y^{-1} j / t) over a box of Y^{-1}. These dual values
-  cancel where f is small against sum_j b_j (large Y), so they are taken
-  only where a componentwise FFT rounding bound (Higham, ch. 24) keeps
-  them within 1e-12 relative of f, and ``f_series_batch`` gives the grid
-  elsewhere. The chain reads its Parseval right sides f_Y(2; y), at y on
-  the grid k/8, off the first grid of its log-Gaussian.
+``_f_grid`` gives f_Y(t; .) on the same grids as t^{-g/2} fftn(B) by Poisson
+summation, b_j = exp(-pi j^T Y^{-1} j / t) over a box of Y^{-1}. These dual
+values cancel where f is small against sum_j b_j (large Y), so they are
+taken only where a componentwise FFT rounding bound (Higham, ch. 24) keeps
+them within 1e-12 relative of f, and ``f_series_batch`` gives the grid
+elsewhere. The chain reads its Parseval right sides f_Y(2; y), at y on the
+grid k/8, off the first grid of its log-Gaussian.
 
 The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
 lattice points are disjoint, so the tail sum is dominated by a continuous
@@ -356,6 +351,12 @@ def _theta_sums(gram: GramMatrix, X, p, u, radius: float, lo, hi):
     return out, T, _rounding_bound(gram, radius, int(n.sum()), args)
 
 
+def _gamma(k: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u), inf where k u >= 1."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku) if ku < 1.0 else math.inf
+
+
 def _rounding_bound(gram: GramMatrix, radius: float, n_sum: int, args: float) -> float:
     """gamma_N * S0 (Higham, Accuracy and Stability of Numerical Algorithms,
     sec. 3.1) for the contraction of ``_theta_sums``.
@@ -375,8 +376,7 @@ def _rounding_bound(gram: GramMatrix, radius: float, n_sum: int, args: float) ->
     while S0 >= 1.
     """
     g, Y, u = gram.g, gram.entries, _UNIT_ROUNDOFF
-    N = n_sum + 3 * (n_sum + 1) + 5 * (n_sum + 2) + 1 + (2 * g + 4) * args
-    gamma = N * u / (1.0 - N * u) if N * u < 1.0 else math.inf
+    gamma = _gamma(n_sum + 3 * (n_sum + 1) + 5 * (n_sum + 2) + 1 + (2 * g + 4) * args)
     m = _candidate_box(gram, radius, 0.0, 0.0)
     q = np.einsum("ij,ij->i", m, m @ Y)
     qa = np.einsum("ij,ij->i", np.abs(m), np.abs(m) @ np.abs(Y))
@@ -448,30 +448,44 @@ def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
     return det4 * np.abs(sums), det4 * err
 
 
+def _reduced_box(Y: GramMatrix, radius: float, lo, hi):
+    """The box of ``_candidate_range`` around the points [lo, hi] of the LLL
+    coordinates k of Y, where it hugs the ellipsoid: its points as rows U k
+    (float, (M, g)) in the coordinates of Y, and its widths in k."""
+    lo, hi = _candidate_range(Y._scaled_reduced(1.0), radius, lo, hi)
+    return _int_box(lo, hi) @ Y._reduced()["U"].T.astype(float), hi - lo + 1.0
+
+
 def _cube_norm_box(om: PeriodMatrix) -> np.ndarray:
-    """The lattice points (float, (M, g)) of ``cube_norm_batch``'s box and
-    radius at its default tol, in the coordinates of Omega: every term above
-    its truncation at every y in [0, 1]^g."""
-    return _candidate_box(om.Y, _radius_for(om.Y, 1.0, 1.0, 1e-12))
+    """The terms m (float, (M, g)) of ``cube_norm_batch`` at its default tol,
+    in the coordinates of Omega, for every y in [0, 1]^g: the box of
+    ``_reduced_box`` around the hull of U^{-1} [0, 1]^g."""
+    Uinv = om.Y._reduced()["Uinv"]
+    return _reduced_box(om.Y, _radius_for(om.Y, 1.0, 1.0, 1e-12), np.minimum(Uinv, 0).sum(1),
+                        np.maximum(Uinv, 0).sum(1))[0]
+
+
+def _cube_norm_coeffs(om: PeriodMatrix, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Fourier coefficients in x of ||s||(x + Omega y_j), as an (M, J)
+    complex array over the terms m of ``_cube_norm_box(om)`` and the rows y_j
+    of y (J, g), each in [0, 1]^g, where that box holds the truncation of
+    ``cube_norm_batch``:
+        c_m(y) = det(Y)^{1/4} exp(-pi ||y - m||_Y^2 + i pi (m^T X m - 2 m . X y)).
+    No exponent has a positive real part, so no coefficient overflows."""
+    Y, X = om.Y.entries, om.X
+    d = (y - m[:, None, :]).reshape(-1, m.shape[1])  # (M J, g), j fastest
+    q = np.einsum("ij,ij->i", d, d @ Y).reshape(m.shape[0], -1)
+    phase = np.einsum("ij,ij->i", m, m @ X)[:, None] - 2.0 * (m @ (X @ y.T))
+    return om.Y.det_sqrt ** 0.5 * np.exp(-math.pi * q + 1j * math.pi * phase)
 
 
 def _cube_norm_grid(om: PeriodMatrix, m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """||s||(x_i + tau y_j) at g = 1 on the product grid of x and y in [0, 1),
-    as a (len(x), len(y)) array.
-
-    Over the terms m (float, (M, 1)) of ``_cube_norm_box(om)``, which the
-    caller builds once for all its grids, the sum at (x_i, y_j) is
-    sum_m B[i, m] A[m, j] with A[m, j] = exp(-pi Y (y_j - m)^2
-    + i pi X m (m - 2 y_j)) and B[i, m] = exp(-2 pi i m x_i): one matrix
-    product of 2 n M exps. Every exp has a real part <= 0, so nothing
-    overflows and no cell split is needed; the truncation error is that of
-    ``cube_norm_batch``.
-    """
-    Yv, Xv = float(om.Y.entries[0, 0]), float(om.X[0, 0])
-    dy = y - m
-    A = np.exp(-math.pi * Yv * dy * dy + 1j * math.pi * Xv * m * (m - 2.0 * y))
+    a (len(x), len(y)) array: |B @ C| with B[i, m] = exp(-2 pi i m x_i) and
+    C = ``_cube_norm_coeffs(om, m, y)``, over the terms m (float, (M, 1)) of
+    ``_cube_norm_box(om)``, which the caller builds once for all its grids."""
     B = np.exp(-2j * math.pi * np.outer(x, m))
-    return om.Y.det_sqrt ** 0.5 * np.abs(B @ A)
+    return np.abs(B @ _cube_norm_coeffs(om, m, y[:, None]))
 
 
 def _fourier_grid(c: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
@@ -488,32 +502,6 @@ def _fourier_grid(c: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     if np.iscomplexobj(c):
         B = B + 1j * np.bincount(r, c.imag, n**g)
     return np.fft.fftn(B.reshape((n,) * g))
-
-
-def _cube_norm_slice(om: PeriodMatrix, m: np.ndarray, y):
-    """The grid integrand (see ``quadrature.integrate_periodic``) of the
-    Parseval slice at y: ``values(n)`` is ||s||(x + Omega y) at the
-    points x = k/n, as an (n,) * g array.
-
-    In x, ||s||(x + Omega y) = det(Y)^{1/4} |sum_m a_m exp(-2 pi i m . x)|
-    with a_m = exp(-pi ||y - m||_Y^2 + i pi m^T X m - 2 pi i m . X y) over
-    the terms m of ``_cube_norm_box(om)``, the truncation of
-    ``cube_norm_batch``: one ``_fourier_grid`` per call. Every exponent has
-    a real part <= 0, so no coefficient overflows.
-    """
-    Y, X = om.Y.entries, om.X
-    y = np.asarray(y, dtype=float)
-    y = y - np.floor(y)  # ||s|| is invariant under z -> z + Omega k
-    d = y - m
-    a = np.exp(-math.pi * np.einsum("ij,ij->i", d, d @ Y)
-               + 1j * math.pi * (np.einsum("ij,ij->i", m, m @ X) - 2.0 * (m @ (X @ y))))
-    det4 = om.Y.det_sqrt ** 0.5
-    return lambda n: det4 * np.abs(_fourier_grid(a, m, n))
-
-
-def _gamma(k: float) -> float:
-    """Higham's gamma_k = k u / (1 - k u)."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
 def _f_grid(Y: GramMatrix, t: float):
@@ -571,12 +559,11 @@ def _f_grid(Y: GramMatrix, t: float):
         if built is None:
             Yi = Y.inverse()
             R = _radius_for(Yi, 1.0, 1.0 / t, target / scale)
-            lo, hi = _candidate_range(Yi._scaled_reduced(1.0), R, 0.0, 0.0)
-            m = (_int_box(lo, hi) @ Yi._reduced()["U"].T).astype(float)
+            m, widths = _reduced_box(Yi, R, 0.0, 0.0)
             q = np.einsum("ij,ij->i", m, m @ Yi.entries)
             qa = np.einsum("ij,ij->i", np.abs(m), np.abs(m) @ np.abs(Yi.entries))
             b = np.exp(-math.pi / t * q)
-            built = (m, b, float(b.sum()), math.pi / t * float(b @ qa), hi - lo + 1.0)
+            built = (m, b, float(b.sum()), math.pi / t * float(b @ qa), widths)
         return built
 
     def values(n):

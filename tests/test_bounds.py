@@ -459,6 +459,21 @@ class TestVerifyChain:
             if not (a.name.startswith("theta_invariant_lower") or a.name == "height_chain"):
                 assert a == b
 
+    @pytest.mark.parametrize("U", [[[1, 0, 0], [16, 1, 0], [50, 13, 1]],
+                                   [[1, 0, 0], [15, 1, 0], [40, 12, 1]]], ids=["16", "15"])
+    def test_skewed_basis_of_a_reduced_form(self, U):
+        # Omega = i U^T U is reduced and presents the torus of i I_3. In the
+        # raw basis of Y the ||s|| box holds 2,154,880 and 1,780,200 terms
+        # (the first past the enumeration cap); taken in LLL coordinates it
+        # holds under 20,000, and the verdicts are those of reduce(Omega)
+        U = np.array(U, dtype=float)
+        om = validate_period_matrix(np.zeros((3, 3)), U.T @ U)
+        assert om.is_reduced and len(_cube_norm_box(om)) < 20_000
+        rep = verify_chain(EmbeddingSet(3, 1, [om]))
+        ref = verify_chain(EmbeddingSet(3, 1, [siegel_reduce(om)]))
+        assert rep.all_passed
+        assert [(e.name, e.passed) for e in rep.entries] == [(e.name, e.passed) for e in ref.entries]
+
     def test_one_period_gram_search_per_embedding(self, monkeypatch):
         # injectivity_diameter builds the 2g x 2g period Gram matrix once per
         # call, so counting the builds counts the 2g-dimensional SVPs

@@ -21,7 +21,8 @@ from mlk.quadrature import (
 )
 from mlk.cli import _random_spd
 from mlk.siegel import validate_period_matrix
-from mlk.theta import _cube_norm_box, _cube_norm_slice, cube_norm_batch, f_series, f_series_batch
+from mlk.theta import (_cube_norm_box, _cube_norm_coeffs, _fourier_grid, cube_norm_batch, f_series,
+                       f_series_batch)
 
 from conftest import grid_points, ln_f_exact, make_reduced_period, make_spd
 
@@ -261,8 +262,9 @@ class TestIntegratePeriodic:
             vals, _ = cube_norm_batch(om, np.hstack([P, np.broadcast_to(y, P.shape)]))
             return vals * vals
 
-        norm = _cube_norm_slice(om, _cube_norm_box(om), y)
-        for f_grid in (on_points(slice_norm_sq, g), lambda n: norm(n) ** 2):
+        box = _cube_norm_box(om)
+        c = _cube_norm_coeffs(om, box, y[None, :])[:, 0]
+        for f_grid in (on_points(slice_norm_sq, g), lambda n: np.abs(_fourier_grid(c, box, n)) ** 2):
             r = integrate_periodic(f_grid, g, 1e-10)
             assert r.error_estimate <= 1e-10
             assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)

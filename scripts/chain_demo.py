@@ -3,16 +3,18 @@
 
 Usage: python scripts/chain_demo.py [--budget N]
 
-Each check prints its lhs, rhs, slack and error estimate. The last case is
+Each check prints its lhs, rhs, slack and error estimate. Omega = 20 i I_3
+is a large-Y case: its log-Gaussian check has a slack near 20, decided on
+the first grid k/8 against an estimate of about 3. The last case is
 Omega = i U^T U for a unimodular U far from the identity: a reduced period
 matrix of the torus of i I_3 in a skewed basis.
 
 --budget caps the 2g-dimensional invariant: Gauss nodes per axis at g = 1
 (at most 256), from which the rule doubles from 32, and points per shift at
-g >= 2, from which the set doubles from 2^8. Either stops once its check is
-decided at value +- estimate, so the printed invariant is only as precise as
-that decision needs. By default the library chooses. Exits 1 when any
-check fails.
+g >= 2, from which the set doubles from 2^5. Either stops once its check is
+decided at value +- estimate, and so does the log-Gaussian mean, so the
+printed invariant and log-Gaussian are only as precise as those decisions
+need. By default the library chooses. Exits 1 when any check fails.
 """
 
 import argparse
@@ -36,6 +38,7 @@ def main():
         "tau = 1/2 + i": (1, validate_period_matrix([[0.5]], [[1.0]])),
         "tau = 2i": (1, validate_period_matrix([[0.0]], [[2.0]])),
         "Omega = i I_2": (2, validate_period_matrix(np.zeros((2, 2)), np.eye(2))),
+        "Omega = 20 i I_3": (3, validate_period_matrix(np.zeros((3, 3)), 20.0 * np.eye(3))),
         "Omega = i U^T U, a skewed basis of i I_3": (3, validate_period_matrix(np.zeros((3, 3)),
                                                                            SKEW.T @ SKEW)),
     }

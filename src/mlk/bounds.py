@@ -236,7 +236,7 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     (``budget`` points per shift, ``seed``) on ``cube_norm_batch``, which
     gets the points of several shifts per call. A predicate
     ``decided(I, error) -> bool`` makes ``budget`` a cap at every g: the
-    rule doubles, from 32 nodes per axis at g = 1 and from 2^8 points per
+    rule doubles, from 32 nodes per axis at g = 1 and from 2^5 points per
     shift at g >= 2, until the predicate holds for the invariant and its
     estimate. Without one the whole budget runs.
     """
@@ -285,7 +285,7 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     dominates the clamped-diameter bound, with (2/d) times the sum of the
     invariants' error estimates. (a) is a ``CheckEntry.equal`` check, (b)
     ``at_most``, (c) and (d) ``at_least``. The x-integrals of (a) and (b) run
-    on ``integrate_periodic`` to ``tolerance``, each grid k/n one integrand
+    on ``integrate_periodic``, each grid k/n one integrand
     call and one FFT of the integrand's Fourier coefficients: (a) on the
     coefficients of ||s|| in x that the g = 1 invariant of (c) runs on,
     ``theta._cube_norm_coeffs``, for all three samples y over one box, and
@@ -293,8 +293,12 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     dual of f_Y(2; .) per grid, or ``f_series_batch`` where the dual's
     rounding is not certified small. The samples y of (a) lie on the
     grid k/8, the first grid of (b), so the right sides f_Y(2; y) are read
-    off that grid, which (b) then takes as its own. The lhs of (a) is a
-    theta series of Omega and its rhs a sum over Y^{-1}, so (a) compares
+    off that grid, which (b) then takes as its own. (a) runs to
+    ``tolerance``, as an equality needs. (b) stops at ``tolerance`` or on
+    the first grid where its check is decided at either end of its value
+    +- estimate (slack - err >= -tol or slack + err < -tol), so the reported
+    log-Gaussian is only as precise as that decision needs. The lhs of (a)
+    is a theta series of Omega and its rhs a sum over Y^{-1}, so (a) compares
     two independent computations. (a) does not run ``cube_norm_batch``,
     the invariant's integrand at g >= 2; the oracle tests and the check of
     (c) against exact invariants cover it there.
@@ -302,18 +306,21 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     ``budget`` and ``seed`` size the invariant of (c) only. ``budget`` is a
     cap at every g: on the Gauss nodes per axis at g = 1 (clamped to
     [4, 256]), where the rule doubles from 32, and on the QMC points per
-    shift at g >= 2, where the set doubles from 2^8. Either stops once (c)
-    is decided at either end of its value +- estimate (slack - err >= -tol
-    or slack + err < -tol, err the check's estimate, twice the invariant's),
-    so the reported I is only as precise as that decision needs. The slack
-    of (d) is the mean of the (c) slacks. One 2g-dimensional shortest-vector
-    search per embedding gives the lam of (b), (c) and the rho of (d).
+    shift at g >= 2, where the set doubles from 2^5. Either stops once (c)
+    is decided by the rule of (b), err the check's estimate (twice the
+    invariant's), so the reported I too is only as precise as that decision
+    needs. The slack of (d) is the mean of the (c) slacks. One
+    2g-dimensional shortest-vector search per embedding gives the lam of
+    (b), (c) and the rho of (d).
     """
     _require_complete(E)
     for i, om in enumerate(E.periods):
         if not om.is_reduced:
             raise BoundsError(f"embedding {i}: period matrix must be reduced first")
     g = E.g
+
+    def decided(slack, err):  # the verdict is the same at both ends of slack +- err
+        return slack - err >= -tolerance or slack + err < -tolerance
 
     def run_embedding(idx, om):
         Y = om.Y
@@ -332,9 +339,11 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
             out.append(CheckEntry.equal(f"parseval[{idx},{k}]", r.value, float(rhs), tolerance,
                                         r.error_estimate))
 
-        r_ln = _integral_ln(lambda n: first if n == 8 else f_grid(n), g, tolerance)
-        out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value,
-                                      log_gaussian_bound(lam, g), tolerance, r_ln.error_estimate))
+        rhs_b = log_gaussian_bound(lam, g)
+        r_ln = _integral_ln(lambda n: first if n == 8 else f_grid(n), g, tolerance,
+                            lambda value, err: decided(rhs_b - value, err))
+        out.append(CheckEntry.at_most(f"log_gaussian_bound[{idx}]", r_ln.value, rhs_b, tolerance,
+                                      r_ln.error_estimate))
 
         rhs_c = (
             math.pi / (6.0 * lam * lam)
@@ -342,11 +351,8 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
             + (g / 2.0) * math.log(3.0 * g / (math.pi * math.e))
         )
 
-        def decided(I, err):  # the check's slack is 2I - rhs_c, its estimate 2 err
-            slack = 2.0 * I - rhs_c
-            return slack - 2.0 * err >= -tolerance or slack + 2.0 * err < -tolerance
-
-        inv = archimedean_invariant(om, budget, seed, decided=decided)
+        inv = archimedean_invariant(om, budget, seed,
+                                    decided=lambda I, err: decided(2.0 * I - rhs_c, 2.0 * err))
         out.append(CheckEntry.at_least(f"theta_invariant_lower[{idx}]", 2.0 * inv.value, rhs_c,
                                        tolerance, 2.0 * inv.error_estimate))
         return out, inv, rho

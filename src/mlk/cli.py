@@ -10,11 +10,13 @@ Subcommands:
 Input is a strict JSON document; unknown fields are rejected. options.budget
 (or --budget) sizes the chain's 2g-dimensional invariant, whose rule follows
 from g, and is a cap at every g: on the QMC points per shift at g >= 2,
-where the set doubles from 2^8 points, and on the tensor Gauss-Legendre
+where the set doubles from 2^5 points, and on the tensor Gauss-Legendre
 nodes per axis at g = 1, min(max(budget, 4), 256), where the rule doubles
 from 32 nodes (so a budget above 256 changes nothing there). Either stops
 once the invariant's check is decided at either end of value +- estimate,
-so the reported invariant is only as precise as that decision needs.
+so the reported invariant is only as precise as that decision needs; the
+chain's log-Gaussian mean stops the same way, on its first grid k/n that
+decides its check.
 --budget also sizes the integrals suite's psi^2 integral, which runs at
 g <= 2 with min(max(budget, 4), 256) nodes per axis. Reports go to stdout,
 diagnostics to stderr. Exit codes: 0 success, 1 a verify check failed, 2
@@ -386,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget", type=_int_at_least(1), default=None,
                           help="cap on the chain invariant, which doubles until its check "
                                "is decided at value +- estimate: QMC points per shift at "
-                               "g >= 2, from 256; Gauss nodes per axis, min(max(budget, 4), "
+                               "g >= 2, from 32; Gauss nodes per axis, min(max(budget, 4), "
                                "256), at g = 1, from 32; also the Gauss nodes per axis of the "
                                "integrals suite, so above 256 it changes nothing there")
     p_verify.set_defaults(func=cmd_verify)

@@ -51,7 +51,7 @@ _MAX_GAUSS_DIM = 2  # integrate_cube: tensor Gauss-Legendre up to here, QMC abov
 _MAX_GAUSS_NODES = 256
 _FIRST_GAUSS_NODES = 32  # _tensor_gauss: nodes per axis before the first doubling
 _DEFAULT_QMC_POINTS = 1 << 16
-_FIRST_QMC_POINTS = 1 << 8  # points per shift before the first doubling
+_FIRST_QMC_POINTS = 1 << 5  # points per shift before the first doubling
 _N_SHIFTS = 8
 _LOG2_MAX_GRID = 19  # periodic grids hold <= 2^19 points, one default QMC integral
 _SOBOL_BITS = 30     # points are multiples of 2^-30, so a set holds <= 2^30 of them
@@ -218,7 +218,7 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
     standard deviation of the per-shift means.
 
     With a predicate ``decided(value, error) -> bool`` at d >= 3, ``budget``
-    is a cap: the set starts at min(2^8, cap) points per shift and doubles
+    is a cap: the set starts at min(2^5, cap) points per shift and doubles
     until the predicate holds or the cap is reached. The first m points of
     the 2m-point set are the m-point set, so each doubling evaluates only
     the new points, and a predicate that never holds returns what no
@@ -254,7 +254,7 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
         done, m = m, 2 * m
 
 
-def integrate_periodic(f_grid, d: int, tol: float) -> QuadratureResult:
+def integrate_periodic(f_grid, d: int, tol: float, decided=None) -> QuadratureResult:
     """Integrate a Z^d-periodic f over [0,1]^d by the trapezoid rule on the grid k/n.
 
     ``f_grid(n)`` returns the n^d values of f at the points k/n,
@@ -272,8 +272,12 @@ def integrate_periodic(f_grid, d: int, tol: float) -> QuadratureResult:
     |f| (the two means can agree to the last bit). n starts at 8, as coarser
     grids can agree by accident, or at the largest power of two whose grid
     holds at most 2^19 points, and doubles while the estimate exceeds ``tol``
-    and the next grid fits, one call per grid. ``n_points`` is n^d for the
-    final n.
+    and the next grid fits, one call per grid. With a predicate
+    ``decided(value, error) -> bool`` it also stops once the predicate holds
+    (asked once per grid, not at the last grid that fits), so a value is
+    only as precise as the caller's decision needs; a predicate that never
+    holds returns what no predicate returns, bit for bit. ``n_points`` is
+    n^d for the final n.
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
@@ -287,7 +291,7 @@ def integrate_periodic(f_grid, d: int, tol: float) -> QuadratureResult:
         value = float(np.mean(vals))
         coarse = float(np.mean(vals[even]))
         err = abs(value - coarse) + float(np.finfo(float).eps * np.mean(np.abs(vals)))
-        if err <= tol or 2 * n > n_max:
+        if err <= tol or 2 * n > n_max or (decided is not None and decided(value, err)):
             return QuadratureResult(value, err, vals.size, "periodic")
         n *= 2
 
@@ -313,15 +317,16 @@ def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> 
     return integrate_cube(split, d, budget)
 
 
-def _integral_ln(f_grid, d: int, tol: float) -> QuadratureResult:
-    """``integrate_periodic`` of ln f to ``tol``, f given as the grid
-    integrand ``f_grid(n)`` of f > 0 (see ``integrate_periodic``)."""
+def _integral_ln(f_grid, d: int, tol: float, decided=None) -> QuadratureResult:
+    """``integrate_periodic`` of ln f to ``tol``, or until ``decided(value,
+    error)`` holds, f given as the grid integrand ``f_grid(n)`` of f > 0
+    (see ``integrate_periodic``)."""
 
     def ln_f(n):
         with np.errstate(divide="ignore"):  # f underflowed to 0: _checked rejects -inf
             return np.log(f_grid(n))
 
-    return integrate_periodic(ln_f, d, tol)
+    return integrate_periodic(ln_f, d, tol, decided)
 
 
 def integral_ln_f(Y: GramMatrix, t: float, tol: float = 1e-10) -> QuadratureResult:

@@ -459,10 +459,16 @@ def _reduced_box(Y: GramMatrix, radius: float, lo, hi):
 def _cube_norm_box(om: PeriodMatrix) -> np.ndarray:
     """The terms m (float, (M, g)) of ``cube_norm_batch`` at its default tol,
     in the coordinates of Omega, for every y in [0, 1]^g: the box of
-    ``_reduced_box`` around the hull of U^{-1} [0, 1]^g."""
-    Uinv = om.Y._reduced()["Uinv"]
-    return _reduced_box(om.Y, _radius_for(om.Y, 1.0, 1.0, 1e-12), np.minimum(Uinv, 0).sum(1),
-                        np.maximum(Uinv, 0).sum(1))[0]
+    ``_reduced_box`` around the hull of U^{-1} [0, 1]^g. It depends on Y
+    only, so it is built once per Y and cached there, read-only."""
+    Y = om.Y
+    if "cube_norm_box" not in Y._cache:
+        Uinv = Y._reduced()["Uinv"]
+        m = _reduced_box(Y, _radius_for(Y, 1.0, 1.0, 1e-12), np.minimum(Uinv, 0).sum(1),
+                         np.maximum(Uinv, 0).sum(1))[0]
+        m.setflags(write=False)
+        Y._cache["cube_norm_box"] = m
+    return Y._cache["cube_norm_box"]
 
 
 def _cube_norm_coeffs(om: PeriodMatrix, m: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -483,7 +489,7 @@ def _cube_norm_grid(om: PeriodMatrix, m: np.ndarray, x: np.ndarray, y: np.ndarra
     """||s||(x_i + tau y_j) at g = 1 on the product grid of x and y in [0, 1),
     a (len(x), len(y)) array: |B @ C| with B[i, m] = exp(-2 pi i m x_i) and
     C = ``_cube_norm_coeffs(om, m, y)``, over the terms m (float, (M, 1)) of
-    ``_cube_norm_box(om)``, which the caller builds once for all its grids."""
+    ``_cube_norm_box(om)``, which the caller takes once for all its grids."""
     B = np.exp(-2j * math.pi * np.outer(x, m))
     return np.abs(B @ _cube_norm_coeffs(om, m, y[:, None]))
 

@@ -20,7 +20,7 @@ from mlk.bounds import (
     verify_chain,
     weakened_height_bound,
 )
-from mlk.quadrature import integrate_cube
+from mlk.quadrature import _FIRST_QMC_POINTS, integrate_cube
 from mlk.siegel import reduce as siegel_reduce, validate_period_matrix
 import mlk.theta
 from mlk.theta import _cube_norm_box, _cube_norm_grid, _f_grid, cube_norm_batch, f_series
@@ -237,19 +237,22 @@ class TestArchimedeanInvariant:
     def test_estimate_covers_the_error_at_the_first_doubling(self, g):
         # verify_chain may stop the invariant at its first size, 32 nodes per
         # axis at g = 1 (tau in the fundamental domain, Im tau log-uniform in
-        # [1, 50]) and 2^8 points per shift at g >= 2, so its estimate must be
-        # honest there: 100 of 100 cases at each g, the largest
-        # |I - I_exact| / estimate 0.35 at g = 1, 0.68 at g = 2 and 0.42 at g = 3
+        # [1, 50]) and _FIRST_QMC_POINTS = 2^5 points per shift at g >= 2, so
+        # its estimate must be honest there, and at 2^8 points per shift:
+        # 100 of 100 cases at each g and size, the largest
+        # |I - I_exact| / estimate 0.35 at g = 1, 0.59 (2^5) and 0.68 (2^8) at
+        # g = 2, and 0.51 (2^5) and 0.42 (2^8) at g = 3
         rng = np.random.default_rng([2024, g])
         for k in range(100):
             if g == 1:
                 re, im = rng.uniform(-0.5, 0.5), math.exp(rng.uniform(0.0, math.log(50.0)))
                 taus = [complex(re, im)]
-                om, budget = om_of(taus[0]), 32
+                om, budgets = om_of(taus[0]), [32]
             else:
-                (om, taus), budget = conjugated_product(rng, g), 256
-            inv = archimedean_invariant(om, budget=budget, seed=k)
-            assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate, k
+                (om, taus), budgets = conjugated_product(rng, g), [_FIRST_QMC_POINTS, 256]
+            for budget in budgets:
+                inv = archimedean_invariant(om, budget=budget, seed=k)
+                assert abs(inv.value - invariant_exact(taus)) <= inv.error_estimate, (k, budget)
 
     @pytest.mark.parametrize("tau", [60j, 80j])
     def test_large_imaginary_part_needs_no_clip(self, tau):
@@ -432,8 +435,8 @@ class TestVerifyChain:
         (om_of(1j), 32**2 + 16**2), (om_of(0.5 + 1j), 32**2 + 16**2), (om_of(2j), 32**2 + 16**2),
         (om_of(60j), 32**2 + 16**2 + 64**2), (om_of(80j), 32**2 + 16**2 + 64**2),
         (om_of(470j), 32**2 + 16**2 + 64**2 + 128**2),
-        (validate_period_matrix(np.zeros((2, 2)), np.eye(2)), 8 * 256),
-        (validate_period_matrix(np.zeros((3, 3)), np.eye(3)), 8 * 256)],
+        (validate_period_matrix(np.zeros((2, 2)), np.eye(2)), 8 * 2 * _FIRST_QMC_POINTS),
+        (validate_period_matrix(np.zeros((3, 3)), np.eye(3)), 8 * _FIRST_QMC_POINTS)],
         ids=["i", "half+i", "2i", "60i", "80i", "470i", "iI2", "iI3"])
     def test_stopping_the_invariant_early_keeps_every_verdict(self, monkeypatch, om, n_points):
         # the acceptance suite's chain cases, large Im tau and Omega = i I_3,
@@ -458,6 +461,57 @@ class TestVerifyChain:
         for a, b in zip(early.entries, full.entries):
             if not (a.name.startswith("theta_invariant_lower") or a.name == "height_chain"):
                 assert a == b
+
+    @pytest.mark.parametrize("om, n", [
+        (om_of(1j), 8), (om_of(470j), 128),
+        (validate_period_matrix(np.zeros((2, 2)), 100.0 * np.eye(2)), 8),
+        (validate_period_matrix(np.zeros((3, 3)), 20.0 * np.eye(3)), 8)],
+        ids=["i", "470i", "100I2", "20I3"])
+    def test_stopping_the_log_gaussian_early_keeps_every_verdict(self, monkeypatch, om, n):
+        # the log-Gaussian stops on the first grid k/n where its check is
+        # decided at either end of value +- estimate; run to tolerance it
+        # needs n = 16 at tau = i and goes on to the 2^19 grid cap at large
+        # Y. Every verdict and every other entry is the same, and the early
+        # value is within its estimate of the full one
+        E = EmbeddingSet(om.g, 1, [om])
+        integral_ln = mlk.bounds._integral_ln
+        sizes = []
+
+        def spied(*args):
+            r = integral_ln(*args)
+            sizes.append(r.n_points)
+            return r
+
+        monkeypatch.setattr(mlk.bounds, "_integral_ln", spied)
+        early = verify_chain(E)
+        monkeypatch.setattr(mlk.bounds, "_integral_ln",
+                            lambda f_grid, d, tol, decided: spied(f_grid, d, tol))
+        full = verify_chain(E)
+        assert sizes[0] == n**om.g < sizes[1]
+        assert [e.passed for e in early.entries] == [e.passed for e in full.entries]
+        for a, b in zip(early.entries, full.entries):
+            if a.name.startswith("log_gaussian_bound"):
+                assert abs(a.lhs - b.lhs) <= a.error_estimate
+            else:
+                assert a == b
+
+    def test_one_norm_box_per_g1_embedding(self, monkeypatch):
+        # the Parseval coefficients and the invariant's grids share one box
+        # of ||s|| per Y, built once and read-only
+        E = EmbeddingSet(1, 2, [om_of(1j), om_of(0.2 + 1.3j)])
+        builds = []
+        reduced_box = mlk.theta._reduced_box
+
+        def counted(Y, radius, lo, hi):
+            builds.append(Y)
+            return reduced_box(Y, radius, lo, hi)
+
+        monkeypatch.setattr(mlk.theta, "_reduced_box", counted)
+        verify_chain(E)
+        forms = [om.Y for om in E.periods]  # the other builds are f_Y's dual boxes, over Y^{-1}
+        assert [Y for Y in builds if any(Y is y for y in forms)] == forms
+        box = _cube_norm_box(E.periods[0])
+        assert box is _cube_norm_box(E.periods[0]) and not box.flags.writeable
 
     @pytest.mark.parametrize("U", [[[1, 0, 0], [16, 1, 0], [50, 13, 1]],
                                    [[1, 0, 0], [15, 1, 0], [40, 12, 1]]], ids=["16", "15"])

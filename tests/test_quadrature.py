@@ -8,8 +8,10 @@ import pytest
 from mlk import theta
 from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_batch
 from mlk.quadrature import (
+    _FIRST_QMC_POINTS,
     QuadratureError,
     _gauss_rule,
+    _integral_ln,
     _sobol,
     _tensor_gauss,
     _tensor_points,
@@ -21,8 +23,8 @@ from mlk.quadrature import (
 )
 from mlk.cli import _random_spd
 from mlk.siegel import validate_period_matrix
-from mlk.theta import (_cube_norm_box, _cube_norm_coeffs, _fourier_grid, cube_norm_batch, f_series,
-                       f_series_batch)
+from mlk.theta import (_cube_norm_box, _cube_norm_coeffs, _f_grid, _fourier_grid, cube_norm_batch,
+                       f_series, f_series_batch)
 
 from conftest import grid_points, ln_f_exact, make_reduced_period, make_spd
 
@@ -148,7 +150,7 @@ class TestDecidedDoubling:
         return np.cos(2.0 * P.sum(axis=1)) + P[:, 0] ** 2
 
     def test_doublings_evaluate_each_sobol_point_once(self):
-        d, seed = 4, 5
+        d, seed, first = 4, 5, _FIRST_QMC_POINTS
         batches, asked = [], []
 
         def counted(P):
@@ -161,15 +163,15 @@ class TestDecidedDoubling:
 
         r = integrate_cube(counted, d, 4096, seed, decided=decided)
         # one call per doubling, every shift's new points in it, shift-major
-        assert [len(P) for P in batches] == [8 * 256, 8 * 256]
-        assert r.n_points == 8 * 512 and len(asked) == 2
+        assert [len(P) for P in batches] == [8 * first, 8 * first]
+        assert r.n_points == 8 * 2 * first and len(asked) == 2
         shifts = np.random.default_rng(seed).random((8, d))
-        first, second = (P.reshape(8, 256, d) for P in batches)
+        old, new = (P.reshape(8, first, d) for P in batches)
         for k, s in enumerate(shifts):
-            got = np.concatenate([first[k], second[k]])
-            assert np.array_equal(got, (_sobol(d, 512) + s) % 1.0)
+            got = np.concatenate([old[k], new[k]])
+            assert np.array_equal(got, (_sobol(d, 2 * first) + s) % 1.0)
         assert (r.value, r.error_estimate) == asked[-1]
-        assert r == integrate_cube(self.smooth, d, 512, seed)
+        assert r == integrate_cube(self.smooth, d, 2 * first, seed)
 
     def test_calls_hold_at_most_two_to_the_16_rows(self):
         d, cap = 4, 1 << 16
@@ -181,9 +183,12 @@ class TestDecidedDoubling:
 
         r = integrate_cube(counted, d, cap, 3, decided=lambda value, err: False)
         assert max(calls) <= cap and sum(calls) == 8 * cap
-        # the doublings from 256 points per shift: all 8 shifts per call up
-        # to 2^13 new points, then 4 and 2 shifts (2^14, 2^15 new points)
-        assert calls == [2048, 2048, 4096, 8192, 16384, 32768] + 7 * [65536]
+        # the doublings from _FIRST_QMC_POINTS points per shift: all 8 shifts
+        # per call up to 2^13 new points, then 4 and 2 shifts (2^14, 2^15 new
+        # points)
+        new = [_FIRST_QMC_POINTS] + [_FIRST_QMC_POINTS << k
+                                     for k in range(int(math.log2(cap // _FIRST_QMC_POINTS)))]
+        assert calls == [8 * n for n in new if n < 1 << 13] + 7 * [cap]
         assert r == integrate_cube(self.smooth, d, cap, 3)
 
     @pytest.mark.parametrize("d, budget", [(3, 4096), (5, 1 << 16), (4, 300), (3, 64)])
@@ -198,7 +203,7 @@ class TestDecidedDoubling:
         assert r == integrate_cube(self.smooth, d, budget, 7)
         m_cap = 1 << int(math.log2(budget))
         assert r.n_points == 8 * m_cap
-        assert len(asked) == max(0, int(math.log2(m_cap / 256)))  # none at the cap
+        assert len(asked) == max(0, int(math.log2(m_cap / _FIRST_QMC_POINTS)))  # none at the cap
 
     @pytest.mark.parametrize("g", [2, 3])
     @pytest.mark.parametrize("scale", [1.0, 30.0, 300.0])
@@ -287,6 +292,54 @@ class TestIntegratePeriodic:
         r = integrate_periodic(f_grid, 3, -1.0)
         assert calls == [8, 16, 32, 64]
         assert r.n_points == 64**3 and r.value == pytest.approx(0.5, abs=1e-14)
+
+    @staticmethod
+    def aliased(n):  # frequencies 12 and 24 reach the subgrids of n = 8 and 16
+        P = grid_points(n, 3)
+        return 0.5 + np.cos(24.0 * math.pi * P[:, 0]) + np.cos(48.0 * math.pi * P[:, 1])
+
+    @pytest.mark.parametrize("tol, grids, asked_on", [(1e-12, [8, 16, 32], [8, 16]),
+                                                      (-1.0, [8, 16, 32, 64], [8, 16, 32])],
+                             ids=["tol", "cap"])
+    def test_predicate_that_never_holds_changes_no_bit(self, tol, grids, asked_on):
+        # the predicate is asked once per grid the rule would refine, after
+        # that grid and with its value and estimate: not where tol is met,
+        # nor at the last grid that fits (n = 64 at d = 3)
+        calls, asked = [], []
+
+        def f_grid(n):
+            calls.append(n)
+            return self.aliased(n)
+
+        def never(value, err):
+            asked.append((calls[-1], value, err))
+            return False
+
+        r = integrate_periodic(f_grid, 3, tol, never)
+        assert r == integrate_periodic(self.aliased, 3, tol)
+        assert calls == grids and [n for n, _, _ in asked] == asked_on
+        for k, (n, value, err) in enumerate(asked):  # what stopping at that ask returns
+            holds_at_ask = iter(k * [False] + [True])
+            stopped = integrate_periodic(self.aliased, 3, tol, lambda v, e: next(holds_at_ask))
+            assert (stopped.value, stopped.error_estimate, stopped.n_points) == (value, err, n**3)
+
+    def test_predicate_that_holds_stops_at_the_first_grid(self):
+        # where the predicate holds at once the rule returns the n = 8 grid's
+        # result, as a tolerance met at once would, asked once
+        calls, asked = [], []
+
+        def f_grid(n):
+            calls.append(n)
+            return self.aliased(n)
+
+        def at_once(value, err):
+            asked.append((value, err))
+            return True
+
+        r = integrate_periodic(f_grid, 3, 1e-12, at_once)
+        assert calls == [8] and r.n_points == 8**3
+        assert r == integrate_periodic(self.aliased, 3, math.inf)
+        assert asked == [(r.value, r.error_estimate)]
 
     def test_rejects_non_finite(self):
         def f(P):
@@ -400,6 +453,26 @@ class TestIntegralLnF:
         U = np.array(U, dtype=float)
         r = integral_ln_f(GramMatrix(U.T @ np.diag(y) @ U), t)
         assert abs(r.value - ln_f_exact(y, t)) <= r.error_estimate + 1e-12
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_estimate_covers_the_error_at_the_first_grid(self, g):
+        # verify_chain may stop the log-Gaussian at its first grid, n = 8, so
+        # its estimate must be honest there: forms U^T diag(y) U with y
+        # log-uniform in [1, 50] and U a product of elementary operations,
+        # at t = 2: 40 of 40 at each g, the largest |value - exact| / estimate
+        # 0.31 at every g
+        rng = np.random.default_rng([2025, g])
+        for k in range(40):
+            y = np.exp(rng.uniform(0.0, math.log(50.0), g))
+            U = np.eye(g)
+            for _ in range(2 * g if g > 1 else 0):
+                i, j = rng.choice(g, size=2, replace=False)
+                U[:, j] += rng.choice((-1.0, 1.0)) * U[:, i]
+            Y = U.T @ np.diag(y) @ U
+            r = _integral_ln(_f_grid(GramMatrix((Y + Y.T) / 2.0), 2.0), g, 1e-6,
+                             lambda value, err: True)
+            assert r.n_points == 8**g
+            assert abs(r.value - ln_f_exact(y, 2.0)) <= r.error_estimate, k
 
     # Where f is small against its dual's sum (large Y), the dual's rounding
     # is not certified and every value comes from f_series_batch: the result

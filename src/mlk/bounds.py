@@ -55,7 +55,9 @@ class BoundsError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Dimension g, field degree d, and one period matrix per known embedding."""
+    """Dimension g, field degree d, and one period matrix for each of the d
+    embeddings: every bound averages over all of them, so partial data is
+    rejected here."""
 
     g: int
     degree: int
@@ -65,10 +67,9 @@ class EmbeddingSet:
         periods = tuple(periods)
         if g < 1 or degree < 1:
             raise BoundsError("dimension and degree must be >= 1")
-        if not 1 <= len(periods) <= degree:
-            raise BoundsError(
-                f"got {len(periods)} period matrices for degree {degree}; need between 1 and degree"
-            )
+        if len(periods) != degree:
+            kind = "incomplete embedding data" if len(periods) < degree else "too many embeddings"
+            raise BoundsError(f"{kind}: {len(periods)} period matrices for degree {degree}")
         for i, om in enumerate(periods):
             if om.g != g:
                 raise BoundsError(f"embedding {i} has dimension {om.g}, expected {g}")
@@ -158,17 +159,8 @@ def height_term(rho: float, g: int) -> float:
     return math.pi / (6.0 * rc * rc) + g * math.log(kappa() * rc * math.sqrt(g))
 
 
-def _require_complete(E: EmbeddingSet):
-    if len(E.periods) != E.degree:
-        raise BoundsError(
-            f"incomplete embedding data: {len(E.periods)} period matrices for degree {E.degree}"
-        )
-
-
 def height_lower_bound(E: EmbeddingSet, epsilon: float = 0.5) -> BoundReport:
-    """Averaged height lower bound over all embeddings (which must all be
-    supplied: silently averaging a partial sum would be wrong)."""
-    _require_complete(E)
+    """Averaged height lower bound over all embeddings."""
     rhos = [injectivity_diameter(om) for om in E.periods]
     clamp = rho_clamp(E.g)
     per = tuple(
@@ -198,7 +190,6 @@ def weakened_height_bound(E: EmbeddingSet, epsilon: float) -> float:
     """Simplified lower bound
     -(g/2) ln(2 pi^2 / eps) + (1-eps) pi / (6d) * sum 1/rho_s^2,
     with the raw (unclamped) injectivity diameters."""
-    _require_complete(E)
     rhos = [injectivity_diameter(om) for om in E.periods]
     return _weakened_from_rhos(rhos, E.g, E.degree, epsilon)
 
@@ -313,7 +304,6 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     2g-dimensional shortest-vector search per embedding gives the lam of
     (b), (c) and the rho of (d).
     """
-    _require_complete(E)
     for i, om in enumerate(E.periods):
         if not om.is_reduced:
             raise BoundsError(f"embedding {i}: period matrix must be reduced first")

@@ -11,21 +11,18 @@ Input is a strict JSON document; unknown fields are rejected. options.budget
 (or --budget) sizes the chain's 2g-dimensional invariant, whose rule follows
 from g, and is a cap at every g: on the QMC points per shift at g >= 2,
 where the set doubles from 2^5 points, and on the tensor Gauss-Legendre
-nodes per axis at g = 1, min(max(budget, 4), 256), where the rule doubles
-from 32 nodes (so a budget above 256 changes nothing there). Either stops
-once the invariant's check is decided at either end of value +- estimate,
-so the reported invariant is only as precise as that decision needs; the
-chain's log-Gaussian mean stops the same way, on its first grid k/n that
-decides its check.
---budget also sizes the integrals suite's psi^2 integral, which runs at
-g <= 2 with min(max(budget, 4), 256) nodes per axis. Reports go to stdout,
-diagnostics to stderr. Exit codes: 0 success, 1 a verify check failed, 2
-parse error (also a --random, --dim or --budget below 1 or a --seed below
-0), 3 invalid matrix data, 4 the input is valid but cannot be certified: a
-lattice enumeration or quadrature grid exceeded its cap, or a theta series
-or integrand left the range of double precision (a QuadratureError or
-ThetaError). height_chain's error_estimate is (2/d) times the sum of the
-invariants' estimates.
+nodes per axis at g = 1, max(budget, 4) <= 256, where the rule doubles from
+32 nodes. Either stops once the invariant's check is decided at either end
+of value +- estimate, so the reported invariant is only as precise as that
+decision needs; the chain's log-Gaussian mean stops the same way, on its
+first grid k/n that decides its check. Reports go to stdout, diagnostics
+to stderr. Exit codes: 0 success, 1 a verify check failed, 2 parse error
+(also a --random, --dim or --budget below 1, a --seed below 0, or a budget
+above 256 for a g = 1 chain), 3 invalid matrix data, 4 the input is valid
+but cannot be certified: a lattice enumeration or quadrature grid exceeded
+its cap, or a theta series or integrand left the range of double precision
+(a QuadratureError or ThetaError). height_chain's error_estimate is (2/d)
+times the sum of the invariants' estimates.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ from .lattice import (
     mu_interval,
 )
 from .oracle import faltings_height_ec, log_abs_delta
-from .quadrature import QuadratureError, integral_ln_f, integral_psi_sq
+from .quadrature import _MAX_GAUSS_NODES, QuadratureError, integral_ln_f, integral_psi_sq
 from .siegel import SiegelError, lambda_clamped, validate_period_matrix
 from .theta import ThetaError
 
@@ -257,12 +254,12 @@ def _suite_lattice(n: int, seed: int, g: int) -> list[CheckEntry]:
     return entries
 
 
-def _suite_integrals(n: int, seed: int, g: int, budget: int | None) -> list[CheckEntry]:
+def _suite_integrals(n: int, seed: int, g: int) -> list[CheckEntry]:
     rng = np.random.default_rng(seed)
     entries = []
     for i in range(n):
         Y = _random_spd(rng, g)
-        r = integral_psi_sq(Y, 64 if budget is None else budget)
+        r = integral_psi_sq(Y, 64)
         lo = mu_interval(Y, budget=128).lo
         entries.append(CheckEntry.at_least(f"second_moment[{i}]", r.value + r.error_estimate,
                                            lo * lo / 3.0, 1e-9, r.error_estimate))
@@ -323,13 +320,17 @@ def cmd_verify(args) -> int:
         parsed = {"digest": "sha256:" + hashlib.sha256(b"builtin:random").hexdigest()}
     if args.budget is not None:
         parsed["budget"] = args.budget
+    chain_g1 = args.suite in ("chain", "all") and parsed["g"] == 1
+    if chain_g1 and (parsed["budget"] or 0) > _MAX_GAUSS_NODES:
+        raise InputError(f"budget {parsed['budget']} exceeds {_MAX_GAUSS_NODES}, the most Gauss "
+                         "nodes per axis of a g = 1 chain")
 
     n = args.random
     entries: list[CheckEntry] = []
     if args.suite in ("lattice", "all"):
         entries += _suite_lattice(n, args.seed, args.dim)
     if args.suite in ("integrals", "all"):
-        entries += _suite_integrals(max(1, n // 10), args.seed, min(args.dim, 2), args.budget)
+        entries += _suite_integrals(max(1, n // 10), args.seed, min(args.dim, 2))
     if args.suite in ("chain", "all"):
         entries += _suite_chain(parsed, args.seed)
     if args.suite in ("oracle", "all"):
@@ -388,9 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget", type=_int_at_least(1), default=None,
                           help="cap on the chain invariant, which doubles until its check "
                                "is decided at value +- estimate: QMC points per shift at "
-                               "g >= 2, from 32; Gauss nodes per axis, min(max(budget, 4), "
-                               "256), at g = 1, from 32; also the Gauss nodes per axis of the "
-                               "integrals suite, so above 256 it changes nothing there")
+                               "g >= 2, from 32; Gauss nodes per axis, max(budget, 4), at "
+                               "g = 1, from 32, where a budget above 256 is an error")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -20,8 +20,9 @@ arithmetic and so the same bits: level by level in numpy for many targets
 at once (the frontier), or depth first on Python floats for one target.
 The input alone picks: one target whose tree holds at most 2^12 nodes by
 the Gaussian heuristic takes the Python path (one nearest-plane target
-always does), everything else the frontier. LLL runs on the Gram matrix,
-updating the Gram-Schmidt data from its Cholesky factor incrementally.
+always does), everything else the frontier. LLL runs on the Cholesky
+factor that Y already holds, updating the Gram-Schmidt data incrementally,
+and carries the exact inverse of its transform.
 mu(Y) is NP-hard to compute exactly and is returned only as a certified
 two-sided enclosure.
 """
@@ -55,6 +56,7 @@ __all__ = [
 
 _COND_LIMIT = 1e12
 _LLL_DELTA = 0.99
+_LLL_TOL = 1e-9  # is_lll_reduced's rounding slack
 _BOX_CAP = 1 << 21          # hard cap on a search tree's nodes (and on a box's points)
 _RADIUS_SAFETY = 1 + 1e-12  # inflation so fp rounding cannot lose the minimizer
 _ONE_TARGET_NODES = 1 << 12  # largest estimated tree that one target searches on Python floats
@@ -151,15 +153,12 @@ class GramMatrix:
         return 0.5 * math.sqrt(float(np.sum(np.diag(red["R"]) ** 2))) * _RADIUS_SAFETY
 
     def _reduced(self) -> dict:
-        """LLL data: transform U, its inverse, the form G = U^T Y U, Cholesky R of G."""
+        """LLL data: transform U, its exact inverse, the form G = U^T Y U, Cholesky R of G."""
         if "reduced" not in self._cache:
-            _, U = lll_reduce(self.chol.T)
+            U, Uinv = lll_reduce(self)
             G = U.T.astype(float) @ self.entries @ U.astype(float)
             G = (G + G.T) / 2.0
             R = np.linalg.cholesky(G).T  # upper triangular, positive diagonal
-            Uinv = np.rint(np.linalg.inv(U)).astype(np.int64)
-            if not np.array_equal(U @ Uinv, np.eye(self.g, dtype=np.int64)):
-                raise LatticeError("unimodular transform could not be inverted exactly")
             self._cache["reduced"] = {
                 "U": U,
                 "Uinv": Uinv,
@@ -217,47 +216,45 @@ def _chol_gso(L):
     return L / d, d * d
 
 
-def lll_reduce(basis, delta: float = _LLL_DELTA):
-    """LLL-reduce the columns of ``basis``.
+def lll_reduce(Y: GramMatrix):
+    """LLL-reduce the Cholesky basis of Y (the columns of ``Y.chol.T``).
 
-    Returns ``(reduced, U)`` with ``reduced = basis @ U`` and U unimodular
-    (int64). The reduction runs on the Gram matrix G = basis^T basis: its
-    Cholesky factor gives the Gram-Schmidt data, which size reductions of
-    b_k against b_{k-1}, ..., b_0 and swaps at a failed Lovasz test then
-    update in place (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.3). The loop runs on Python floats and ints (rows of
-    mu, columns of U): at these sizes that is faster than numpy, with the
-    same IEEE double arithmetic. Certified quantities downstream are rebuilt
-    from U and the exact Gram matrix.
+    Returns ``(U, Uinv)``: U unimodular (int64) with U^T Y U reduced, and its
+    exact inverse. The Gram-Schmidt data come from Y's own Cholesky factor;
+    size reductions of b_k against b_{k-1}, ..., b_0 and swaps at a failed
+    Lovasz test update them in place (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.3), and each column operation on U
+    (column k -= q column j, or a swap) is mirrored on U^{-1} as the inverse
+    row operation (row j += q row k, or the same swap). The loop runs on
+    Python floats and ints: at these sizes that is faster than numpy, with
+    the same IEEE double arithmetic.
     """
-    B = np.array(basis, dtype=float)
-    try:
-        L = np.linalg.cholesky(B.T @ B)
-    except np.linalg.LinAlgError as exc:
-        raise LatticeError("basis is numerically degenerate") from exc
-    mu, norms2 = (a.tolist() for a in _chol_gso(L))
-    n = len(norms2)
-    U = [[int(i == j) for i in range(n)] for j in range(n)]
+    mu, norms2 = (a.tolist() for a in _chol_gso(Y.chol))
+    n = Y.g
+    U = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of U
+    V = [row[:] for row in U]                                # rows of U^{-1}
     k, steps = 1, 0
     while k < n:
         steps += 1
         if steps > 100_000:
             raise LatticeError("LLL failed to converge")
-        mk, uk = mu[k], U[k]
+        mk, uk, vk = mu[k], U[k], V[k]
         for j in range(k - 1, -1, -1):
             q = round(mk[j])
             if q:
-                mj, uj = mu[j], U[j]
+                mj, uj, vj = mu[j], U[j], V[j]
                 for i in range(j + 1):
                     mk[i] -= q * mj[i]
                 for i in range(n):
                     uk[i] -= q * uj[i]
+                    vj[i] += q * vk[i]
         m = mk[k - 1]
-        if norms2[k] >= (delta - m * m) * norms2[k - 1]:
+        if norms2[k] >= (_LLL_DELTA - m * m) * norms2[k - 1]:
             k += 1
             continue
         # swap b_{k-1} and b_k
         U[k - 1], U[k] = U[k], U[k - 1]
+        V[k - 1], V[k] = V[k], V[k - 1]
         mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
         b = norms2[k] + m * m * norms2[k - 1]
         mu[k][k - 1] = m * norms2[k - 1] / b
@@ -268,17 +265,16 @@ def lll_reduce(basis, delta: float = _LLL_DELTA):
             mu[i][k] = mu[i][k - 1] - m * t
             mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
         k = max(k - 1, 1)
-    U = np.array(U, dtype=np.int64).T
-    return B @ U, U
+    return np.array(U, dtype=np.int64).T, np.array(V, dtype=np.int64)
 
 
-def is_lll_reduced(Y: GramMatrix, delta: float = _LLL_DELTA, tol: float = 1e-9) -> bool:
+def is_lll_reduced(Y: GramMatrix) -> bool:
     """True iff the Cholesky basis of Y already satisfies size reduction and
-    the Lovasz condition at the given delta."""
+    the Lovasz condition at delta = _LLL_DELTA, each up to _LLL_TOL."""
     mu, norms2 = _chol_gso(Y.chol)
     sub = np.diag(mu, -1)
-    return bool(np.all(np.abs(np.tril(mu, -1)) <= 0.5 + tol)
-                and np.all(norms2[1:] >= (delta - sub * sub) * norms2[:-1] * (1 - tol)))
+    return bool(np.all(np.abs(np.tril(mu, -1)) <= 0.5 + _LLL_TOL)
+                and np.all(norms2[1:] >= (_LLL_DELTA - sub * sub) * norms2[:-1] * (1 - _LLL_TOL)))
 
 
 def _int_box(lows, highs):

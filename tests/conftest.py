@@ -54,7 +54,7 @@ def make_lll_gram(rng: np.random.Generator, g: int, lo: float = 0.5,
     Q = np.linalg.qr(rng.normal(size=(g, g)))[0]
     Y = (Q * lam) @ Q.T
     Y = GramMatrix((Y + Y.T) / 2.0)
-    _, U = lll_reduce(Y.chol.T)
+    U, _ = lll_reduce(Y)
     Uf = U.astype(float)
     Yr = Uf.T @ Y.entries @ Uf
     return GramMatrix((Yr + Yr.T) / 2.0)

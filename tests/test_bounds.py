@@ -99,9 +99,8 @@ class TestEmbeddingSet:
             EmbeddingSet(1, 1, [])
 
     def test_bound_requires_all_embeddings(self):
-        E = EmbeddingSet(1, 2, [om_of(2j)])
         with pytest.raises(BoundsError, match="incomplete embedding data"):
-            height_lower_bound(E)
+            height_lower_bound(EmbeddingSet(1, 2, [om_of(2j)]))
 
 
 class TestHeightLowerBound:

@@ -232,7 +232,7 @@ class TestVerifyCommand:
 
     def test_chain_suite_on_tau_i(self, tmp_path, capsys):
         doc = {"g": 1, "degree": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}],
-               "options": {"budget": 16384}}
+               "options": {"budget": 256}}
         path = write(tmp_path, "tau_i.json", doc)
         code, out, _ = run(capsys, ["verify", path, "--suite", "chain"])
         assert code == 0
@@ -280,13 +280,24 @@ class TestVerifyCommand:
     def test_builtin_chain_input_is_the_tau_i_document(self, tmp_path, capsys):
         doc = {"g": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}]}
         _, from_file, _ = run(capsys, ["verify", write(tmp_path, "tau_i.json", doc),
-                                       "--suite", "chain", "--budget", "4096"])
-        _, builtin, _ = run(capsys, ["verify", "--suite", "chain", "--budget", "4096"])
+                                       "--suite", "chain", "--budget", "256"])
+        _, builtin, _ = run(capsys, ["verify", "--suite", "chain", "--budget", "256"])
         from_file, builtin = json.loads(from_file), json.loads(builtin)
         assert builtin["input_digest"] == "sha256:" + hashlib.sha256(b"builtin:tau=i").hexdigest()
         assert builtin["checks"] == from_file["checks"]
         assert builtin["checks"][-1]["name"] == "height_chain"
         assert builtin["checks"][-1]["error_estimate"] > 0.0
+
+    def test_budget_above_the_gauss_cap_is_a_g1_chain_error(self, tmp_path, capsys):
+        doc = {"g": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}], "options": {"budget": 257}}
+        for argv in (["verify", "--suite", "chain", "--budget", "257"],
+                     ["verify", write(tmp_path, "tau_i.json", doc), "--suite", "all"]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert "budget 257 exceeds 256" in err
+        code, out, _ = run(capsys, ["verify", _identity_doc(tmp_path, 2), "--suite", "chain",
+                                    "--budget", "4096"])
+        assert code == 0 and json.loads(out)["all_passed"] is True
 
     def test_scheme_option_is_an_unknown_field(self, tmp_path, capsys):
         # the quadrature rule follows from the dimension; a document that

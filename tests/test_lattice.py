@@ -521,8 +521,18 @@ class TestHalton:
 class TestReduction:
     def test_lll_transform_is_unimodular(self, rng):
         Y = make_spd(rng, 5)
-        _, U = lll_reduce(Y.chol.T)
+        U, Uinv = lll_reduce(Y)
         assert abs(round(np.linalg.det(U.astype(float)))) == 1
+        assert np.array_equal(U @ Uinv, np.eye(5, dtype=np.int64))
+
+    def test_reduction_factors_only_the_reduced_form(self, monkeypatch, rng):
+        # LLL reuses Y.chol, so the only factorization is that of G = U^T Y U
+        Y = make_spd(rng, 6)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda A: calls.append(A) or cholesky(A))
+        red = Y._reduced()
+        assert len(calls) == 1 and calls[0] is red["G"]
 
     def test_reduced_basis_flag(self):
         assert is_lll_reduced(GramMatrix(np.eye(3)))
@@ -533,12 +543,12 @@ class TestReduction:
 
     @pytest.mark.parametrize("g", range(2, 9))
     def test_lll_matches_reference(self, g, rng):
-        for cond in (1e1, 1e3, 1e6):
+        for cond in (1e1, 1e3, 1e6, 1e9):
             for _ in range(4):
                 Y = make_spd(rng, g, cond_max=cond)
-                reduced, U = lll_reduce(Y.chol.T)
+                U, Uinv = lll_reduce(Y)
                 assert np.array_equal(U, reference_lll(Y.chol.T)[1])
-                np.testing.assert_array_equal(reduced, Y.chol.T @ U)
+                assert np.array_equal(U @ Uinv, np.eye(g, dtype=np.int64))
                 Yr = U.T.astype(float) @ Y.entries @ U.astype(float)
                 assert is_lll_reduced(GramMatrix((Yr + Yr.T) / 2.0))
 

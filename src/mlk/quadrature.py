@@ -2,12 +2,12 @@
 
 * ``integrate_periodic``: the trapezoid rule on the grid k/n, geometrically
   convergent on smooth Z^d-periodic integrands (Trefethen & Weideman, SIAM
-  Review 56, 2014): ln f_Y(t; .) and the Parseval slices of ``verify_chain``.
+  Review 56, 2014): ln f_Y(t; .), the log-Gaussian of ``verify_chain``.
   Its integrand is given on whole grids, n in, the values at the points
   k/n out. On such a grid a Fourier series has the values of its
   coefficients summed modulo n (the rule's aliasing), so ``theta``
-  computes each grid with one FFT: of f's Poisson dual (``theta._f_grid``),
-  and of the coefficients of ||s|| in x (``theta._cube_norm_coeffs``).
+  computes each grid of f with one FFT of its Poisson dual
+  (``theta._f_grid``).
 * ``integrate_cube``, its rule chosen from d: tensor Gauss-Legendre at
   d <= 2 (psi_Y^2 at g <= 2, split at the half-integers, where the rule is
   exact for diagonal Y) and shifted Sobol QMC at d >= 3 (Dick, Kuo & Sloan,
@@ -264,8 +264,7 @@ def integrate_periodic(f_grid, d: int, tol: float, decided=None) -> QuadratureRe
     on that grid the values of the n-periodic sum of its coefficients, the
     c_j added over each class j mod n: one discrete Fourier transform per
     call (the aliasing identity of the trapezoid rule, Trefethen & Weideman,
-    SIAM Review 56, 2014). ``theta`` evaluates the chain's integrands that
-    way.
+    SIAM Review 56, 2014). ``theta._f_grid`` evaluates f_Y(t; .) that way.
 
     The value is the mean of f on the grid k/n. The error estimate is its
     distance to the mean on the even-index subgrid, plus eps times the mean of

@@ -31,23 +31,23 @@ range of doubles), the points' box is split into cells, each with its own
 centre and coefficients; the cells are chosen from Y and the radius.
 
 On a slice y, ||s||(x + Omega y) = |sum_m c_m(y) exp(-2 pi i m . x)| over a
-box taken in the LLL coordinates of Y (``_cube_norm_box``). The
-coefficients c_m(y) are written once, in ``_cube_norm_coeffs``, for two
-evaluators: ``_cube_norm_grid``, the g = 1 invariant's values on a product
-grid (x_i, y_j), one matrix product with the phases exp(-2 pi i m x_i),
-every exp with a real part <= 0; and ``_fourier_grid``, the chain's
-Parseval slices on the grid k/n of ``quadrature.integrate_periodic``, where
-a series sum_j c_j exp(-2 pi i j . x) takes the values of its coefficients
-summed over each class j mod n: one ``numpy.fft.fftn`` per grid (numpy.fft
-is loaded on the first call, not on import).
+box taken in the LLL coordinates of Y (``_cube_norm_box``), which
+``_cube_norm_grid`` evaluates on the g = 1 invariant's product grids: one
+matrix product with the phases exp(-2 pi i m x_i), every exp with a real
+part <= 0. By Parseval, int ||s||^2 dx on a slice is sum_m |c_m(y)|^2 =
+det(Y)^{1/2} sum_m exp(-2 pi ||y - m||_Y^2), the direct Gaussian sum of
+f_Y(2; y) whatever X is, which ``_slice_norm_sq`` sums over the same box.
 
-``_f_grid`` gives f_Y(t; .) on the same grids as t^{-g/2} fftn(B) by Poisson
-summation, b_j = exp(-pi j^T Y^{-1} j / t) over a box of Y^{-1}. These dual
-values cancel where f is small against sum_j b_j (large Y), so they are
-taken only where a componentwise FFT rounding bound (Higham, ch. 24) keeps
-them within 1e-12 relative of f, and ``f_series_batch`` gives the grid
-elsewhere. The chain reads its Parseval right sides f_Y(2; y), at y on the
-grid k/8, off the first grid of its log-Gaussian.
+``_f_grid`` gives f_Y(t; .) on the grids k/n of
+``quadrature.integrate_periodic`` as t^{-g/2} fftn(B) by Poisson summation,
+b_j = exp(-pi j^T Y^{-1} j / t) over a box of Y^{-1}, B the b_j summed over
+each class j mod n: one ``numpy.fft.fftn`` per grid (numpy.fft is loaded on
+the first call, not on import). These dual values cancel where f is small
+against sum_j b_j (large Y), so they are taken only where a componentwise
+FFT rounding bound (Higham, ch. 24) keeps them within 1e-12 relative of f,
+and ``f_series_batch`` gives the grid elsewhere. The chain reads the right
+sides f_Y(2; y) of its Parseval check, at y on the grid k/8, off the first
+grid of its log-Gaussian.
 
 The omitted mass is bounded rigorously: balls of radius lambda_1(Y)/2 around
 lattice points are disjoint, so the tail sum is dominated by a continuous
@@ -471,43 +471,47 @@ def _cube_norm_box(om: PeriodMatrix) -> np.ndarray:
     return Y._cache["cube_norm_box"]
 
 
-def _cube_norm_coeffs(om: PeriodMatrix, m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The Fourier coefficients in x of ||s||(x + Omega y_j), as an (M, J)
-    complex array over the terms m of ``_cube_norm_box(om)`` and the rows y_j
-    of y (J, g), each in [0, 1]^g, where that box holds the truncation of
-    ``cube_norm_batch``:
-        c_m(y) = det(Y)^{1/4} exp(-pi ||y - m||_Y^2 + i pi (m^T X m - 2 m . X y)).
-    No exponent has a positive real part, so no coefficient overflows."""
-    Y, X = om.Y.entries, om.X
-    d = (y - m[:, None, :]).reshape(-1, m.shape[1])  # (M J, g), j fastest
-    q = np.einsum("ij,ij->i", d, d @ Y).reshape(m.shape[0], -1)
-    phase = np.einsum("ij,ij->i", m, m @ X)[:, None] - 2.0 * (m @ (X @ y.T))
-    return om.Y.det_sqrt ** 0.5 * np.exp(-math.pi * q + 1j * math.pi * phase)
-
-
 def _cube_norm_grid(om: PeriodMatrix, m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """||s||(x_i + tau y_j) at g = 1 on the product grid of x and y in [0, 1),
-    a (len(x), len(y)) array: |B @ C| with B[i, m] = exp(-2 pi i m x_i) and
-    C = ``_cube_norm_coeffs(om, m, y)``, over the terms m (float, (M, 1)) of
-    ``_cube_norm_box(om)``, which the caller takes once for all its grids."""
-    B = np.exp(-2j * math.pi * np.outer(x, m))
-    return np.abs(B @ _cube_norm_coeffs(om, m, y[:, None]))
+    a (len(x), len(y)) array over the terms m (float, (M, 1)) of
+    ``_cube_norm_box(om)``, taken once for all the caller's grids: |B @ C|
+    with B[i, m] = exp(-2 pi i m x_i) and C[m, j] = c_m(y_j), the Fourier
+    coefficients in x, c_m(y) = Im(tau)^{1/4} exp(-pi Im(tau) (y - m)^2
+    + i pi Re(tau) (m^2 - 2 m y)): no exponent has a positive real part."""
+    t1, t2 = om.X[0, 0], om.Y.entries[0, 0]
+    d = y - m  # (M, len(y))
+    phase = m * (m * t1) - 2.0 * (m * (t1 * y))
+    C = om.Y.det_sqrt ** 0.5 * np.exp(-math.pi * (d * (d * t2)) + 1j * math.pi * phase)
+    return np.abs(np.exp(-2j * math.pi * np.outer(x, m)) @ C)
 
 
-def _fourier_grid(c: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """sum_j c_j exp(-2 pi i j . k / n) for k in {0, ..., n-1}^g, as an
-    (n,) * g complex array, over the integer rows j of m (float, (M, g)).
+def _slice_norm_sq(om: PeriodMatrix, y: np.ndarray):
+    """int ||s||^2(x + Omega y_k) dx over [0, 1]^g at the rows y_k of y
+    (entries k/8 in [0, 1]) in closed form: by Parseval, sum_m |c_m(y)|^2
+    over the coefficients of ``_cube_norm_grid``, the direct Gaussian sum
+    det(Y)^{1/2} sum_m exp(-2 pi ||y - m||_Y^2) of f_Y(2; y), whatever X is.
+    One ``math.fsum`` per row over ``_cube_norm_box(om)``, which covers the
+    ellipsoid of radius R (``cube_norm_batch``'s at its default tol) around
+    every y in [0, 1]^g.
 
-    The coefficients are summed over each class j mod n and transformed by
-    one ``numpy.fft.fftn``: on the grid, exp(-2 pi i j . k / n) depends on
-    j mod n only.
+    Returns ``(values, err)``, err the tail beyond R (``_tail_bound`` at
+    t = 2) plus the rounding. With y - m exact, the exponent is within
+    2 pi gamma_{2g+2} qa_m, qa_m = |y - m|^T |Y| |y - m| (two inner products,
+    2 pi and its product), and the exp within 5 u, so the exact term is
+    within N_m u / (1 - 2 N_m u) of the computed one, N_m = 2 pi (2g + 2) qa_m
+    + 5. The fsum and the factor det(Y)^{1/2} round once each, and a term
+    that underflows loses at most one denormal.
     """
-    g = m.shape[1]
-    r = np.ravel_multi_index(tuple((m.astype(np.int64) % n).T), (n,) * g)
-    B = np.bincount(r, c.real, n**g)
-    if np.iscomplexobj(c):
-        B = B + 1j * np.bincount(r, c.imag, n**g)
-    return np.fft.fftn(B.reshape((n,) * g))
+    Y, g, det_sqrt = om.Y, om.g, om.Y.det_sqrt
+    tail = _tail_bound(Y, det_sqrt, 2.0, _radius_for(Y, 1.0, 1.0, 1e-12))  # the box's R
+    m = _cube_norm_box(om)
+    d = y[:, None, :] - m  # (K, M, g)
+    terms = np.exp(-2.0 * math.pi * np.einsum("kmi,kmi->km", d, d @ Y.entries))
+    qa = np.einsum("kmi,kmi->km", np.abs(d), np.abs(d) @ np.abs(Y.entries))
+    Nu = _UNIT_ROUNDOFF * (2.0 * math.pi * (2 * g + 2) * qa + 5.0)
+    values = det_sqrt * np.array([math.fsum(t) for t in terms.tolist()])
+    rounding = (terms * (Nu / (1.0 - 2.0 * Nu))).sum(axis=1) + m.shape[0] * _DENORMAL
+    return values, tail + det_sqrt * rounding + _gamma(2) * values
 
 
 def _f_grid(Y: GramMatrix, t: float):
@@ -577,7 +581,9 @@ def _f_grid(Y: GramMatrix, t: float):
         levels = g * round(math.log2(n))
         if grid_dual and _gamma(8 * levels) * det_sqrt / scale <= _F_RTOL:
             m, b, S, S_x, widths = dual()
-            v = scale * _fourier_grid(b, m, n).real.ravel()
+            # on the grid k/n, exp(-2 pi i j . k / n) depends on j mod n only
+            r = np.ravel_multi_index(tuple((m.astype(np.int64) % n).T), (n,) * g)
+            v = scale * np.fft.fftn(np.bincount(r, b, n**g).reshape((n,) * g)).real.ravel()
             p = float(np.prod(np.ceil(widths / n)))
             beta = scale * (_gamma(8 * levels + p + 6) * S + _gamma(2 * g + 3) * S_x)
             if beta <= _F_RTOL * (float(v.min()) - beta):

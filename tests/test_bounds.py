@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mlk.bounds
+import mlk.quadrature
 import mlk.siegel
 from mlk.bounds import (
     BoundsError,
@@ -25,7 +26,7 @@ from mlk.siegel import reduce as siegel_reduce, validate_period_matrix
 import mlk.theta
 from mlk.theta import _cube_norm_box, _cube_norm_grid, _f_grid, cube_norm_batch, f_series
 
-from conftest import invariant_exact, make_reduced_period
+from conftest import invariant_exact, make_reduced_period, oracle_f
 
 # Frozen via 40-digit direct evaluation of the defining formulas:
 KAPPA = 0.1334054522735500372073062501673757404
@@ -495,8 +496,8 @@ class TestVerifyChain:
                 assert a == b
 
     def test_one_norm_box_per_g1_embedding(self, monkeypatch):
-        # the Parseval coefficients and the invariant's grids share one box
-        # of ||s|| per Y, built once and read-only
+        # the closed-form Parseval sums and the invariant's grids share one
+        # box of ||s|| per Y, built once and read-only
         E = EmbeddingSet(1, 2, [om_of(1j), om_of(0.2 + 1.3j)])
         builds = []
         reduced_box = mlk.theta._reduced_box
@@ -549,10 +550,16 @@ class TestVerifyChain:
         # f_Y(2; y_k) of the three Parseval checks are entries of the n = 8
         # grid of one f_Y(2; .) plan per embedding, asked for once and shared
         # with the log-Gaussian, whose dual is built once: within 1e-14
-        # relative of one-point f_series
+        # relative of one-point f_series. The log-Gaussian is the chain's
+        # only periodic-rule integral
         periods = [make_reduced_period(rng, g) for _ in range(2)]
-        plans, grids, builds = [], [], []
+        plans, grids, builds, periodic = [], [], [], []
         radius_for = mlk.theta._radius_for
+        integrate_periodic = mlk.quadrature.integrate_periodic
+
+        def counted_periodic(*args):
+            periodic.append(args[1])
+            return integrate_periodic(*args)
 
         def counted_plan(Y, t):
             plans.append((Y, t))
@@ -572,7 +579,9 @@ class TestVerifyChain:
 
         monkeypatch.setattr(mlk.bounds, "_f_grid", counted_plan)
         monkeypatch.setattr(mlk.theta, "_radius_for", counted_radius)
+        monkeypatch.setattr(mlk.quadrature, "integrate_periodic", counted_periodic)
         rep = verify_chain(EmbeddingSet(g, 2, periods), budget=256)
+        assert periodic == [g, g]
         assert plans == [(om.Y, 2.0) for om in periods]
         assert builds == [om.Y.inverse() for om in periods]
         assert [asked.count(8) for asked in grids] == [1, 1]
@@ -581,6 +590,51 @@ class TestVerifyChain:
                 entry = next(e for e in rep.entries if e.name == f"parseval[{i},{k}]")
                 ref = f_series(om.Y, 2.0, y).value
                 assert abs(entry.rhs - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("om", [
+        om_of(1j), om_of(470j), validate_period_matrix(np.zeros((2, 2)), np.eye(2)),
+        validate_period_matrix(np.zeros((3, 3)), 20.0 * np.eye(3))],
+        ids=["i", "470i", "iI2", "20I3"])
+    def test_parseval_fails_on_a_faulty_dual(self, monkeypatch, om):
+        # f_Y(2; .)'s n = 8 grid off by 1e-5 relative: every Parseval check
+        # fails, as its lhs is the direct sum over Y, not read off that grid.
+        # Every other verdict holds and every other entry is unchanged, but
+        # for a log-Gaussian that stops on that grid (at i): it moves by
+        # ln(1 + 1e-5)
+        E = EmbeddingSet(om.g, 1, [om])
+        good = verify_chain(E)
+        f_grid = mlk.bounds._f_grid
+
+        def faulty(Y, t):
+            values = f_grid(Y, t)
+            return lambda n: values(n) * (1.0 + 1e-5) if n == 8 else values(n)
+
+        monkeypatch.setattr(mlk.bounds, "_f_grid", faulty)
+        bad = verify_chain(E)
+        assert [a.name for a in good.entries] == [b.name for b in bad.entries]
+        for a, b in zip(good.entries, bad.entries):
+            if a.name.startswith("parseval"):
+                assert a.passed and not b.passed and b.lhs == a.lhs
+            elif a.name.startswith("log_gaussian_bound"):
+                assert b.passed == a.passed and abs(b.lhs - a.lhs) <= 1e-5
+            else:
+                assert b == a
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_parseval_estimate_is_honest(self, rng, g):
+        # the closed-form lhs is within its estimate of the box-sum oracle
+        # of f_Y(2; y), and the estimate is within 1e-13 of the rhs: on
+        # random reduced forms, and at 470i and 20i I_3, where f_Y(2; y) is
+        # as small as 1.6e-79 and 1.0e-10
+        periods = [make_reduced_period(rng, g) for _ in range(3)]
+        large = {1: om_of(470j), 3: validate_period_matrix(np.zeros((3, 3)), 20.0 * np.eye(3))}
+        periods += [large[g]] if g in large else []
+        rep = verify_chain(EmbeddingSet(g, len(periods), periods), budget=16)
+        for i, om in enumerate(periods):
+            ref = oracle_f(om.Y, 2.0, _parseval_samples(g))
+            for k in range(3):
+                e = next(e for e in rep.entries if e.name == f"parseval[{i},{k}]")
+                assert abs(e.lhs - ref[k]) <= e.error_estimate <= 1e-13 * e.rhs
 
     @pytest.mark.parametrize("c", [20.0, 35.0])
     def test_large_y_builds_no_dual_box(self, monkeypatch, c):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mlk import theta
+from mlk.bounds import _parseval_samples
 from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_batch
 from mlk.quadrature import (
     _FIRST_QMC_POINTS,
@@ -23,8 +24,7 @@ from mlk.quadrature import (
 )
 from mlk.cli import _random_spd
 from mlk.siegel import validate_period_matrix
-from mlk.theta import (_cube_norm_box, _cube_norm_coeffs, _f_grid, _fourier_grid, cube_norm_batch,
-                       f_series, f_series_batch)
+from mlk.theta import _f_grid, _slice_norm_sq, cube_norm_batch, f_series, f_series_batch
 
 from conftest import grid_points, ln_f_exact, make_reduced_period, make_spd
 
@@ -238,6 +238,20 @@ def on_points(f, d):
     return lambda n: f(grid_points(n, d))
 
 
+def slice_integral(om, y):
+    """int ||s||^2(x + Omega y) dx by the periodic rule on cube_norm_batch^2
+    at the grid's points, to 1e-10, and a bound on the error of the
+    integrand on the last grid."""
+    bound = []
+
+    def slice_norm_sq(P):
+        vals, err = cube_norm_batch(om, np.hstack([P, np.broadcast_to(y, P.shape)]))
+        bound.append(err * (2.0 * vals.max() + err))
+        return vals * vals
+
+    return integrate_periodic(on_points(slice_norm_sq, om.g), om.g, 1e-10), bound[-1]
+
+
 class TestIntegratePeriodic:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_trig_polynomials_exact(self, rng, d):
@@ -258,21 +272,25 @@ class TestIntegratePeriodic:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_parseval_slice_matches_f_series(self, rng, g):
-        # the Parseval slice by cube_norm_batch at the grid's points and by
-        # its FFT grid form (the chain's), each against f_Y(2; y)
+        # the Parseval slice by cube_norm_batch at the grid's points, against
+        # f_Y(2; y)
         om = make_reduced_period(rng, g)
         y = rng.uniform(0.0, 1.0, g)
+        r, _ = slice_integral(om, y)
+        assert r.error_estimate <= 1e-10
+        assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)
 
-        def slice_norm_sq(P):
-            vals, _ = cube_norm_batch(om, np.hstack([P, np.broadcast_to(y, P.shape)]))
-            return vals * vals
-
-        box = _cube_norm_box(om)
-        c = _cube_norm_coeffs(om, box, y[None, :])[:, 0]
-        for f_grid in (on_points(slice_norm_sq, g), lambda n: np.abs(_fourier_grid(c, box, n)) ** 2):
-            r = integrate_periodic(f_grid, g, 1e-10)
-            assert r.error_estimate <= 1e-10
-            assert r.value == pytest.approx(f_series(om.Y, 2.0, y).value, abs=1e-10)
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_closed_form_parseval_is_the_slice_integral(self, rng, g):
+        # the chain's Parseval lhs in closed form against the same slice
+        # integral (on the contraction the g >= 2 invariant runs) at each of
+        # the three samples: within the rule's estimate plus the integrand's
+        # certified error
+        om = make_reduced_period(rng, g)
+        samples = _parseval_samples(g)
+        for y, value, err in zip(samples, *_slice_norm_sq(om, samples)):
+            r, integrand_err = slice_integral(om, y)
+            assert abs(r.value - value) <= r.error_estimate + integrand_err + err
 
     def test_one_call_per_grid(self):
         # frequencies 12 and 24 alias onto the subgrids of n = 8 and 16, so the
@@ -507,12 +525,12 @@ class TestIntegralLnF:
         # the chain's log-Gaussian at Y = I: each grid k/n is one FFT of the
         # whole grid, none for the offset grids of earlier doublings
         sizes = []
-        fourier_grid = theta._fourier_grid
+        fftn = np.fft.fftn
 
-        def spy(c, m, n):
-            sizes.append(n)
-            return fourier_grid(c, m, n)
+        def spy(B):
+            sizes.append(B.shape[0])
+            return fftn(B)
 
-        monkeypatch.setattr(theta, "_fourier_grid", spy)
+        monkeypatch.setattr(np.fft, "fftn", spy)
         r = integral_ln_f(GramMatrix(np.eye(g)), 2.0, 1e-6)
         assert sizes == calls and r.n_points == calls[-1] ** g

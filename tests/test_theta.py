@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mlk import theta
-from mlk.bounds import EmbeddingSet, _parseval_samples, verify_chain
+from mlk.bounds import EmbeddingSet, verify_chain
 from mlk.lattice import GramMatrix, closest_vector
 from mlk.quadrature import _gauss_rule, _tensor_points, integrate_cube
 from mlk.siegel import validate_period_matrix
@@ -16,10 +16,8 @@ from mlk.theta import (
     _Q_INFLATION,
     ThetaError,
     _cube_norm_box,
-    _cube_norm_coeffs,
     _cube_norm_grid,
     _f_grid,
-    _fourier_grid,
     _gamma_q,
     _radius_for,
     _tail_bound,
@@ -393,7 +391,7 @@ class TestContractionOracle:
 
 
 class TestFourierGrids:
-    """The FFT grid forms of the chain's x-integrands against direct sums."""
+    """The FFT grid form of f_Y, the chain's x-integrand, against direct sums."""
 
     @staticmethod
     def grids(g):
@@ -434,34 +432,6 @@ class TestFourierGrids:
         self.dual_only(monkeypatch)
         om = validate_period_matrix(np.zeros((g, g)), np.eye(g))
         assert verify_chain(EmbeddingSet(g, 1, [om])).all_passed
-
-    @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_cube_norm_slice(self, rng, g):
-        # |_fourier_grid| of the coefficients (the chain's Parseval slices) on
-        # random reduced Omega, at random y and at the three Parseval samples
-        for om in (make_reduced_period(rng, g) for _ in range(2)):
-            box = _cube_norm_box(om)
-            ys = np.vstack([rng.uniform(0, 1, g), _parseval_samples(g)])
-            coeffs = _cube_norm_coeffs(om, box, ys)
-            for y, c in zip(ys, coeffs.T):
-                for n in self.grids(g):
-                    P = grid_points(n, g)
-                    got = np.abs(_fourier_grid(c, box, n)).ravel()
-                    ref = oracle_cube_norm(om, np.hstack([P, np.broadcast_to(y, P.shape)]))
-                    _assert_agrees(got, ref)
-
-    @pytest.mark.parametrize("tau", [1j, 0.5 + 1j, 0.3897 + 1.279j, 2j, 60j])
-    def test_grid_and_fft_forms_share_the_coefficients(self, tau):
-        # at g = 1 the invariant's product grid at the nodes k/n and the
-        # Parseval slices' FFT of the same coefficients agree to rounding
-        om = om_of(tau)
-        box, ys = _cube_norm_box(om), _parseval_samples(1)
-        coeffs = _cube_norm_coeffs(om, box, ys)
-        for n in (8, 16, 32):
-            grid = _cube_norm_grid(om, box, np.arange(n) / n, ys[:, 0])
-            for k, c in enumerate(coeffs.T):
-                fft = np.abs(_fourier_grid(c, box, n))
-                assert np.all(np.abs(grid[:, k] - fft) <= 2e-15 * fft)
 
 
 class TestRoundingBound:

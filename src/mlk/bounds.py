@@ -24,7 +24,7 @@ import numpy as np
 
 from .quadrature import QuadratureResult, _integral_ln, _tensor_gauss, integrate_cube
 from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
-from .theta import _cube_norm_box, _cube_norm_grid, _f_grid, _slice_norm_sq, cube_norm_batch
+from .theta import _cube_norm_grid, _f_grid, _slice_norm_sq, cube_norm_batch
 
 __all__ = [
     "BoundsError",
@@ -222,10 +222,10 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     g = 1: tensor Gauss-Legendre on [0,1]^2 (``quadrature._tensor_gauss``,
     ``budget`` nodes per axis, clamped to [4, 256]), with ||s|| on each
     rule's whole grid from one matrix product (``theta._cube_norm_grid``)
-    over one box of terms (``theta._cube_norm_box``) built for every rule;
-    ``seed`` is not used. g >= 2: ``integrate_cube``'s QMC for d = 2g
-    (``budget`` points per shift, ``seed``) on ``cube_norm_batch``, which
-    gets the points of several shifts per call. A predicate
+    over the box of terms that theta caches per Y; ``seed`` is not used.
+    g >= 2: ``integrate_cube``'s QMC for d = 2g (``budget`` points per
+    shift, ``seed``) on ``cube_norm_batch``, which gets the points of
+    several shifts per call. A predicate
     ``decided(I, error) -> bool`` makes ``budget`` a cap at every g: the
     rule doubles, from 32 nodes per axis at g = 1 and from 2^5 points per
     shift at g >= 2, until the predicate holds for the invariant and its
@@ -243,9 +243,7 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     half_log_norm_sq = 0.25 * om.g * math.log(2.0)
     on_log = None if decided is None else (lambda v, err: decided(-v - half_log_norm_sq, err))
     if om.g == 1:
-        box = _cube_norm_box(om)
-        r = _tensor_gauss(lambda x: clipped_log(_cube_norm_grid(om, box, x, x)), 2, budget,
-                          on_log)
+        r = _tensor_gauss(lambda x: clipped_log(_cube_norm_grid(om, x)), 2, budget, on_log)
     else:
         r = integrate_cube(lambda P: clipped_log(cube_norm_batch(om, P)[0]), 2 * om.g, budget,
                            seed, decided=on_log)

@@ -20,9 +20,10 @@ to stderr. Exit codes: 0 success, 1 a verify check failed, 2 parse error
 (also a --random, --dim or --budget below 1, a --seed below 0, or a budget
 above 256 for a g = 1 chain), 3 invalid matrix data, 4 the input is valid
 but cannot be certified: a lattice enumeration or quadrature grid exceeded
-its cap, or a theta series or integrand left the range of double precision
-(a QuadratureError or ThetaError). height_chain's error_estimate is (2/d)
-times the sum of the invariants' estimates.
+its cap, the period Gram matrix passed the condition limit, or a theta
+series or integrand left the range of double precision (a QuadratureError
+or ThetaError). height_chain's error_estimate is (2/d) times the sum of the
+invariants' estimates.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .bounds import (
     verify_chain,
 )
 from .lattice import (
+    ConditionLimitError,
     EnumerationLimitError,
     GramMatrix,
     LatticeError,
@@ -282,17 +284,8 @@ def _suite_oracle(seed: int) -> list[CheckEntry]:
     for y in (1.0, 2.0, 5.0, 10.0, 50.0):
         ht = faltings_height_ec(complex(0.0, y))
         term = height_term(1.0 / math.sqrt(y), 1)
-        gap = ht - term
-        entries.append(
-            CheckEntry(
-                name=f"height_gap[y={y:g}]",
-                lhs=gap,
-                rhs=0.0,
-                slack=gap,
-                tolerance=1e-9,
-                passed=0.0 <= gap <= 1.0,
-            )
-        )
+        entries += [CheckEntry.at_least(f"height_gap[y={y:g}]", ht, term, 0.0),
+                    CheckEntry.at_most(f"height_gap_upper[y={y:g}]", ht - term, 1.0, 0.0)]
     rng = np.random.default_rng(seed)
     for i in range(20):
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
@@ -403,7 +396,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (EnumerationLimitError, QuadratureError, ThetaError) as exc:
+    except (EnumerationLimitError, ConditionLimitError, QuadratureError, ThetaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (DataError, BoundsError, SiegelError, LatticeError) as exc:

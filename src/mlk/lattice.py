@@ -72,6 +72,10 @@ class EnumerationLimitError(LatticeError):
     """A certified enumeration (search tree or box) is larger than the cap allows."""
 
 
+class ConditionLimitError(LatticeError):
+    """A Gram matrix past the condition number that double precision can certify."""
+
+
 class GramMatrix:
     """Immutable symmetric positive-definite matrix with cached factorizations.
 
@@ -98,7 +102,7 @@ class GramMatrix:
             if eig[0] <= 0.0:
                 raise LatticeError("Gram matrix must be positive definite")
             if eig[-1] > _COND_LIMIT * eig[0]:
-                raise LatticeError(
+                raise ConditionLimitError(
                     f"Gram matrix condition number {eig[-1] / eig[0]:.3e} exceeds {_COND_LIMIT:.0e}"
                 )
         try:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import GramMatrix, LatticeError, shortest_vector
+from .lattice import ConditionLimitError, GramMatrix, LatticeError, shortest_vector
 
 __all__ = [
     "SiegelError",
@@ -157,6 +157,8 @@ def riemann_form_norm(om: PeriodMatrix, m, n) -> float:
     n = np.asarray(n, dtype=float).reshape(-1)
     if m.shape[0] != om.g or n.shape[0] != om.g:
         raise SiegelError(f"integer vectors must have length g={om.g}")
+    if not all(np.all(np.isfinite(v) & (v == np.rint(v))) for v in (m, n)):
+        raise SiegelError("m and n must be integer vectors")
     v = m + om.X @ n
     h = float(v @ (om.Y.inverse().entries @ v)) + float(n @ om.Y.entries @ n)
     return max(h, 0.0)
@@ -171,6 +173,8 @@ def _period_gram(om: PeriodMatrix) -> GramMatrix:
     G = (G + G.T) / 2.0
     try:
         return GramMatrix(G)
+    except ConditionLimitError as exc:  # valid input that cannot be certified (y^2 at tau = i y)
+        raise ConditionLimitError(f"period Gram matrix rejected: {exc}") from exc
     except LatticeError as exc:
         raise SiegelError(f"period Gram matrix rejected: {exc}") from exc
 

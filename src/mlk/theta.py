@@ -31,12 +31,13 @@ range of doubles), the points' box is split into cells, each with its own
 centre and coefficients; the cells are chosen from Y and the radius.
 
 On a slice y, ||s||(x + Omega y) = |sum_m c_m(y) exp(-2 pi i m . x)| over a
-box taken in the LLL coordinates of Y (``_cube_norm_box``), which
-``_cube_norm_grid`` evaluates on the g = 1 invariant's product grids: one
-matrix product with the phases exp(-2 pi i m x_i), every exp with a real
-part <= 0. By Parseval, int ||s||^2 dx on a slice is sum_m |c_m(y)|^2 =
-det(Y)^{1/2} sum_m exp(-2 pi ||y - m||_Y^2), the direct Gaussian sum of
-f_Y(2; y) whatever X is, which ``_slice_norm_sq`` sums over the same box.
+box taken in the LLL coordinates of Y and cached with its radius R
+(``_cube_norm_box``), which ``_cube_norm_grid`` evaluates on the g = 1
+invariant's grids, the rule's nodes by themselves: one matrix product with
+the phases exp(-2 pi i m x_i), every exp with a real part <= 0. By
+Parseval, int ||s||^2 dx on a slice is sum_m |c_m(y)|^2 = det(Y)^{1/2}
+sum_m exp(-2 pi ||y - m||_Y^2), the direct Gaussian sum of f_Y(2; y)
+whatever X is, which ``_slice_norm_sq`` sums over the same box to R.
 
 ``_f_grid`` gives f_Y(t; .) on the grids k/n of
 ``quadrature.integrate_periodic`` as t^{-g/2} fftn(B) by Poisson summation,
@@ -207,6 +208,14 @@ def _lll_sums(Y: GramMatrix, t: float, X, p, u, tol: float, target: float, det_s
     return sums, _tail_bound(Y, det_sqrt, t, R) + det_sqrt * rounding, terms
 
 
+def _f_target(Y: GramMatrix, t: float, rtol: float) -> float:
+    """f_Y(t; .)'s truncation target at relative tolerance rtol: f >= det_sqrt exp(-pi t mu^2)."""
+    if not 0.0 < t < math.inf:
+        raise ThetaError("t must be positive and finite")
+    mu_hi = Y.covering_upper()
+    return rtol * Y.det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
+
+
 def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
     """f_Y(t; x) at many x simultaneously, by the theta contraction on the
     form t Y with X = 0 and no phases.
@@ -217,16 +226,11 @@ def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
     uniform over the batch, on the omitted mass (at most tol * min value)
     plus the rounding error of the contraction.
     """
-    if not 0.0 < t < math.inf:
-        raise ThetaError("t must be positive and finite")
+    target = _f_target(Y, t, tol)
     P = _torus_points(points, Y.g, f"g={Y.g}")  # the series is Z^g-periodic
-    det_sqrt = Y.det_sqrt
-    mu_hi = Y.covering_upper()
-    # f >= det_sqrt * exp(-pi t mu^2) everywhere; certify the tail against it.
-    target = tol * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
     sums, err, terms = _lll_sums(Y, t, np.zeros((Y.g, Y.g)), P, np.zeros_like(P), tol, target,
-                                 det_sqrt, True)
-    return det_sqrt * sums.real, err, terms
+                                 Y.det_sqrt, True)
+    return Y.det_sqrt * sums.real, err, terms
 
 
 def f_series(Y: GramMatrix, t: float, x, tol: float = 1e-12) -> ThetaValue:
@@ -456,31 +460,32 @@ def _reduced_box(Y: GramMatrix, radius: float, lo, hi):
     return _int_box(lo, hi) @ Y._reduced()["U"].T.astype(float), hi - lo + 1.0
 
 
-def _cube_norm_box(om: PeriodMatrix) -> np.ndarray:
-    """The terms m (float, (M, g)) of ``cube_norm_batch`` at its default tol,
-    in the coordinates of Omega, for every y in [0, 1]^g: the box of
-    ``_reduced_box`` around the hull of U^{-1} [0, 1]^g. It depends on Y
-    only, so it is built once per Y and cached there, read-only."""
+def _cube_norm_box(om: PeriodMatrix):
+    """``(m, R)``: the terms m (float, (M, g)) of ``cube_norm_batch`` at its
+    default tol, radius R, in the coordinates of Omega, for every y in [0, 1]^g:
+    the box of ``_reduced_box`` around the hull of U^{-1} [0, 1]^g. Built once
+    per Y (it depends on Y only) and cached there, m read-only."""
     Y = om.Y
     if "cube_norm_box" not in Y._cache:
         Uinv = Y._reduced()["Uinv"]
-        m = _reduced_box(Y, _radius_for(Y, 1.0, 1.0, 1e-12), np.minimum(Uinv, 0).sum(1),
-                         np.maximum(Uinv, 0).sum(1))[0]
+        R = _radius_for(Y, 1.0, 1.0, 1e-12)
+        m = _reduced_box(Y, R, np.minimum(Uinv, 0).sum(1), np.maximum(Uinv, 0).sum(1))[0]
         m.setflags(write=False)
-        Y._cache["cube_norm_box"] = m
+        Y._cache["cube_norm_box"] = (m, R)
     return Y._cache["cube_norm_box"]
 
 
-def _cube_norm_grid(om: PeriodMatrix, m: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """||s||(x_i + tau y_j) at g = 1 on the product grid of x and y in [0, 1),
-    a (len(x), len(y)) array over the terms m (float, (M, 1)) of
-    ``_cube_norm_box(om)``, taken once for all the caller's grids: |B @ C|
-    with B[i, m] = exp(-2 pi i m x_i) and C[m, j] = c_m(y_j), the Fourier
-    coefficients in x, c_m(y) = Im(tau)^{1/4} exp(-pi Im(tau) (y - m)^2
-    + i pi Re(tau) (m^2 - 2 m y)): no exponent has a positive real part."""
+def _cube_norm_grid(om: PeriodMatrix, x: np.ndarray) -> np.ndarray:
+    """||s||(x_i + tau x_j) at g = 1 on the grid of the nodes x in [0, 1) by
+    themselves, a (len(x), len(x)) array over the terms m of
+    ``_cube_norm_box(om)``: |B @ C| with B[i, m] = exp(-2 pi i m x_i) and
+    C[m, j] = c_m(x_j), the Fourier coefficients in x, c_m(y) = Im(tau)^{1/4}
+    exp(-pi Im(tau) (y - m)^2 + i pi Re(tau) (m^2 - 2 m y)): no exponent has
+    a positive real part."""
+    m = _cube_norm_box(om)[0]
     t1, t2 = om.X[0, 0], om.Y.entries[0, 0]
-    d = y - m  # (M, len(y))
-    phase = m * (m * t1) - 2.0 * (m * (t1 * y))
+    d = x - m  # (M, len(x))
+    phase = m * (m * t1) - 2.0 * (m * (t1 * x))
     C = om.Y.det_sqrt ** 0.5 * np.exp(-math.pi * (d * (d * t2)) + 1j * math.pi * phase)
     return np.abs(np.exp(-2j * math.pi * np.outer(x, m)) @ C)
 
@@ -490,9 +495,8 @@ def _slice_norm_sq(om: PeriodMatrix, y: np.ndarray):
     (entries k/8 in [0, 1]) in closed form: by Parseval, sum_m |c_m(y)|^2
     over the coefficients of ``_cube_norm_grid``, the direct Gaussian sum
     det(Y)^{1/2} sum_m exp(-2 pi ||y - m||_Y^2) of f_Y(2; y), whatever X is.
-    One ``math.fsum`` per row over ``_cube_norm_box(om)``, which covers the
-    ellipsoid of radius R (``cube_norm_batch``'s at its default tol) around
-    every y in [0, 1]^g.
+    One ``math.fsum`` per row over the box m of ``_cube_norm_box(om)``,
+    which covers the ellipsoid of its radius R around every y in [0, 1]^g.
 
     Returns ``(values, err)``, err the tail beyond R (``_tail_bound`` at
     t = 2) plus the rounding. With y - m exact, the exponent is within
@@ -503,15 +507,14 @@ def _slice_norm_sq(om: PeriodMatrix, y: np.ndarray):
     that underflows loses at most one denormal.
     """
     Y, g, det_sqrt = om.Y, om.g, om.Y.det_sqrt
-    tail = _tail_bound(Y, det_sqrt, 2.0, _radius_for(Y, 1.0, 1.0, 1e-12))  # the box's R
-    m = _cube_norm_box(om)
+    m, R = _cube_norm_box(om)
     d = y[:, None, :] - m  # (K, M, g)
     terms = np.exp(-2.0 * math.pi * np.einsum("kmi,kmi->km", d, d @ Y.entries))
     qa = np.einsum("kmi,kmi->km", np.abs(d), np.abs(d) @ np.abs(Y.entries))
     Nu = _UNIT_ROUNDOFF * (2.0 * math.pi * (2 * g + 2) * qa + 5.0)
     values = det_sqrt * np.array([math.fsum(t) for t in terms.tolist()])
     rounding = (terms * (Nu / (1.0 - 2.0 * Nu))).sum(axis=1) + m.shape[0] * _DENORMAL
-    return values, tail + det_sqrt * rounding + _gamma(2) * values
+    return values, _tail_bound(Y, det_sqrt, 2.0, R) + det_sqrt * rounding + _gamma(2) * values
 
 
 def _f_grid(Y: GramMatrix, t: float):
@@ -522,9 +525,9 @@ def _f_grid(Y: GramMatrix, t: float):
 
     The dual: f_Y(t; x) = t^{-g/2} sum_j b_j exp(-2 pi i j . x) with
     b_j = exp(-pi j^T Y^{-1} j / t) over the box that ``_radius_for`` gives
-    at scale 1/t for the target of ``f_series_batch`` at tol = _F_RTOL,
-    tol det_sqrt exp(-pi t mu_hi^2) (``_tail_bound`` is uniform in x, so it
-    bounds the omitted b_j at x = 0). The box is taken in the LLL-reduced
+    at scale 1/t for ``_f_target(Y, t, _F_RTOL)``, the target of
+    ``f_series_batch`` at tol = _F_RTOL (``_tail_bound`` is uniform in x, so
+    it bounds the omitted b_j at x = 0). The box is taken in the LLL-reduced
     coordinates of Y^{-1}, j = U k, where it hugs the truncation ellipsoid
     (in the raw coordinates of a skewed Y^{-1} it can pass the enumeration
     cap). It is built once, on the first grid that may use it.
@@ -555,11 +558,8 @@ def _f_grid(Y: GramMatrix, t: float):
     gamma_{8L} t^{g/2} det_sqrt > 1e-12 the guard cannot hold and the grid
     builds no dual box.
     """
-    if not 0.0 < t < math.inf:
-        raise ThetaError("t must be positive and finite")
+    target = _f_target(Y, t, _F_RTOL)
     g, det_sqrt = Y.g, Y.det_sqrt
-    mu_hi = Y.covering_upper()
-    target = _F_RTOL * det_sqrt * math.exp(-min(math.pi * t * mu_hi * mu_hi, _EXP_CAP))
     scale = t ** (-g / 2.0)
     built = None  # (m, b, S, S_x, widths) once built
     grid_dual = True  # False once a grid has taken f_series_batch

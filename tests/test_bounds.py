@@ -293,25 +293,28 @@ class TestArchimedeanInvariant:
             calls.append(P.shape[0])
             return cube_norm_batch(om_, P)
 
-        def counted_grid(om_, m, x, y):
-            grids.append((x.shape[0], y.shape[0]))
-            return _cube_norm_grid(om_, m, x, y)
+        def counted_grid(om_, x):
+            grids.append((x.shape[0], x.shape[0]))
+            return _cube_norm_grid(om_, x)
 
         def counted_box(om_):
-            boxes.append(om_)
-            return _cube_norm_box(om_)
+            box = _cube_norm_box(om_)
+            boxes.append(box[0])
+            return box
 
         monkeypatch.setattr(mlk.bounds, "cube_norm_batch", counted)
         monkeypatch.setattr(mlk.bounds, "_cube_norm_grid", counted_grid)
-        monkeypatch.setattr(mlk.bounds, "_cube_norm_box", counted_box)
+        monkeypatch.setattr(mlk.theta, "_cube_norm_box", counted_box)
         inv = archimedean_invariant(om, budget, 3)
         assert inv.scheme == rule
         assert inv.n_clipped == clipped
         if g == 1:
             # without a predicate n = budget: one grid per rule (n and n // 2
-            # nodes per axis) over one box, none point by point; the
-            # matrix-product sum differs from the points' in the last bits only
-            assert calls == [] and grids == [(32, 32), (16, 16)] and len(boxes) == 1
+            # nodes per axis) over one box, read by each grid, none point by
+            # point; the matrix-product sum differs from the points' in the
+            # last bits only
+            assert calls == [] and grids == [(32, 32), (16, 16)]
+            assert len(boxes) == 2 and boxes[0] is boxes[1]
             assert inv.n_points == 32**2 + 16**2 == r_log.n_points
             assert abs(inv.value - value) <= 1e-13 * max(1.0, abs(value))
             return
@@ -332,9 +335,9 @@ class TestArchimedeanInvariant:
         full = archimedean_invariant(om, budget)
         grids, asked = [], []
 
-        def counted_grid(om_, m, x, y):
-            grids.append((x.shape[0], y.shape[0]))
-            return _cube_norm_grid(om_, m, x, y)
+        def counted_grid(om_, x):
+            grids.append((x.shape[0], x.shape[0]))
+            return _cube_norm_grid(om_, x)
 
         def never(I, err):
             asked.append((I, err))
@@ -355,9 +358,9 @@ class TestArchimedeanInvariant:
         om = om_of(0.2 + 1.3j)
         grids, asked = [], []
 
-        def counted_grid(om_, m, x, y):
-            grids.append((x.shape[0], y.shape[0]))
-            return _cube_norm_grid(om_, m, x, y)
+        def counted_grid(om_, x):
+            grids.append((x.shape[0], x.shape[0]))
+            return _cube_norm_grid(om_, x)
 
         def at_once(I, err):
             asked.append((I, err))
@@ -511,7 +514,23 @@ class TestVerifyChain:
         forms = [om.Y for om in E.periods]  # the other builds are f_Y's dual boxes, over Y^{-1}
         assert [Y for Y in builds if any(Y is y for y in forms)] == forms
         box = _cube_norm_box(E.periods[0])
-        assert box is _cube_norm_box(E.periods[0]) and not box.flags.writeable
+        assert box is _cube_norm_box(E.periods[0]) and not box[0].flags.writeable
+
+    def test_one_box_radius_per_g1_embedding(self, monkeypatch):
+        # the radius of the ||s|| box is found once per Y, when the box is
+        # built: the Parseval tail reads it from theta's cache
+        E = EmbeddingSet(1, 2, [om_of(1j), om_of(0.2 + 1.3j)])
+        calls = []
+        radius_for = mlk.theta._radius_for
+
+        def counted(Y, det_sqrt, t, target):
+            if (det_sqrt, t, target) == (1.0, 1.0, 1e-12):
+                calls.append(Y)
+            return radius_for(Y, det_sqrt, t, target)
+
+        monkeypatch.setattr(mlk.theta, "_radius_for", counted)
+        verify_chain(E)
+        assert len(calls) == 2 and all(Y is om.Y for Y, om in zip(calls, E.periods))
 
     @pytest.mark.parametrize("U", [[[1, 0, 0], [16, 1, 0], [50, 13, 1]],
                                    [[1, 0, 0], [15, 1, 0], [40, 12, 1]]], ids=["16", "15"])
@@ -522,7 +541,7 @@ class TestVerifyChain:
         # holds under 20,000, and the verdicts are those of reduce(Omega)
         U = np.array(U, dtype=float)
         om = validate_period_matrix(np.zeros((3, 3)), U.T @ U)
-        assert om.is_reduced and len(_cube_norm_box(om)) < 20_000
+        assert om.is_reduced and len(_cube_norm_box(om)[0]) < 20_000
         rep = verify_chain(EmbeddingSet(3, 1, [om]))
         ref = verify_chain(EmbeddingSet(3, 1, [siegel_reduce(om)]))
         assert rep.all_passed

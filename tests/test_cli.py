@@ -8,8 +8,11 @@ import sys
 import pytest
 
 import mlk
+import mlk.cli
 import mlk.siegel
+from mlk.bounds import height_term
 from mlk.cli import main
+from mlk.oracle import faltings_height_ec
 
 TERM_TAU_2I = -1.3137383138033930
 WEAK_TAU_2I_HALF = -1.3142782908110466
@@ -180,6 +183,20 @@ class TestRhoCommand:
         rb = json.loads(out_b)["per_embedding"][0]["rho"]
         assert ra == pytest.approx(rb, rel=1e-9)
 
+    @pytest.mark.parametrize("command", ["rho", "bound"])
+    def test_condition_limit_of_the_period_gram_exits_4(self, tmp_path, capsys, command):
+        # at tau = y i the period Gram matrix diag(1/y, y) has condition
+        # number y^2, past the limit beyond y = 10^6 though Y is 1 x 1: valid
+        # input that cannot be certified. A Y past the limit is invalid input
+        for y, want in ((9e5, 0), (1.1e6, 4)):
+            doc = {"g": 1, "embeddings": [{"re": [[0.0]], "im": [[y]]}]}
+            code, out, err = run(capsys, [command, write(tmp_path, "a.json", doc)])
+            assert code == want
+        assert out == "" and "period Gram matrix rejected: Gram matrix condition number" in err
+        doc = {"g": 2, "embeddings": [{"re": [[0.0, 0.0], [0.0, 0.0]],
+                                       "im": [[1e13, 0.0], [0.0, 1.0]]}]}
+        code, out, err = run(capsys, [command, write(tmp_path, "b.json", doc)])
+        assert (code, out) == (3, "") and "imaginary part rejected" in err
 
     def test_one_period_gram_search_per_embedding(self, tmp_path, capsys, monkeypatch):
         # each injectivity_diameter call builds one 2g x 2g period Gram matrix
@@ -229,6 +246,24 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, ["verify", "--suite", "oracle"])
         assert code == 0
         assert json.loads(out)["all_passed"] is True
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_height_gap_entries(self, capsys, monkeypatch, seed):
+        # per y, h_Fa >= term (slack: the gap) and gap <= 1, both to
+        # tolerance 0: the pair passes exactly when 0 <= gap <= 1, also for
+        # heights moved so that the gap leaves [0, 1] at either end
+        for shift in (0.0, -0.5, 1.0):
+            monkeypatch.setattr(mlk.cli, "faltings_height_ec",
+                                lambda tau, s=shift: faltings_height_ec(tau) + s)
+            _, out, _ = run(capsys, ["verify", "--suite", "oracle", "--seed", str(seed)])
+            checks = {c["name"]: c for c in json.loads(out)["checks"]}
+            for y in (1.0, 2.0, 5.0, 10.0, 50.0):
+                ht = faltings_height_ec(complex(0.0, y)) + shift
+                gap = ht - height_term(1.0 / math.sqrt(y), 1)  # as the suite forms it
+                lower, upper = checks[f"height_gap[y={y:g}]"], checks[f"height_gap_upper[y={y:g}]"]
+                assert lower["slack"] == gap and upper["lhs"] == gap
+                assert lower["tolerance"] == upper["tolerance"] == 0.0
+                assert (lower["pass"], upper["pass"]) == (0.0 <= gap, gap <= 1.0)
 
     def test_chain_suite_on_tau_i(self, tmp_path, capsys):
         doc = {"g": 1, "degree": 1, "embeddings": [{"re": [[0.0]], "im": [[1.0]]}],

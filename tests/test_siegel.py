@@ -163,6 +163,15 @@ class TestRiemannForm:
         with pytest.raises(SiegelError):
             riemann_form_norm(om_of(1j), [1, 0], [0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5])
+    def test_rejects_non_integral_vectors(self, bad):
+        # H is defined on Z^g: non-finite and fractional entries of m or n
+        om = make_reduced_period(np.random.default_rng(0), 2)
+        with pytest.raises(SiegelError, match="integer"):
+            riemann_form_norm(om, [bad, 0], [0, 1])
+        with pytest.raises(SiegelError, match="integer"):
+            riemann_form_norm(om, [0, 1], [0, bad])
+
 
 class TestInjectivityDiameter:
     def test_tau_2i(self):

@@ -327,7 +327,7 @@ class TestContractionOracle:
         # normal doubles
         om = om_of(tau)
         x, _ = _gauss_rule(32)
-        got = _cube_norm_grid(om, _cube_norm_box(om), x, x)
+        got = _cube_norm_grid(om, x)
         ref = oracle_cube_norm(om, _tensor_points(x, 2)).reshape(32, 32)
         normal = ref >= np.finfo(float).tiny
         assert got.shape == (32, 32) and normal.any()

@@ -22,9 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import QuadratureResult, _integral_ln, _tensor_gauss, integrate_cube
-from .siegel import PeriodMatrix, injectivity_diameter, lambda_clamped
-from .theta import _cube_norm_grid, _f_grid, _slice_norm_sq, cube_norm_batch
+from .lattice import LatticeError
+from .quadrature import (QuadratureError, QuadratureResult, _integral_ln, _tensor_gauss,
+                         integrate_cube)
+from .siegel import PeriodMatrix, SiegelError, injectivity_diameter, lambda_clamped
+from .theta import ThetaError, _cube_norm_grid, _f_grid, _slice_norm_sq, cube_norm_batch
 
 __all__ = [
     "BoundsError",
@@ -51,6 +53,19 @@ _CLIP_FLOOR = float(np.finfo(float).tiny)
 
 class BoundsError(ValueError):
     """Invalid embedding data or a bound evaluated outside its domain."""
+
+
+def _per_embedding(periods, f) -> list:
+    """[f(i, om) for the embeddings i, om]; an error from embedding i is
+    re-raised as its own class with the message prefixed "embedding i: ",
+    so the CLI names the embedding and keeps the error's exit code."""
+    out = []
+    for i, om in enumerate(periods):
+        try:
+            out.append(f(i, om))
+        except (BoundsError, LatticeError, QuadratureError, SiegelError, ThetaError) as exc:
+            raise type(exc)(f"embedding {i}: {exc}") from exc
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,7 +176,7 @@ def height_term(rho: float, g: int) -> float:
 
 def height_lower_bound(E: EmbeddingSet, epsilon: float = 0.5) -> BoundReport:
     """Averaged height lower bound over all embeddings."""
-    rhos = [injectivity_diameter(om) for om in E.periods]
+    rhos = _per_embedding(E.periods, lambda _, om: injectivity_diameter(om))
     clamp = rho_clamp(E.g)
     per = tuple(
         EmbeddingTerm(rho=r, rho_clamped=min(r, clamp), term=height_term(r, E.g)) for r in rhos
@@ -190,7 +205,7 @@ def weakened_height_bound(E: EmbeddingSet, epsilon: float) -> float:
     """Simplified lower bound
     -(g/2) ln(2 pi^2 / eps) + (1-eps) pi / (6d) * sum 1/rho_s^2,
     with the raw (unclamped) injectivity diameters."""
-    rhos = [injectivity_diameter(om) for om in E.periods]
+    rhos = _per_embedding(E.periods, lambda _, om: injectivity_diameter(om))
     return _weakened_from_rhos(rhos, E.g, E.degree, epsilon)
 
 
@@ -338,7 +353,7 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
                                        tolerance, 2.0 * inv.error_estimate))
         return out, inv, rho
 
-    results = [run_embedding(idx, om) for idx, om in enumerate(E.periods)]
+    results = _per_embedding(E.periods, run_embedding)
     entries = [e for out, _, _ in results for e in out]
     invariants = [inv for _, inv, _ in results]
     entries.append(

@@ -22,8 +22,9 @@ above 256 for a g = 1 chain), 3 invalid matrix data, 4 the input is valid
 but cannot be certified: a lattice enumeration or quadrature grid exceeded
 its cap, the period Gram matrix passed the condition limit, or a theta
 series or integrand left the range of double precision (a QuadratureError
-or ThetaError). height_chain's error_estimate is (2/d) times the sum of the
-invariants' estimates.
+or ThetaError). An error 3 or 4 that comes from one embedding names it
+("embedding i: ..."). height_chain's error_estimate is (2/d) times the sum
+of the invariants' estimates.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .bounds import (
     BoundsError,
     CheckEntry,
     EmbeddingSet,
+    _per_embedding,
     height_lower_bound,
     height_term,
     verify_chain,
@@ -215,17 +217,15 @@ def cmd_bound(args) -> int:
 
 def cmd_rho(args) -> int:
     parsed = _read_input(args.input)
-    per = []
-    for om in parsed["periods"]:
-        info = lambda_clamped(om)
-        per.append(
-            {
-                "rho": info.rho,
-                "rho_clamped": info.rho_clamped,
-                "lambda": info.lam,
-                "lambda_matches_rho": info.agrees,
-            }
-        )
+    per = [
+        {
+            "rho": info.rho,
+            "rho_clamped": info.rho_clamped,
+            "lambda": info.lam,
+            "lambda_matches_rho": info.agrees,
+        }
+        for info in _per_embedding(parsed["periods"], lambda _, om: lambda_clamped(om))
+    ]
     doc = _tool_header(parsed["digest"])
     doc.update({"command": "rho", "g": parsed["g"], "degree": parsed["degree"], "per_embedding": per})
     _emit(doc)

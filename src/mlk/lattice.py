@@ -17,19 +17,23 @@ to floating-point evaluation of the norm itself); a search tree that
 outgrows its cap raises EnumerationLimitError. The search, and the
 nearest-plane point before it, run on one of two paths with the same
 arithmetic and so the same bits: level by level in numpy for many targets
-at once (the frontier), or depth first on Python floats for one target.
-The input alone picks: one target whose tree holds at most 2^12 nodes by
-the Gaussian heuristic takes the Python path (one nearest-plane target
-always does), everything else the frontier. LLL runs on the Cholesky
-factor that Y already holds, updating the Gram-Schmidt data incrementally,
-and carries the exact inverse of its transform.
+at once (the frontier, for ``psi_sq_batch``), or depth first on Python
+floats for one target. The input alone picks: one target whose tree holds
+at most 2^12 nodes by the Gaussian heuristic takes the Python path (one
+nearest-plane target always does), everything else the frontier. LLL runs
+on the Cholesky factor that Y already holds, updating the Gram-Schmidt
+data incrementally, and carries the exact inverse of its transform.
 mu(Y) is NP-hard to compute exactly and is returned only as a certified
-two-sided enclosure.
+two-sided enclosure. Its lower end needs only the largest psi over a point
+set, so ``mu_interval`` searches one target at a time, largest upper bound
+first, and stops once no bound can raise the max (an early exit in the
+style of Schnorr-Euchner, Math. Programming 66, 1994).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -368,7 +372,7 @@ def _small_tree(diag, bound: float) -> bool:
     return total <= _ONE_TARGET_NODES
 
 
-def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
+def _closest(R, T, bound, nonzero: bool = False, floor: float = -math.inf) -> np.ndarray:
     """For every row t of T, an integer u (float, (N, g)) minimizing
     ||R (u - t)||^2 over the u whose squared distance is at most that row's
     ``bound``; with ``nonzero`` (for T = 0 only), over the u != 0.
@@ -391,7 +395,8 @@ def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
     numpy's per-call cost would outweigh the arithmetic of its few nodes. It
     visits the same nodes in the same order with the same arithmetic, so it
     returns the same u and exceeds the cap exactly when the frontier would.
-    Batches and large trees stay on the frontier.
+    Batches and large trees stay on the frontier. A finite ``floor`` lets
+    that path return at its first leaf below floor (the frontier ignores it).
 
     Ties: among points at exactly the same squared distance, the last in the
     search order wins; the order is ascending in u_{g-1}, then in u_{g-2},
@@ -400,7 +405,8 @@ def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
     """
     N, g = T.shape
     if N == 1 and _small_tree(np.diag(R).tolist(), float(bound[0])):
-        return np.array([_closest_one(R.T.tolist(), T[0].tolist(), float(bound[0]), nonzero)])
+        return np.array([_closest_one(R.T.tolist(), T[0].tolist(), float(bound[0]), nonzero,
+                                      floor)])
     Tt = np.ascontiguousarray(T.T)
     diag = np.diag(R)
     block = max(1, (1 << 22) // (g * g))
@@ -449,16 +455,18 @@ def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
     return best_u
 
 
-def _closest_one(cols, t, bound: float, nonzero: bool):
+def _closest_one(cols, t, bound: float, nonzero: bool, floor: float = -math.inf):
     """``_closest`` for one target t (a list), with cols[k][i] = R_ik: the
     frontier search run depth first, children in ascending order, so the
-    leaves come in the frontier's order and the last of equal ones wins."""
+    leaves come in the frontier's order and the last of equal ones wins.
+    The search returns early, with that leaf, once a leaf lies below
+    ``floor``."""
     g = len(t)
     diag = [cols[k][k] for k in range(g)]
     u = [0.0] * g
     best, best_u, nodes = math.inf, [0.0] * g, 0
 
-    def visit(k, s, Z):
+    def visit(k, s, Z):  # True once a leaf below floor is found
         nonlocal best, best_u, nodes
         c = t[k] - Z[k] / diag[k]
         if k == 0:
@@ -469,7 +477,7 @@ def _closest_one(cols, t, bound: float, nonzero: bool):
             s = s + y * y
             if s <= best:
                 best, best_u = s, [u0] + u[1:]
-            return
+            return best < floor
         w = math.sqrt(max(bound - s, 0.0)) / diag[k]
         lo, hi = math.ceil(c - w), math.floor(c + w)
         nodes += hi - lo + 1  # >= 0, as w >= 0
@@ -482,7 +490,9 @@ def _closest_one(cols, t, bound: float, nonzero: bool):
             y = dk * (uk - c)
             a = uk - tk
             u[k] = uk
-            visit(k - 1, s + y * y, [Z[i] + a * col[i] for i in range(k)])
+            if visit(k - 1, s + y * y, [Z[i] + a * col[i] for i in range(k)]):
+                return True
+        return False
 
     visit(g - 1, 0.0, [0.0] * g)
     return best_u
@@ -610,6 +620,65 @@ def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
     return np.maximum(np.einsum("ij,ij->i", D, D @ Y.entries), 0.0)
 
 
+@lru_cache(maxsize=16)  # keyed by g
+def _short_steps(g: int) -> np.ndarray:
+    """0, then the 2g^2 short differences +-e_i and +-e_i +- e_j (i < j),
+    as the rows of a read-only float array."""
+    E = np.eye(g)
+    i, j = np.triu_indices(g, 1)
+    pairs = [a * E[i] + b * E[j] for a in (1, -1) for b in (1, -1)]
+    V = np.vstack([np.zeros((1, g)), E, -E, *pairs])
+    V.setflags(write=False)
+    return V
+
+
+def _psi_sq_max(Y: GramMatrix, P: np.ndarray) -> float:
+    """max psi_Y(x)^2 over the rows x of P (in [0, 1)^g), with the bits of
+    ``psi_sq_batch(Y, P).max()`` but an exact search of only the rows that
+    can hold the max.
+
+    In LLL coordinates t, each row's round-off point rint(t), moved by the
+    best of the short steps (``_short_steps``, all rows and steps in one
+    GEMM), is a lattice point at squared distance ub, recomputed directly
+    at the chosen point. Rows are taken in descending ub until
+    ub * _RADIUS_SAFETY falls below L, the largest exact psi^2 so far. A
+    row keeps its nearest-plane point where ``_closest_coords`` would, or
+    where that point is already below L; otherwise it runs ``_closest``
+    alone within the smaller of ub and its nearest-plane distance (inflated
+    as there), so its tree is no larger than ``psi_sq_batch``'s, and stops
+    at its first leaf below L / _RADIUS_SAFETY, as such a row cannot hold
+    the max. psi^2 is then formed for every row by ``psi_sq_batch``'s
+    expression from the row's best known point; the max falls on a row
+    whose point is exact.
+    """
+    red = Y._reduced()
+    R = red["R"]
+    T = P @ red["Uinv"].T.astype(float)
+    V = _short_steps(Y.g)
+    VR = V @ R.T
+    u = np.rint(T)
+    d = ((u - T) @ R.T) @ (2.0 * VR.T)  # ||R (u + v - t)||^2 - ||R (u - t)||^2 per step v
+    d += (VR * VR).sum(axis=1)          # in place: one more (N, 2g^2) array costs more
+    u += V[d.argmin(axis=1)]
+    Z = (u - T) @ R.T
+    ub = np.einsum("ij,ij->i", Z, Z)
+    cols = R.T.tolist()
+    L = 0.0
+    for i in np.argsort(-ub, kind="stable").tolist():
+        if ub[i] * _RADIUS_SAFETY < L:
+            break
+        u_np, s, gap = _nearest_plane_one(cols, T[i].tolist())
+        if s * _RADIUS_SAFETY + 1e-300 < gap or s * _RADIUS_SAFETY < L:
+            u[i] = u_np  # exact, or already below L: no search
+        else:
+            bound = np.array([min(ub[i], s) * _RADIUS_SAFETY + 1e-300])
+            u[i] = _closest(R, T[i:i + 1], bound, floor=L / _RADIUS_SAFETY)[0]
+        z = (u[i] - T[i]) @ R.T
+        L = max(L, float(z @ z))
+    D = P - u @ red["U"].T.astype(float)
+    return float(np.maximum(np.einsum("ij,ij->i", D, D @ Y.entries), 0.0).max())
+
+
 def _first_primes(d: int) -> np.ndarray:
     primes = []
     k = 2
@@ -645,17 +714,29 @@ def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:
     lo: the best psi_Y value over the Bezout deep point, every half-integer
     corner (g <= 4), and the first ``budget`` points of the Halton sequence
     in the first g primes (``_halton``, cached per (g, budget)); always a
-    true lower bound.
+    true lower bound. It has the bits of the max of ``psi_sq_batch`` over
+    those points, but ``_psi_sq_max`` searches only the few that can hold
+    the max, one at a time.
     hi: the nearest-plane covering bound on an LLL-reduced basis.
+
+    ``budget`` is an integer (``operator.index``; else LatticeError) from 1
+    to _BOX_CAP; a larger one raises EnumerationLimitError before any point
+    is made.
     """
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise LatticeError(f"budget must be an integer, got {budget!r}") from None
     if budget < 1:
         raise LatticeError("budget must be >= 1")
+    if budget > _BOX_CAP:
+        raise EnumerationLimitError(f"budget {budget} exceeds cap {_BOX_CAP}")
     g = Y.g
     pts = [bezout_deep_point(Y).x.reshape(1, -1)]
     if g <= 4:
         corners = _int_box(np.zeros(g), np.ones(g)).astype(float) / 2.0
         pts.append(corners)
     pts.append(_halton(g, budget))
-    psi2 = psi_sq_batch(Y, np.vstack(pts))
-    lo = math.sqrt(float(psi2.max())) * (1 - 1e-12)
+    P = np.vstack(pts)
+    lo = math.sqrt(_psi_sq_max(Y, P - np.floor(P))) * (1 - 1e-12)
     return IntervalEstimate(lo=lo, hi=Y.covering_upper())

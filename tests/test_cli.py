@@ -198,6 +198,15 @@ class TestRhoCommand:
         code, out, err = run(capsys, [command, write(tmp_path, "b.json", doc)])
         assert (code, out) == (3, "") and "imaginary part rejected" in err
 
+    @pytest.mark.parametrize("command", [["rho"], ["bound"], ["verify", "--suite", "chain"]],
+                             ids=["rho", "bound", "verify"])
+    def test_limit_error_names_its_embedding(self, tmp_path, capsys, command):
+        doc = {"g": 1, "degree": 2, "embeddings": [{"re": [[0.0]], "im": [[2.0]]},
+                                                   {"re": [[0.0]], "im": [[1.1e6]]}]}
+        code, out, err = run(capsys, [command[0], write(tmp_path, "a.json", doc), *command[1:]])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: embedding 1: period Gram matrix rejected: Gram matrix condition")
+
     def test_one_period_gram_search_per_embedding(self, tmp_path, capsys, monkeypatch):
         # each injectivity_diameter call builds one 2g x 2g period Gram matrix
         doc = {"g": 1, "degree": 2, "embeddings": [{"re": [[0.0]], "im": [[2.0]]},

@@ -222,9 +222,9 @@ class TestShortestVectorCache:
         calls = []
         enumerate_ = lattice._closest
 
-        def counting(R, T, bound, nonzero=False):
+        def counting(R, T, bound, nonzero=False, **kw):
             calls.append(nonzero)
-            return enumerate_(R, T, bound, nonzero)
+            return enumerate_(R, T, bound, nonzero, **kw)
 
         monkeypatch.setattr(lattice, "_closest", counting)
         for E, want in zip(entries, fresh):
@@ -403,6 +403,31 @@ class TestOneTarget:
         with pytest.raises(EnumerationLimitError, match="exceeds cap"):
             closest_vector(GramMatrix(np.eye(22)), np.full(22, 0.5))
 
+    @pytest.mark.parametrize("g", [2, 5, 8])
+    def test_floor_returns_early_only_below_it(self, g, monkeypatch):
+        rng = np.random.default_rng(300 + g)
+        for Y in (GramMatrix(np.eye(g)), make_spd(rng, g), make_spd(rng, g, cond_max=1e6)):
+            R = Y._reduced()["R"]
+            cols = R.T.tolist()
+            for t in [np.full(g, 0.5), *rng.uniform(-2.0, 2.0, (4, g))]:
+                s = lattice._nearest_plane(R, t.reshape(1, -1))[1][0]
+                bound = s * lattice._RADIUS_SAFETY + 1e-300
+                full = lattice._closest_one(cols, t.tolist(), bound, False)
+                z = (np.array(full) - t) @ R.T
+                least = float(z @ z)
+                # no leaf lies below the least one: the whole search runs
+                assert lattice._closest_one(cols, t.tolist(), bound, False, least) == full
+                for floor in (least * 1.5 + 1e-300, math.inf):
+                    u = lattice._closest_one(cols, t.tolist(), bound, False, floor)
+                    z = (np.array(u) - t) @ R.T
+                    assert float(z @ z) < floor
+        # the 254-node tree of a deep hole of Z^8 stops at its first leaf
+        monkeypatch.setattr(lattice, "_BOX_CAP", 100)
+        cols, t, bound = np.eye(8).tolist(), [0.5] * 8, 2.0 * lattice._RADIUS_SAFETY
+        with pytest.raises(EnumerationLimitError, match="exceeds cap"):
+            lattice._closest_one(cols, t, bound, False)
+        assert lattice._closest_one(cols, t, bound, False, math.inf) == [0.0] * 8
+
 
 class TestBezoutDeepPoint:
     def test_identity_is_tight(self):
@@ -474,6 +499,79 @@ class TestMuInterval:
     def test_budget_validation(self):
         with pytest.raises(LatticeError):
             mu_interval(GramMatrix(np.eye(2)), budget=0)
+
+    @pytest.mark.parametrize("budget, error", [
+        (2.5, LatticeError), (math.nan, LatticeError), ("8", LatticeError), (None, LatticeError),
+        (-3, LatticeError), (np.int64(0), LatticeError),
+        (lattice._BOX_CAP + 1, EnumerationLimitError), (10**7, EnumerationLimitError),
+    ])
+    def test_budget_must_be_a_count_within_the_cap(self, budget, error, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("points made for a rejected budget")
+
+        monkeypatch.setattr(lattice, "_halton", no_points)
+        with pytest.raises(LatticeError) as info:
+            mu_interval(GramMatrix(np.eye(3)), budget=budget)
+        assert type(info.value) is error
+
+    def test_numpy_integer_budget(self):
+        Y = GramMatrix([[2.0, 1.0], [1.0, 2.0]])
+        assert mu_interval(Y, budget=np.int64(5)) == mu_interval(Y, budget=5)
+
+    @staticmethod
+    def points(Y, budget):
+        """mu_interval's points, reduced mod Z^g: the deep point, the
+        half-integer corners (g <= 4) and the Halton points."""
+        g = Y.g
+        pts = [bezout_deep_point(Y).x.reshape(1, -1)]
+        if g <= 4:
+            pts.append(np.array(np.meshgrid(*[[0.0, 0.5]] * g, indexing="ij")).reshape(g, -1).T)
+        pts.append(lattice._halton(g, budget))
+        P = np.vstack(pts)
+        return P - np.floor(P)
+
+    def test_lo_is_the_batch_maximum_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        forms = []
+        for g in range(1, 10):
+            forms += [GramMatrix(np.eye(g)), *(_random_spd(rng, g) for _ in range(3)),
+                      *(make_spd(rng, g, cond_max=c) for c in (1e3, 1e6, 1e9))]
+            if g > 1:
+                forms += [disguised_identity(rng, g)[0] for _ in range(2)]
+                U = disguised_identity(rng, g)[1].astype(float)
+                for c in (1e2, 1e4, 1e6):  # skewed bases of random forms
+                    Y = U.T @ make_spd(rng, g, cond_max=c).entries @ U
+                    forms.append(GramMatrix((Y + Y.T) / 2.0))
+        assert len(forms) >= 100
+        for k, Y in enumerate(forms):
+            budget = (64, 128, 512)[k % 3]
+            want = math.sqrt(float(psi_sq_batch(Y, self.points(Y, budget)).max())) * (1 - 1e-12)
+            assert mu_interval(Y, budget=budget).lo == want, (Y.g, k)
+
+    def test_cap_still_fires(self, monkeypatch):
+        # a point of Z^8's first 32 has a tree past 32 nodes, in the batch too
+        Y = GramMatrix(np.eye(8))
+        P = self.points(Y, 32)
+        monkeypatch.setattr(lattice, "_BOX_CAP", 32)
+        with pytest.raises(EnumerationLimitError, match="enumeration tree"):
+            psi_sq_batch(Y, P)
+        with pytest.raises(EnumerationLimitError, match="enumeration tree"):
+            mu_interval(Y, budget=32)
+
+    def test_searches_one_target_at_a_time(self, monkeypatch):
+        rows = []
+        closest = lattice._closest
+
+        def spy(R, T, bound, *args, **kw):
+            rows.append(T.shape[0])
+            return closest(R, T, bound, *args, **kw)
+
+        monkeypatch.setattr(lattice, "_closest", spy)
+        rng = np.random.default_rng(7)
+        for g in range(2, 10):
+            for Y in (GramMatrix(np.eye(g)), _random_spd(rng, g), make_spd(rng, g, cond_max=1e6)):
+                mu_interval(Y, budget=128)
+        assert len(rows) > 24 and set(rows) == {1}  # 24 dual SVPs, and the searches
 
     def test_interval_type_validation(self):
         with pytest.raises(LatticeError):

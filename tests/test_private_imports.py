@@ -16,6 +16,7 @@ PRIVATE_IMPORTS = {
     ("quadrature", "theta"): {"_f_grid"},
     ("theta", "lattice"): {"_int_box"},
     ("cli", "quadrature"): {"_MAX_GAUSS_NODES"},
+    ("cli", "bounds"): {"_per_embedding"},
 }
 
 

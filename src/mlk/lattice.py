@@ -16,11 +16,12 @@ inflated against rounding, so the returned vectors are exact minimizers (up
 to floating-point evaluation of the norm itself); a search tree that
 outgrows its cap raises EnumerationLimitError. The search, and the
 nearest-plane point before it, run on one of two paths with the same
-arithmetic and so the same bits: level by level in numpy for many targets
-at once (the frontier, for ``psi_sq_batch``), or depth first on Python
-floats for one target. The input alone picks: one target whose tree holds
-at most 2^12 nodes by the Gaussian heuristic takes the Python path (one
-nearest-plane target always does), everything else the frontier. LLL runs
+arithmetic and so the same bits, and each caller picks its path once, by
+what it holds. ``psi_sq_batch`` takes the batch path: level by level in
+numpy for all its points at once (the frontier). ``closest_vector``,
+``shortest_vector`` and ``mu_interval`` take the one-target path: depth
+first on Python floats, which hands a tree of more than 2^12 nodes by the
+Gaussian heuristic to the frontier as a one-row batch. LLL runs
 on the Cholesky factor that Y already holds, updating the Gram-Schmidt
 data incrementally, and carries the exact inverse of its transform.
 mu(Y) is NP-hard to compute exactly and is returned only as a certified
@@ -172,6 +173,7 @@ class GramMatrix:
                 "Uinv": Uinv,
                 "G": G,
                 "R": R,
+                "cols": R.T.tolist(),  # cols[k][i] = R_ik, for the one-target path
                 "col_sq": (R * R).sum(axis=0),  # squared lengths of reduced basis vectors
             }
         return self._cache["reduced"]
@@ -302,17 +304,14 @@ def _int_box(lows, highs):
 
 def _nearest_plane(R, T):
     """Babai's nearest-plane point for every row t of T against upper-
-    triangular R. Returns ``(u, s, gap)``: u (float, integral), its squared
-    distance s = ||R (u - t)||^2, formed level by level exactly as
-    ``_closest`` forms the partial sums of the same path, and
-    gap = min_{k >= 1} R_kk^2 (1 - |u_k - c_k|)^2. Every lattice point that
-    leaves the path at a level k >= 1 is at squared distance >= gap, so u
-    is a closest point where s < gap. One row runs on Python floats, with
-    the same arithmetic and so the same bits."""
+    triangular R, on the batch path. Returns ``(u, s, gap)``: u (float,
+    integral), its squared distance s = ||R (u - t)||^2, formed level by
+    level exactly as ``_closest`` forms the partial sums of the same path,
+    and gap = min_{k >= 1} R_kk^2 (1 - |u_k - c_k|)^2. Every lattice point
+    that leaves the path at a level k >= 1 is at squared distance >= gap, so
+    u is a closest point where s < gap. ``_nearest_plane_one`` is the
+    one-target path, with the same arithmetic and so the same bits."""
     N, g = T.shape
-    if N == 1:
-        u, s, gap = _nearest_plane_one(R.T.tolist(), T[0].tolist())
-        return np.array([u]), np.array([s]), np.array([gap])
     diag = np.diag(R)
     u = np.empty((N, g))
     s = np.zeros(N)
@@ -372,7 +371,7 @@ def _small_tree(diag, bound: float) -> bool:
     return total <= _ONE_TARGET_NODES
 
 
-def _closest(R, T, bound, nonzero: bool = False, floor: float = -math.inf) -> np.ndarray:
+def _closest(R, T, bound, nonzero: bool = False) -> np.ndarray:
     """For every row t of T, an integer u (float, (N, g)) minimizing
     ||R (u - t)||^2 over the u whose squared distance is at most that row's
     ``bound``; with ``nonzero`` (for T = 0 only), over the u != 0.
@@ -388,15 +387,9 @@ def _closest(R, T, bound, nonzero: bool = False, floor: float = -math.inf) -> np
     depth first, while n w > 2^22 / g^2, so the frontiers pending at all
     levels hold at most 2^22 entries. A row whose search tree grows past
     _BOX_CAP nodes raises EnumerationLimitError, however many rows there
-    are. A row with no lattice point within its bound keeps u = 0.
-
-    One row whose tree is small by the Gaussian heuristic (``_small_tree``)
-    is searched depth first on Python floats (``_closest_one``), where
-    numpy's per-call cost would outweigh the arithmetic of its few nodes. It
-    visits the same nodes in the same order with the same arithmetic, so it
-    returns the same u and exceeds the cap exactly when the frontier would.
-    Batches and large trees stay on the frontier. A finite ``floor`` lets
-    that path return at its first leaf below floor (the frontier ignores it).
+    are. A row with no lattice point within its bound keeps u = 0. This is
+    the batch path (``psi_sq_batch``); ``_closest_one`` hands it only a large
+    tree, as a one-row batch.
 
     Ties: among points at exactly the same squared distance, the last in the
     search order wins; the order is ascending in u_{g-1}, then in u_{g-2},
@@ -404,9 +397,6 @@ def _closest(R, T, bound, nonzero: bool = False, floor: float = -math.inf) -> np
     expands whole; across the halves of a split frontier the first wins.
     """
     N, g = T.shape
-    if N == 1 and _small_tree(np.diag(R).tolist(), float(bound[0])):
-        return np.array([_closest_one(R.T.tolist(), T[0].tolist(), float(bound[0]), nonzero,
-                                      floor)])
     Tt = np.ascontiguousarray(T.T)
     diag = np.diag(R)
     block = max(1, (1 << 22) // (g * g))
@@ -455,14 +445,17 @@ def _closest(R, T, bound, nonzero: bool = False, floor: float = -math.inf) -> np
     return best_u
 
 
-def _closest_one(cols, t, bound: float, nonzero: bool, floor: float = -math.inf):
-    """``_closest`` for one target t (a list), with cols[k][i] = R_ik: the
-    frontier search run depth first, children in ascending order, so the
-    leaves come in the frontier's order and the last of equal ones wins.
-    The search returns early, with that leaf, once a leaf lies below
-    ``floor``."""
-    g = len(t)
+def _closest_one(red, t, bound: float, nonzero: bool = False, floor: float = -math.inf):
+    """``_closest`` for one target t (a list) on the LLL data ``red``, as a
+    list. A tree small by the Gaussian heuristic (``_small_tree``) runs depth
+    first on Python floats, children ascending: its leaves come in the
+    frontier's order (the last of equal ones wins) and it trips the cap where
+    the frontier would, but returns at its first leaf below ``floor``. A
+    larger tree goes to the frontier as a one-row batch, which ignores it."""
+    cols, g = red["cols"], len(t)
     diag = [cols[k][k] for k in range(g)]
+    if not _small_tree(diag, bound):
+        return _closest(red["R"], np.array([t]), np.array([bound]), nonzero)[0].tolist()
     u = [0.0] * g
     best, best_u, nodes = math.inf, [0.0] * g, 0
 
@@ -498,10 +491,21 @@ def _closest_one(cols, t, bound: float, nonzero: bool, floor: float = -math.inf)
     return best_u
 
 
+def _closest_row(red, t, ub: float = math.inf, L: float = 0.0):
+    """A u (a list) closest to one target t (a list) on the LLL data ``red``,
+    or any u below L where the least is: the nearest-plane point where it is
+    certified (s < gap) or below L, else ``_closest_one`` within min(ub, s)
+    and with floor L, both scaled by _RADIUS_SAFETY against rounding."""
+    u, s, gap = _nearest_plane_one(red["cols"], t)
+    if s * _RADIUS_SAFETY + 1e-300 < gap or s * _RADIUS_SAFETY < L:
+        return u
+    return _closest_one(red, t, min(ub, s) * _RADIUS_SAFETY + 1e-300, False, L / _RADIUS_SAFETY)
+
+
 def shortest_vector(Y: GramMatrix) -> ShortestVector:
     """Exact first minimum: a nonzero m in Z^g minimizing ||m||_Y.
 
-    Ellipsoid enumeration (``_closest`` at t = 0, u != 0) over the
+    Ellipsoid enumeration (``_closest_one`` at t = 0, u != 0) over the
     LLL-reduced basis, with squared radius min_j ||b_j||^2 (inflated by
     _RADIUS_SAFETY against rounding), so no minimizer is missed. Of equal
     minimizers (m and -m among them), the last in ``_closest``'s search
@@ -509,44 +513,29 @@ def shortest_vector(Y: GramMatrix) -> ShortestVector:
     """
     if "shortest" not in Y._cache:
         red = Y._reduced()
-        bound = np.array([float(red["col_sq"].min()) * _RADIUS_SAFETY])
-        u = _closest(red["R"], np.zeros((1, Y.g)), bound, nonzero=True)[0]
-        m = red["U"] @ u.astype(np.int64)
+        bound = float(red["col_sq"].min()) * _RADIUS_SAFETY
+        u = _closest_one(red, [0.0] * Y.g, bound, True)
+        m = red["U"] @ np.array(u, dtype=np.int64)
         m.setflags(write=False)
         Y._cache["shortest"] = ShortestVector(m=m, value=norm(Y, m.astype(float)))
     return Y._cache["shortest"]
-
-
-def _closest_coords(Y: GramMatrix, P: np.ndarray) -> np.ndarray:
-    """Exact closest lattice points m (float, integral, (N, g)) to the rows
-    of P. The nearest-plane point is kept where it is certified (s < gap);
-    elsewhere its squared distance, inflated by _RADIUS_SAFETY so rounding
-    cannot lose the minimizer, bounds the ellipsoid that ``_closest``
-    enumerates on the LLL-reduced basis."""
-    red = Y._reduced()
-    R = red["R"]
-    T = P @ red["Uinv"].T.astype(float)
-    u, s, gap = _nearest_plane(R, T)
-    bound = s * _RADIUS_SAFETY + 1e-300
-    rows = np.flatnonzero(bound >= gap)
-    if rows.shape[0]:
-        u[rows] = _closest(R, T[rows], bound[rows])
-    return u @ red["U"].T.astype(float)
 
 
 def closest_vector(Y: GramMatrix, x) -> ClosestVector:
     """Exact closest lattice vector: m in Z^g minimizing ||x - m||_Y.
 
     Ellipsoid enumeration on the LLL-reduced basis within the nearest-plane
-    distance of x; psi_Y(x) = the returned value is Z^g-periodic in x.
+    distance of x (``_closest_row``); psi_Y(x) = the value is Z^g-periodic.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != Y.g:
         raise LatticeError(f"vector of length {x.shape[0]} incompatible with g={Y.g}")
     if not np.all(np.isfinite(x)):
         raise LatticeError("vector entries must be finite")
-    m = _closest_coords(Y, x.reshape(1, -1))[0]
-    return ClosestVector(m=m.astype(np.int64), value=norm(Y, x - m))
+    red = Y._reduced()
+    t = x.reshape(1, -1) @ red["Uinv"].T.astype(float)
+    m = red["U"] @ np.array(_closest_row(red, t[0].tolist()), dtype=np.int64)
+    return ClosestVector(m=m, value=norm(Y, x - m))
 
 
 def _xgcd(a: int, b: int):
@@ -590,9 +579,7 @@ def bezout_deep_point(Y: GramMatrix) -> DeepPoint:
     Yi = Y.inverse()
     gamma, lam_dual = shortest_vector(Yi)
     gam = [int(v) for v in gamma]
-    d = 0
-    for a in gam:
-        d = math.gcd(d, a)
+    d = math.gcd(*gam)
     if d > 1:  # cannot happen for a true minimizer; keep the certificate honest
         gam = [a // d for a in gam]
         lam_dual = norm(Yi, np.array(gam, dtype=float))
@@ -601,22 +588,36 @@ def bezout_deep_point(Y: GramMatrix) -> DeepPoint:
     return DeepPoint(x=x, certified_lo=1.0 / (2.0 * lam_dual))
 
 
-def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
-    """psi_Y(x)^2 for many points at once (exact, vectorized).
-
-    Points are reduced mod Z^g; each point's closest lattice point is found
-    by the ellipsoid enumeration of ``closest_vector``, all points level by
-    level together, and ||x - m||_Y^2 is formed from x - m.
-    """
+def _torus_points(points, dim: int, label: str, error) -> np.ndarray:
+    """Finite points of dimension ``dim``, reduced mod 1, as the N >= 0 rows of
+    a 2-D array (or one point as a 1-D array); anything else raises ``error``."""
     P = np.asarray(points, dtype=float)
     if P.ndim == 1:
         P = P.reshape(1, -1)
-    if P.shape[1] != Y.g:
-        raise LatticeError(f"points of dimension {P.shape[1]} incompatible with g={Y.g}")
+    if P.ndim != 2:
+        raise error(f"points must be one point or rows of points, got shape {P.shape}")
+    if P.shape[1] != dim:
+        raise error(f"points of dimension {P.shape[1]} incompatible with {label}")
     if not np.all(np.isfinite(P)):
-        raise LatticeError("points must be finite")
-    P = P - np.floor(P)
-    D = P - _closest_coords(Y, P)
+        raise error("points must be finite")
+    return P - np.floor(P)
+
+
+def psi_sq_batch(Y: GramMatrix, points) -> np.ndarray:
+    """psi_Y(x)^2 for many points (``_torus_points``) at once, exact, on the
+    batch path: ``closest_vector``'s search, but with the nearest plane and
+    the frontier (``_closest``) run on all uncertified points together.
+    ||x - m||_Y^2 is formed from x - m."""
+    P = _torus_points(points, Y.g, f"g={Y.g}", LatticeError)
+    red = Y._reduced()
+    R = red["R"]
+    T = P @ red["Uinv"].T.astype(float)
+    u, s, gap = _nearest_plane(R, T)
+    bound = s * _RADIUS_SAFETY + 1e-300
+    rows = np.flatnonzero(bound >= gap)
+    if rows.shape[0]:
+        u[rows] = _closest(R, T[rows], bound[rows])
+    D = P - u @ red["U"].T.astype(float)
     return np.maximum(np.einsum("ij,ij->i", D, D @ Y.entries), 0.0)
 
 
@@ -641,15 +642,12 @@ def _psi_sq_max(Y: GramMatrix, P: np.ndarray) -> float:
     best of the short steps (``_short_steps``, all rows and steps in one
     GEMM), is a lattice point at squared distance ub, recomputed directly
     at the chosen point. Rows are taken in descending ub until
-    ub * _RADIUS_SAFETY falls below L, the largest exact psi^2 so far. A
-    row keeps its nearest-plane point where ``_closest_coords`` would, or
-    where that point is already below L; otherwise it runs ``_closest``
-    alone within the smaller of ub and its nearest-plane distance (inflated
-    as there), so its tree is no larger than ``psi_sq_batch``'s, and stops
-    at its first leaf below L / _RADIUS_SAFETY, as such a row cannot hold
-    the max. psi^2 is then formed for every row by ``psi_sq_batch``'s
-    expression from the row's best known point; the max falls on a row
-    whose point is exact.
+    ub * _RADIUS_SAFETY falls below L, the largest exact psi^2 so far, each
+    on the one-target path (``_closest_row`` within ub, below L): its tree
+    is no larger than ``psi_sq_batch``'s, and it stops at its first leaf
+    below L / _RADIUS_SAFETY, as such a row cannot hold the max. psi^2 is
+    then formed for every row by ``psi_sq_batch``'s expression from the
+    row's best known point; the max falls on a row whose point is exact.
     """
     red = Y._reduced()
     R = red["R"]
@@ -662,17 +660,12 @@ def _psi_sq_max(Y: GramMatrix, P: np.ndarray) -> float:
     u += V[d.argmin(axis=1)]
     Z = (u - T) @ R.T
     ub = np.einsum("ij,ij->i", Z, Z)
-    cols = R.T.tolist()
+    ubs = ub.tolist()
     L = 0.0
     for i in np.argsort(-ub, kind="stable").tolist():
-        if ub[i] * _RADIUS_SAFETY < L:
+        if ubs[i] * _RADIUS_SAFETY < L:
             break
-        u_np, s, gap = _nearest_plane_one(cols, T[i].tolist())
-        if s * _RADIUS_SAFETY + 1e-300 < gap or s * _RADIUS_SAFETY < L:
-            u[i] = u_np  # exact, or already below L: no search
-        else:
-            bound = np.array([min(ub[i], s) * _RADIUS_SAFETY + 1e-300])
-            u[i] = _closest(R, T[i:i + 1], bound, floor=L / _RADIUS_SAFETY)[0]
+        u[i] = _closest_row(red, T[i].tolist(), ubs[i], L)
         z = (u[i] - T[i]) @ R.T
         L = max(L, float(z @ z))
     D = P - u @ red["U"].T.astype(float)
@@ -687,6 +680,19 @@ def _first_primes(d: int) -> np.ndarray:
             primes.append(k)
         k += 1
     return np.array(primes)
+
+
+def _count(budget, error) -> int:
+    """A budget as an integer >= 1 (``operator.index``, no bool), else ``error``."""
+    if isinstance(budget, bool):
+        raise error(f"budget must be an integer, got {budget!r}")
+    try:
+        budget = operator.index(budget)
+    except TypeError:
+        raise error(f"budget must be an integer, got {budget!r}") from None
+    if budget < 1:
+        raise error("budget must be >= 1")
+    return budget
 
 
 @lru_cache(maxsize=16)  # keyed by (g, budget); the CLI uses one budget
@@ -719,23 +725,16 @@ def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:
     the max, one at a time.
     hi: the nearest-plane covering bound on an LLL-reduced basis.
 
-    ``budget`` is an integer (``operator.index``; else LatticeError) from 1
-    to _BOX_CAP; a larger one raises EnumerationLimitError before any point
-    is made.
+    ``budget`` is a count (``_count``; else LatticeError) up to _BOX_CAP; a
+    larger one raises EnumerationLimitError before any point is made.
     """
-    try:
-        budget = operator.index(budget)
-    except TypeError:
-        raise LatticeError(f"budget must be an integer, got {budget!r}") from None
-    if budget < 1:
-        raise LatticeError("budget must be >= 1")
+    budget = _count(budget, LatticeError)
     if budget > _BOX_CAP:
         raise EnumerationLimitError(f"budget {budget} exceeds cap {_BOX_CAP}")
     g = Y.g
     pts = [bezout_deep_point(Y).x.reshape(1, -1)]
     if g <= 4:
-        corners = _int_box(np.zeros(g), np.ones(g)).astype(float) / 2.0
-        pts.append(corners)
+        pts.append(_int_box(np.zeros(g), np.ones(g)).astype(float) / 2.0)
     pts.append(_halton(g, budget))
     P = np.vstack(pts)
     lo = math.sqrt(_psi_sq_max(Y, P - np.floor(P))) * (1 - 1e-12)

@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .lattice import EnumerationLimitError, GramMatrix, psi_sq_batch
+from .lattice import EnumerationLimitError, GramMatrix, _count, psi_sq_batch
 from .theta import _f_grid
 
 __all__ = [
@@ -144,7 +144,8 @@ def _tensor_gauss(f_grid, d: int, budget: int | None, decided=None) -> Quadratur
     flat, as at the points of ``_tensor_points(x, d)``). The error of the
     rule on n nodes is its distance to the rule on n // 2 nodes.
 
-    ``budget`` caps n at min(max(budget, 4), 256) (default 256). Without a
+    ``budget`` caps n at min(max(budget, 4), 256) (default 256); it is None
+    or a count (``lattice._count``; else QuadratureError). Without a
     predicate n is that cap. With a predicate ``decided(value, error) ->
     bool``, n starts at min(32, cap) and doubles, clamped to the cap, until
     the predicate holds or n is the cap; the coarse rule of each doubling is
@@ -152,7 +153,8 @@ def _tensor_gauss(f_grid, d: int, budget: int | None, decided=None) -> Quadratur
     that never holds returns what no predicate returns, bit for bit.
     ``n_points`` counts every grid evaluated.
     """
-    cap = min(max(int(budget or _MAX_GAUSS_NODES), 4), _MAX_GAUSS_NODES)
+    budget = _MAX_GAUSS_NODES if budget is None else _count(budget, QuadratureError)
+    cap = min(max(budget, 4), _MAX_GAUSS_NODES)
     n = cap if decided is None else min(_FIRST_GAUSS_NODES, cap)
     rules = {}  # nodes -> the rule's value
 
@@ -215,7 +217,8 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
     the rule on half the nodes; ``decided`` is not used. d >= 3: an
     unscrambled Sobol set of ``budget`` points (rounded down to a power of
     two, default 2^16) under 8 shifts drawn from ``seed``, error 3x the
-    standard deviation of the per-shift means.
+    standard deviation of the per-shift means. ``budget`` is None or a
+    count (``lattice._count``; else QuadratureError).
 
     With a predicate ``decided(value, error) -> bool`` at d >= 3, ``budget``
     is a cap: the set starts at min(2^5, cap) points per shift and doubles
@@ -234,7 +237,8 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
         raise QuadratureError("dimension must be >= 1")
     if d <= _MAX_GAUSS_DIM:
         return _tensor_gauss(lambda x: f(_tensor_points(x, d)), d, budget)
-    m_cap = 1 << max(1, int(math.log2(budget or _DEFAULT_QMC_POINTS)))
+    budget = _DEFAULT_QMC_POINTS if budget is None else _count(budget, QuadratureError)
+    m_cap = 1 << max(1, int(math.log2(budget)))
     m = m_cap if decided is None else min(_FIRST_QMC_POINTS, m_cap)
     shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
     vals = np.empty((_N_SHIFTS, 0))  # row k: shift k's values, in point order

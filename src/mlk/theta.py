@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import GramMatrix, _int_box
+from .lattice import GramMatrix, _int_box, _torus_points
 from .siegel import PeriodMatrix
 
 __all__ = [
@@ -154,18 +154,6 @@ def _radius_for(Y: GramMatrix, det_sqrt: float, t: float, target: float) -> floa
     raise ThetaError("tolerance unreachable before the enumeration cap (pathological Y)")
 
 
-def _torus_points(points, dim: int, label: str) -> np.ndarray:
-    """Finite points of dimension ``dim`` as an (N, dim) array, reduced mod 1."""
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P.reshape(1, -1)
-    if P.shape[1] != dim:
-        raise ThetaError(f"points of dimension {P.shape[1]} incompatible with {label}")
-    if not np.all(np.isfinite(P)):
-        raise ThetaError("points must be finite")
-    return P - np.floor(P)
-
-
 def _candidate_range(Y: GramMatrix, radius: float, lo=0.0, hi=1.0):
     """Lowest and highest corner (float (g,) arrays) of the integer box that
     covers the ellipsoid ||. - p||_Y <= radius around every point p of the
@@ -227,7 +215,7 @@ def f_series_batch(Y: GramMatrix, t: float, points, tol: float = 1e-12):
     plus the rounding error of the contraction.
     """
     target = _f_target(Y, t, tol)
-    P = _torus_points(points, Y.g, f"g={Y.g}")  # the series is Z^g-periodic
+    P = _torus_points(points, Y.g, f"g={Y.g}", ThetaError)  # the series is Z^g-periodic
     sums, err, terms = _lll_sums(Y, t, np.zeros((Y.g, Y.g)), P, np.zeros_like(P), tol, target,
                                  Y.det_sqrt, True)
     return Y.det_sqrt * sums.real, err, terms
@@ -323,7 +311,8 @@ def _theta_sums(gram: GramMatrix, X, p, u, radius: float, lo, hi):
     # Rows grouped by cell, without a flat cell number: prod(s) can pass 2^63.
     order = np.lexsort(idx.T[::-1])
     idx = idx[order]
-    starts = np.flatnonzero(np.r_[True, np.any(idx[1:] != idx[:-1], axis=1)])
+    # The first row starts a cell, if there is one.
+    starts = np.flatnonzero(np.r_[idx.shape[0] > 0, np.any(idx[1:] != idx[:-1], axis=1)])
     edges = np.append(starts, order.shape[0])
 
     # Every intermediate (W_k: rows x n_k, partial sums: T / n_g x rows) has
@@ -445,7 +434,7 @@ def cube_norm_batch(om: PeriodMatrix, xy, tol: float = 1e-12):
     det(Y)^{1/4} * tol) plus the rounding error of the contraction.
     """
     g = om.g
-    XY = _torus_points(xy, 2 * g, f"2g={2 * g}")
+    XY = _torus_points(xy, 2 * g, f"2g={2 * g}", ThetaError)
     xs, ys = XY[:, :g], XY[:, g:]
     sums, err, _ = _lll_sums(om.Y, 1.0, om.X, ys, xs + ys @ om.X, tol, tol, 1.0, True)
     det4 = om.Y.det_sqrt ** 0.5

@@ -220,13 +220,13 @@ class TestShortestVectorCache:
                           mu_interval(GramMatrix(E), budget=128).lo,
                           mu_interval(GramMatrix(E), budget=128).hi))
         calls = []
-        enumerate_ = lattice._closest
+        enumerate_ = lattice._closest_one
 
-        def counting(R, T, bound, nonzero=False, **kw):
+        def counting(red, t, bound, nonzero=False, *args):
             calls.append(nonzero)
-            return enumerate_(R, T, bound, nonzero, **kw)
+            return enumerate_(red, t, bound, nonzero, *args)
 
-        monkeypatch.setattr(lattice, "_closest", counting)
+        monkeypatch.setattr(lattice, "_closest_one", counting)
         for E, want in zip(entries, fresh):
             before = sum(calls)
             got = self.certificate(GramMatrix(E))
@@ -314,59 +314,57 @@ _D4 = [[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, -1.0], [0.0, -1.0, 2.0, 0.0],
 
 
 class TestOneTarget:
-    """One target runs ``_closest`` depth first on Python floats; it must give
-    the frontier path's bits. The frontier is forced by a negative node limit."""
+    """One target runs ``_closest_one`` depth first on Python floats; it must
+    give the bits of the frontier (``_closest``) on the same target."""
 
     @staticmethod
-    def both(monkeypatch, R, t, bound, nonzero=False):
-        T, b = np.reshape(t, (1, -1)), np.array([bound])
+    def both(red, t, bound, nonzero=False):
+        R = red["R"]
         assert lattice._small_tree(np.diag(R).tolist(), bound)
-        one = lattice._closest(R, T, b, nonzero)
-        with monkeypatch.context() as m:
-            m.setattr(lattice, "_ONE_TARGET_NODES", -1)
-            frontier = lattice._closest(R, T, b, nonzero)
+        one = np.array(lattice._closest_one(red, np.asarray(t).tolist(), bound, nonzero))
+        frontier = lattice._closest(R, np.reshape(t, (1, -1)), np.array([bound]), nonzero)[0]
         assert one.tobytes() == frontier.tobytes()
-        return one[0]
+        return one
 
     @staticmethod
     def svp_bound(Y):
         return float(Y._reduced()["col_sq"].min()) * lattice._RADIUS_SAFETY
 
     @pytest.mark.parametrize("g", range(1, 11))
-    def test_svp_and_cvp_match_the_frontier(self, g, monkeypatch):
+    def test_svp_and_cvp_match_the_frontier(self, g):
         rng = np.random.default_rng(100 + g)
         for cond in (1e0, 1e3, 1e6):
             for _ in range(4):
                 A = make_spd(rng, g, cond_max=cond)
                 for Y in (A, A.inverse()):
-                    R = Y._reduced()["R"]
-                    u = self.both(monkeypatch, R, np.zeros(g), self.svp_bound(Y), nonzero=True)
+                    red = Y._reduced()
+                    u = self.both(red, np.zeros(g), self.svp_bound(Y), nonzero=True)
                     assert np.any(u != 0)
                     for t in rng.uniform(-2.0, 2.0, (3, g)):
-                        s = lattice._nearest_plane(R, t.reshape(1, -1))[1][0]
-                        self.both(monkeypatch, R, t, s * lattice._RADIUS_SAFETY + 1e-300)
+                        s = lattice._nearest_plane(red["R"], t.reshape(1, -1))[1][0]
+                        self.both(red, t, s * lattice._RADIUS_SAFETY + 1e-300)
 
     @pytest.mark.parametrize("entries", [
         *[np.eye(g) for g in range(1, 9)], [[1.0, 0.5], [0.5, 1.0]], _A3, _D4,
     ], ids=[*(f"I{g}" for g in range(1, 9)), "hexagonal", "A3", "D4"])
-    def test_ties_keep_the_frontiers_choice(self, entries, monkeypatch):
+    def test_ties_keep_the_frontiers_choice(self, entries):
         Y = GramMatrix(entries)
-        R, g = Y._reduced()["R"], Y.g
-        self.both(monkeypatch, R, np.zeros(g), self.svp_bound(Y), nonzero=True)
+        red, g = Y._reduced(), Y.g
+        self.both(red, np.zeros(g), self.svp_bound(Y), nonzero=True)
         rng = np.random.default_rng(g)
         for t in [np.full(g, 0.5), *rng.integers(0, 3, (4, g)) / 2.0]:
-            s = lattice._nearest_plane(R, t.reshape(1, -1))[1][0]
-            self.both(monkeypatch, R, t, s * lattice._RADIUS_SAFETY + 1e-300)
+            s = lattice._nearest_plane(red["R"], t.reshape(1, -1))[1][0]
+            self.both(red, t, s * lattice._RADIUS_SAFETY + 1e-300)
 
     @pytest.mark.parametrize("g", [2, 5, 8])
-    def test_bound_below_the_minimum_keeps_zero(self, g, monkeypatch):
+    def test_bound_below_the_minimum_keeps_zero(self, g):
         # at t = (1/2, ..., 1/2) no integer lies within the top level's window
         rng = np.random.default_rng(g)
         for Y in (GramMatrix(np.eye(g)), make_spd(rng, g), make_spd(rng, g, cond_max=1e6)):
-            R = Y._reduced()["R"]
-            bound = 0.99 * (R[-1, -1] / 2.0) ** 2
+            red = Y._reduced()
+            bound = 0.99 * (red["R"][-1, -1] / 2.0) ** 2
             assert bound < closest_vector(Y, np.full(g, 0.5)).value ** 2
-            u = self.both(monkeypatch, R, np.full(g, 0.5), bound)
+            u = self.both(red, np.full(g, 0.5), bound)
             assert not np.any(u)
 
     @pytest.mark.parametrize("g", range(1, 11))
@@ -376,9 +374,9 @@ class TestOneTarget:
             R = make_spd(rng, g, cond_max=cond)._reduced()["R"]
             for t in [*rng.uniform(-2.0, 2.0, (6, g)), np.full(g, 0.5), np.zeros(g)]:
                 batch = lattice._nearest_plane(R, np.vstack([t, t]))
-                one = lattice._nearest_plane(R, t.reshape(1, -1))
+                one = lattice._nearest_plane_one(R.T.tolist(), t.tolist())
                 for a, b in zip(one, batch):
-                    assert a.tobytes() == b[:1].tobytes()
+                    assert np.array(a).tobytes() == b[0].tobytes()
 
     def test_cap_raises_on_the_one_target_path(self, monkeypatch):
         # the tree of one deep hole of Z^8 counts 2 + 4 + ... + 2^7 = 254 nodes
@@ -396,37 +394,71 @@ class TestOneTarget:
         assert len(calls) == 1
 
     def test_large_tree_stays_on_the_frontier(self, monkeypatch):
-        def spy(*args):
-            raise AssertionError("a 22-dimensional deep hole took the one-target path")
+        rows = []
+        frontier = lattice._closest
 
-        monkeypatch.setattr(lattice, "_closest_one", spy)
+        def spy(R, T, *args):
+            rows.append(T.shape[0])
+            return frontier(R, T, *args)
+
+        monkeypatch.setattr(lattice, "_closest", spy)
         with pytest.raises(EnumerationLimitError, match="exceeds cap"):
             closest_vector(GramMatrix(np.eye(22)), np.full(22, 0.5))
+        assert rows == [1]  # a 22-dimensional deep hole reaches the frontier alone
 
     @pytest.mark.parametrize("g", [2, 5, 8])
     def test_floor_returns_early_only_below_it(self, g, monkeypatch):
         rng = np.random.default_rng(300 + g)
         for Y in (GramMatrix(np.eye(g)), make_spd(rng, g), make_spd(rng, g, cond_max=1e6)):
-            R = Y._reduced()["R"]
-            cols = R.T.tolist()
+            red = Y._reduced()
+            R = red["R"]
             for t in [np.full(g, 0.5), *rng.uniform(-2.0, 2.0, (4, g))]:
                 s = lattice._nearest_plane(R, t.reshape(1, -1))[1][0]
                 bound = s * lattice._RADIUS_SAFETY + 1e-300
-                full = lattice._closest_one(cols, t.tolist(), bound, False)
+                full = lattice._closest_one(red, t.tolist(), bound, False)
                 z = (np.array(full) - t) @ R.T
                 least = float(z @ z)
                 # no leaf lies below the least one: the whole search runs
-                assert lattice._closest_one(cols, t.tolist(), bound, False, least) == full
+                assert lattice._closest_one(red, t.tolist(), bound, False, least) == full
                 for floor in (least * 1.5 + 1e-300, math.inf):
-                    u = lattice._closest_one(cols, t.tolist(), bound, False, floor)
+                    u = lattice._closest_one(red, t.tolist(), bound, False, floor)
                     z = (np.array(u) - t) @ R.T
                     assert float(z @ z) < floor
         # the 254-node tree of a deep hole of Z^8 stops at its first leaf
         monkeypatch.setattr(lattice, "_BOX_CAP", 100)
-        cols, t, bound = np.eye(8).tolist(), [0.5] * 8, 2.0 * lattice._RADIUS_SAFETY
+        red, t, bound = GramMatrix(np.eye(8))._reduced(), [0.5] * 8, 2.0 * lattice._RADIUS_SAFETY
         with pytest.raises(EnumerationLimitError, match="exceeds cap"):
-            lattice._closest_one(cols, t, bound, False)
-        assert lattice._closest_one(cols, t, bound, False, math.inf) == [0.0] * 8
+            lattice._closest_one(red, t, bound, False)
+        assert lattice._closest_one(red, t, bound, False, math.inf) == [0.0] * 8
+
+
+class TestBatchAgreesWithOneTarget:
+    """``psi_sq_batch`` (the frontier) and ``closest_vector`` (Python floats)
+    find the same closest points, so psi^2 formed from closest_vector's m by
+    psi_sq_batch's expression, over the whole batch at once, has its bits."""
+
+    @staticmethod
+    def forms():
+        rng = np.random.default_rng(30)
+        named = [np.eye(g) for g in range(1, 9)] + [[[1.0, 0.5], [0.5, 1.0]], _A3, _D4]
+        yield from (GramMatrix(E) for E in named)
+        for g in range(2, 10):
+            yield _random_spd(rng, g)
+            yield make_spd(rng, g, cond_max=1e3)
+            yield disguised_identity(rng, g)[0]
+
+    def test_psi_sq_batch_is_closest_vector_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        n = 0
+        for Y in self.forms():
+            g = Y.g
+            X = np.vstack([rng.uniform(0.0, 1.0, (24, g)), rng.integers(0, 2, (8, g)) / 2.0])
+            M = np.array([closest_vector(Y, x).m for x in X])
+            D = X - M
+            want = np.maximum(np.einsum("ij,ij->i", D, D @ Y.entries), 0.0)
+            assert psi_sq_batch(Y, X).tobytes() == want.tobytes(), g
+            n += 1
+        assert n == 35
 
 
 class TestBezoutDeepPoint:
@@ -502,7 +534,7 @@ class TestMuInterval:
 
     @pytest.mark.parametrize("budget, error", [
         (2.5, LatticeError), (math.nan, LatticeError), ("8", LatticeError), (None, LatticeError),
-        (-3, LatticeError), (np.int64(0), LatticeError),
+        (-3, LatticeError), (np.int64(0), LatticeError), (True, LatticeError),
         (lattice._BOX_CAP + 1, EnumerationLimitError), (10**7, EnumerationLimitError),
     ])
     def test_budget_must_be_a_count_within_the_cap(self, budget, error, monkeypatch):
@@ -559,19 +591,25 @@ class TestMuInterval:
             mu_interval(Y, budget=32)
 
     def test_searches_one_target_at_a_time(self, monkeypatch):
-        rows = []
-        closest = lattice._closest
+        searches, rows = [], []
+        closest, closest_one = lattice._closest, lattice._closest_one
 
-        def spy(R, T, bound, *args, **kw):
+        def spy(R, T, *args):
             rows.append(T.shape[0])
-            return closest(R, T, bound, *args, **kw)
+            return closest(R, T, *args)
+
+        def spy_one(*args):
+            searches.append(args)
+            return closest_one(*args)
 
         monkeypatch.setattr(lattice, "_closest", spy)
+        monkeypatch.setattr(lattice, "_closest_one", spy_one)
         rng = np.random.default_rng(7)
         for g in range(2, 10):
             for Y in (GramMatrix(np.eye(g)), _random_spd(rng, g), make_spd(rng, g, cond_max=1e6)):
                 mu_interval(Y, budget=128)
-        assert len(rows) > 24 and set(rows) == {1}  # 24 dual SVPs, and the searches
+        assert len(searches) > 24  # 24 dual SVPs, and the searches
+        assert set(rows) <= {1}    # a large tree reaches the frontier alone
 
     def test_interval_type_validation(self):
         with pytest.raises(LatticeError):

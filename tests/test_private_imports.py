@@ -14,7 +14,8 @@ PRIVATE_IMPORTS = {
     ("bounds", "quadrature"): {"_integral_ln", "_tensor_gauss"},
     ("bounds", "theta"): {"_cube_norm_grid", "_f_grid", "_slice_norm_sq"},
     ("quadrature", "theta"): {"_f_grid"},
-    ("theta", "lattice"): {"_int_box"},
+    ("theta", "lattice"): {"_int_box", "_torus_points"},
+    ("quadrature", "lattice"): {"_count"},
     ("cli", "quadrature"): {"_MAX_GAUSS_NODES"},
     ("cli", "bounds"): {"_per_embedding"},
 }

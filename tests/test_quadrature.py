@@ -77,6 +77,24 @@ class TestIntegrateCube:
         assert r.n_points == 4 + 2
         assert r.error_estimate > 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [0, -5, np.int64(0), 2.5, True, False, "8"], ids=repr)
+    def test_budget_must_be_none_or_a_count(self, d, budget):
+        def no_values(P):
+            raise AssertionError("integrand evaluated for a rejected budget")
+
+        with pytest.raises(QuadratureError, match="budget must be"):
+            integrate_cube(no_values, d, budget)
+        if d <= 2:
+            with pytest.raises(QuadratureError, match="budget must be"):
+                _tensor_gauss(no_values, d, budget)
+
+    def test_budget_zero_is_not_the_default(self):
+        Y = GramMatrix(np.eye(2))
+        assert integral_psi_sq(Y, np.int64(8)) == integral_psi_sq(Y, 8)
+        with pytest.raises(QuadratureError):
+            integral_psi_sq(Y, 0)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_tensor_grid_matches_product_form(self, d):
         x, w = _gauss_rule(256)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from mlk import theta
 from mlk.bounds import EmbeddingSet, verify_chain
-from mlk.lattice import GramMatrix, closest_vector
+from mlk.lattice import GramMatrix, LatticeError, closest_vector, psi_sq_batch
 from mlk.quadrature import _gauss_rule, _tensor_points, integrate_cube
 from mlk.siegel import validate_period_matrix
 from mlk.theta import (
@@ -580,3 +580,43 @@ class TestRejectsTolerance:
             cube_norm_s(om, [0.3 + 0.1j], tol=tol)
         with pytest.raises(ThetaError, match="tol"):
             cube_norm_batch(om, [[0.3, 0.1]], tol=tol)
+
+
+class TestPointShapes:
+    """One shape rule for the point sets of ``psi_sq_batch``,
+    ``f_series_batch`` and ``cube_norm_batch``: a 1-D array is one point, a
+    2-D array of the right width one point per row, zero rows give an empty
+    result, and anything else raises the module's own error."""
+
+    @staticmethod
+    def batch(name, g):
+        """The batch function under test, taking (N, d) points, and its error."""
+        Y = GramMatrix(np.eye(g))
+        if name == "psi":
+            return g, (lambda P: psi_sq_batch(Y, P)), LatticeError
+        if name == "f":
+            return g, (lambda P: f_series_batch(Y, 1.0, P)[0]), ThetaError
+        om = validate_period_matrix(np.zeros((g, g)), np.eye(g))
+        return 2 * g, (lambda P: cube_norm_batch(om, P)[0]), ThetaError
+
+    @pytest.mark.parametrize("name", ["psi", "f", "s"])
+    @pytest.mark.parametrize("shape", ["3-D", "scalar", "wrong width"])
+    def test_other_shapes_raise_the_module_error(self, name, shape):
+        g = 1 if shape == "scalar" else 2
+        d, f, error = self.batch(name, g)
+        bad = {"3-D": np.zeros((2, d, d)), "scalar": np.float64(0.3),
+               "wrong width": np.zeros((2, d + 1))}[shape]
+        with pytest.raises(error, match="points"):
+            f(bad)
+
+    @pytest.mark.parametrize("name", ["psi", "f", "s"])
+    def test_zero_rows_give_an_empty_result(self, name):
+        d, f, _ = self.batch(name, 2)
+        got = f(np.zeros((0, d)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("name", ["psi", "f", "s"])
+    def test_one_point_is_a_one_row_batch(self, name):
+        d, f, _ = self.batch(name, 2)
+        x = np.linspace(0.1, 0.7, d)
+        assert f(x).tobytes() == f(x.reshape(1, -1)).tobytes()

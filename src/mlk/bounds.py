@@ -25,7 +25,7 @@ import numpy as np
 from .lattice import LatticeError
 from .quadrature import (QuadratureError, QuadratureResult, _integral_ln, _tensor_gauss,
                          integrate_cube)
-from .siegel import PeriodMatrix, SiegelError, injectivity_diameter, lambda_clamped
+from .siegel import PeriodMatrix, SiegelError, injectivity_diameter
 from .theta import ThetaError, _cube_norm_grid, _f_grid, _slice_norm_sq, cube_norm_batch
 
 __all__ = [
@@ -311,9 +311,14 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     shift at g >= 2, where the set doubles from 2^5. Either stops once (c)
     is decided by the rule of (b), err the check's estimate (twice the
     invariant's), so the reported I too is only as precise as that decision
-    needs. The slack of (d) is the mean of the (c) slacks. One
-    2g-dimensional shortest-vector search per embedding gives the lam of
-    (b), (c) and the rho of (d).
+    needs. The slack of (d) is the mean of the (c) slacks.
+
+    lam = min(lambda_1(Y^{-1}), sqrt(pi/(3g))) serves (b), (c) and (d),
+    whose clamped rho it is on a reduced Omega (``siegel.lambda_clamped``):
+    a period with n != 0 has squared length >= n^T Y n >= lambda_1(Y)^2 >=
+    sqrt(3)/2 > pi/(3g) at g >= 2, and at g = 1 the fundamental domain
+    gives rho = lambda_1(Y^{-1}). So the chain runs no 2g-dimensional
+    shortest-vector search.
     """
     for i, om in enumerate(E.periods):
         if not om.is_reduced:
@@ -325,7 +330,7 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
 
     def run_embedding(idx, om):
         out: list[CheckEntry] = []
-        lam, _, _, rho = lambda_clamped(om)
+        lam = min(om.Y.inverse().lambda1(), rho_clamp(g))
 
         samples = _parseval_samples(g)
         lhs_a, err_a = _slice_norm_sq(om, samples)
@@ -351,7 +356,7 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
                                     decided=lambda I, err: decided(2.0 * I - rhs_c, 2.0 * err))
         out.append(CheckEntry.at_least(f"theta_invariant_lower[{idx}]", 2.0 * inv.value, rhs_c,
                                        tolerance, 2.0 * inv.error_estimate))
-        return out, inv, rho
+        return out, inv, lam
 
     results = _per_embedding(E.periods, run_embedding)
     entries = [e for out, _, _ in results for e in out]
@@ -360,7 +365,7 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
         CheckEntry.at_least(
             "height_chain",
             height_from_theta_invariants([inv.value for inv in invariants], g, E.degree),
-            sum(height_term(rho, g) for _, _, rho in results) / E.degree,
+            sum(height_term(lam, g) for _, _, lam in results) / E.degree,
             tolerance,
             2.0 * sum(inv.error_estimate for inv in invariants) / E.degree,
         )

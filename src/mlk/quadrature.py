@@ -29,7 +29,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -238,7 +237,7 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
     if d <= _MAX_GAUSS_DIM:
         return _tensor_gauss(lambda x: f(_tensor_points(x, d)), d, budget)
     budget = _DEFAULT_QMC_POINTS if budget is None else _count(budget, QuadratureError)
-    m_cap = 1 << max(1, int(math.log2(budget)))
+    m_cap = 1 << (budget.bit_length() - 1)
     m = m_cap if decided is None else min(_FIRST_QMC_POINTS, m_cap)
     shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
     vals = np.empty((_N_SHIFTS, 0))  # row k: shift k's values, in point order

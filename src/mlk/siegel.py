@@ -34,6 +34,7 @@ _SQRT3_HALF = math.sqrt(3.0) / 2.0
 _SYM_TOL = 1e-10
 _RE_TOL = 1e-12
 _LAM_TOL = 1e-10
+_TAU_ABS_MIN = 1.0 - 1e-15  # |tau| where the g = 1 reduction stops
 
 
 class SiegelError(ValueError):
@@ -42,8 +43,13 @@ class SiegelError(ValueError):
 
 @dataclass(frozen=True)
 class ReducedFlags:
+    """What ``is_reduced`` requires of Omega = X + iY. At g = 1 the two
+    flags together are the standard fundamental domain: |Re tau| <= 1/2,
+    and |tau| >= 1 (-1e-15, where ``reduce`` stops) on top of
+    Im tau >= sqrt(3)/2, so rho = lambda_1(Y^{-1}) there."""
+
     re_normalized: bool   # all |X_ij| <= 1/2 (+1e-12)
-    lambda1_ok: bool      # lambda_1(Y)^2 >= sqrt(3)/2 (-1e-10)
+    lambda1_ok: bool      # lambda_1(Y)^2 >= sqrt(3)/2 (-1e-10); g = 1: also |tau| >= 1 (-1e-15)
 
 
 class PeriodMatrix:
@@ -63,12 +69,13 @@ class PeriodMatrix:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         lam1 = shortest_vector(Y).value
+        tau_ok = Y.g > 1 or abs(complex(X[0, 0], Y.entries[0, 0])) >= _TAU_ABS_MIN
         object.__setattr__(
             self,
             "flags",
             ReducedFlags(
                 re_normalized=bool(np.max(np.abs(X)) <= 0.5 + _RE_TOL),
-                lambda1_ok=lam1 * lam1 >= _SQRT3_HALF - _LAM_TOL,
+                lambda1_ok=lam1 * lam1 >= _SQRT3_HALF - _LAM_TOL and tau_ok,
             ),
         )
         return self
@@ -118,7 +125,7 @@ def _reduce_g1(om: PeriodMatrix) -> PeriodMatrix:
     tau = complex(om.X[0, 0], om.Y.entries[0, 0])
     for _ in range(10_000):
         tau = complex(tau.real - np.round(tau.real), tau.imag)
-        if abs(tau) >= 1.0 - 1e-15:
+        if abs(tau) >= _TAU_ABS_MIN:
             break
         tau = -1.0 / tau
     else:  # pragma: no cover
@@ -151,7 +158,10 @@ def riemann_form_norm(om: PeriodMatrix, m, n) -> float:
 
     Evaluated through the real decomposition
     (m + Xn)^T Y^{-1} (m + Xn) + n^T Y n, which is positive definite on
-    Z^{2g}: it vanishes only at (m, n) = (0, 0).
+    Z^{2g}: it vanishes only at (m, n) = (0, 0). m + Xn is summed exactly
+    in integers over a common power-of-two denominator and rounded once,
+    as it cancels where H is far below |X||n| (at the shortest periods of
+    a small det Y).
     """
     m = np.asarray(m, dtype=float).reshape(-1)
     n = np.asarray(n, dtype=float).reshape(-1)
@@ -159,7 +169,13 @@ def riemann_form_norm(om: PeriodMatrix, m, n) -> float:
         raise SiegelError(f"integer vectors must have length g={om.g}")
     if not all(np.all(np.isfinite(v) & (v == np.rint(v))) for v in (m, n)):
         raise SiegelError("m and n must be integer vectors")
-    v = m + om.X @ n
+    nk = [int(k) for k in n.tolist()]
+    v = []
+    for mi, row in zip(m.tolist(), om.X.tolist()):
+        pq = [x.as_integer_ratio() for x in row]  # x = p / q, q a power of two
+        q = max(d for _, d in pq)
+        v.append((int(mi) * q + sum(p * (q // d) * k for (p, d), k in zip(pq, nk))) / q)
+    v = np.array(v)
     h = float(v @ (om.Y.inverse().entries @ v)) + float(n @ om.Y.entries @ n)
     return max(h, 0.0)
 
@@ -183,9 +199,13 @@ def injectivity_diameter(om: PeriodMatrix) -> float:
     """rho = min over nonzero periods gamma of sqrt(H(gamma; gamma)).
 
     An exact 2g-dimensional shortest-vector computation; invariant under
-    reduce() since both reduction steps are isomorphisms of the torus.
+    reduce() since both reduction steps are isomorphisms of the torus. The
+    search finds the minimizing (m, n); its length is then taken through
+    ``riemann_form_norm``, since m^T G m on the period Gram G cancels
+    where G's entries are far larger than H (small det Y).
     """
-    return shortest_vector(_period_gram(om)).value
+    m = shortest_vector(_period_gram(om)).m
+    return math.sqrt(riemann_form_norm(om, m[:om.g], m[om.g:]))
 
 
 class LambdaInfo(NamedTuple):
@@ -199,9 +219,12 @@ def lambda_clamped(om: PeriodMatrix) -> LambdaInfo:
     """Clamped dual first minimum vs clamped injectivity diameter.
 
     For a reduced period matrix the two clamped quantities coincide: periods
-    with n != 0 have squared length >= lambda_1(Y)^2 >= sqrt(3)/2 >= pi/(3g)
-    when g >= 2, and for g = 1 the fundamental domain gives
-    rho = lambda_1(Y^{-1}) outright; so both minima clamp identically.
+    with n != 0 have squared length >= lambda_1(Y)^2 >= sqrt(3)/2 > pi/(3g)
+    when g >= 2, and for g = 1 the fundamental domain (which ``is_reduced``
+    checks, |tau| >= 1 included) gives rho = lambda_1(Y^{-1}) outright; so
+    both minima clamp identically, and ``bounds.verify_chain`` takes lam
+    for the clamped rho. ``agrees`` checks it on the input at hand, which
+    need not be reduced.
     """
     clamp = math.sqrt(math.pi / (3.0 * om.g))
     lam = min(om.Y.inverse().lambda1(), clamp)

@@ -547,9 +547,10 @@ class TestVerifyChain:
         assert rep.all_passed
         assert [(e.name, e.passed) for e in rep.entries] == [(e.name, e.passed) for e in ref.entries]
 
-    def test_one_period_gram_search_per_embedding(self, monkeypatch):
-        # injectivity_diameter builds the 2g x 2g period Gram matrix once per
-        # call, so counting the builds counts the 2g-dimensional SVPs
+    def test_no_period_gram_search(self, monkeypatch):
+        # on a reduced Omega the clamped rho of (d) is the lam of (b) and (c),
+        # so the chain builds no 2g x 2g period Gram matrix (and runs no
+        # 2g-dimensional SVP), and (d)'s rhs is still the height lower bound
         E = EmbeddingSet(1, 2, [om_of(1j), om_of(0.2 + 1.3j)])
         rhs = height_lower_bound(E).total
         calls = []
@@ -561,7 +562,7 @@ class TestVerifyChain:
 
         monkeypatch.setattr(mlk.siegel, "_period_gram", counted)
         rep = verify_chain(E, budget=16)
-        assert [id(om) for om in calls] == [id(om) for om in E.periods]
+        assert calls == []
         assert rep.entries[-1].name == "height_chain" and rep.entries[-1].rhs == rhs
 
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -679,6 +680,12 @@ class TestVerifyChain:
             verify_chain(EmbeddingSet(1, 1, [om_of(0.7 + 2j)]))
         with pytest.raises(BoundsError, match="incomplete"):
             verify_chain(EmbeddingSet(1, 2, [om_of(1j)]))
+
+    def test_rejects_tau_inside_the_unit_circle(self):
+        # |Re tau| <= 1/2 and Im tau >= sqrt(3)/2, but |tau| < 1: there rho
+        # (0.9545) is below lam (1.0233), which (d) would take for it
+        with pytest.raises(BoundsError, match="embedding 0: .*reduced"):
+            verify_chain(EmbeddingSet(1, 1, [om_of(0.1 + 0.9j)]))
 
 
 class TestCheckEntry:

@@ -198,14 +198,18 @@ class TestRhoCommand:
         code, out, err = run(capsys, [command, write(tmp_path, "b.json", doc)])
         assert (code, out) == (3, "") and "imaginary part rejected" in err
 
-    @pytest.mark.parametrize("command", [["rho"], ["bound"], ["verify", "--suite", "chain"]],
-                             ids=["rho", "bound", "verify"])
-    def test_limit_error_names_its_embedding(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command,message", [
+        (["rho"], "period Gram matrix rejected: Gram matrix condition"),
+        (["bound"], "period Gram matrix rejected: Gram matrix condition"),
+        # the chain builds no period Gram matrix; its log-Gaussian underflows
+        (["verify", "--suite", "chain"], "integrand produced a non-finite value"),
+    ], ids=["rho", "bound", "verify"])
+    def test_limit_error_names_its_embedding(self, tmp_path, capsys, command, message):
         doc = {"g": 1, "degree": 2, "embeddings": [{"re": [[0.0]], "im": [[2.0]]},
                                                    {"re": [[0.0]], "im": [[1.1e6]]}]}
         code, out, err = run(capsys, [command[0], write(tmp_path, "a.json", doc), *command[1:]])
         assert (code, out) == (4, "")
-        assert err.startswith("error: embedding 1: period Gram matrix rejected: Gram matrix condition")
+        assert err.startswith(f"error: embedding 1: {message}")
 
     def test_one_period_gram_search_per_embedding(self, tmp_path, capsys, monkeypatch):
         # each injectivity_diameter call builds one 2g x 2g period Gram matrix
@@ -287,6 +291,13 @@ class TestVerifyCommand:
         assert by_name["parseval[0,0]"]["error_estimate"] > 0.0
         assert by_name["theta_invariant_lower[0]"]["error_estimate"] > 0.0
         assert all("error_estimate" in c for c in report["checks"])
+
+    def test_chain_suite_rejects_tau_inside_the_unit_circle(self, tmp_path, capsys):
+        # tau = 0.1 + 0.9i is not in the fundamental domain (|tau| < 1)
+        doc = {"g": 1, "degree": 1, "embeddings": [{"re": [[0.1]], "im": [[0.9]]}]}
+        code, out, err = run(capsys, ["verify", write(tmp_path, "a.json", doc), "--suite", "chain"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: embedding 0: period matrix must be reduced first")
 
     def test_reruns_are_bit_identical(self, capsys):
         _, out_a, _ = run(capsys, ["verify", "--suite", "lattice", "--random", "5",

@@ -77,6 +77,15 @@ class TestIntegrateCube:
         assert r.n_points == 4 + 2
         assert r.error_estimate > 0.0
 
+    @pytest.mark.parametrize("budget,per_shift", [(1, 1), (2, 2), (3, 2), (4, 4), (1023, 512)])
+    def test_qmc_budget_rounds_down_to_a_power_of_two(self, budget, per_shift):
+        # a budget of 1 is 2^0 points per shift under the 8 shifts, with or
+        # without a predicate
+        f = lambda P: np.cos(P[:, 0] + P[:, 1] * P[:, 2])
+        assert integrate_cube(f, 3, budget).n_points == 8 * per_shift
+        never = lambda value, err: False
+        assert integrate_cube(f, 3, budget, decided=never).n_points == 8 * per_shift
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("budget", [0, -5, np.int64(0), 2.5, True, False, "8"], ids=repr)
     def test_budget_must_be_none_or_a_count(self, d, budget):

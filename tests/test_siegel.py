@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from mlk.lattice import is_lll_reduced
+import mlk.siegel
+from mlk.lattice import is_lll_reduced, shortest_vector
 from mlk.oracle import log_abs_delta
 from mlk.siegel import (
     SiegelError,
@@ -40,6 +42,18 @@ class TestValidation:
     def test_re_normalization_flag(self):
         assert not om_of(0.7 + 2j).flags.re_normalized
         assert om_of(0.5 + 2j).flags.re_normalized
+
+    def test_g1_reduced_is_the_fundamental_domain(self, rng):
+        # |Re tau| <= 1/2 and Im tau >= sqrt(3)/2 but |tau| < 1: not reduced,
+        # and there rho < lambda_1(Y^{-1}); reduce() lands on |tau| >= 1
+        om = om_of(0.1 + 0.9j)
+        assert om.flags.re_normalized and not om.flags.lambda1_ok and not om.is_reduced
+        assert not lambda_clamped(om).agrees
+        assert reduce(om).is_reduced
+        for _ in range(50):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.05, 1.0))
+            out = reduce(om_of(tau))
+            assert out.is_reduced and abs(complex(out.X[0, 0], out.Y.entries[0, 0])) >= 1 - 1e-15
 
     def test_short_imaginary_vector_flag(self):
         om = validate_period_matrix(np.zeros((2, 2)), np.diag([0.5, 2.0]))
@@ -190,6 +204,23 @@ class TestInjectivityDiameter:
                 om = make_reduced_period(rng, g)
                 assert injectivity_diameter(om) == pytest.approx(brute_rho(om), rel=1e-10)
 
+    @pytest.mark.parametrize("g,c", [(2, 1e-5), (3, 1e-4)])
+    def test_value_at_small_det_y(self, g, c):
+        # Omega = X + i c I_g with seeded X: the period Gram's entries reach
+        # 1/c, far above H at its minimizer, and m + Xn cancels there. rho is
+        # sqrt(H) at the search's minimizer within 1e-12 of 50 digits
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            X = rng.uniform(-0.5, 0.5, (g, g))
+            om = validate_period_matrix((X + X.T) / 2.0, c * np.eye(g))
+            mn = shortest_vector(mlk.siegel._period_gram(om)).m
+            with mp.workdps(50):
+                Xm, Ym = mp.matrix(om.X.tolist()), mp.matrix(om.Y.entries.tolist())
+                n = mp.matrix([int(k) for k in mn[g:]])
+                u = mp.matrix([int(k) for k in mn[:g]]) + Xm * n
+                want = mp.sqrt((u.T * Ym**-1 * u)[0] + (n.T * Ym * n)[0])
+                assert abs(injectivity_diameter(om) - want) <= 1e-12 * want
+
 
 class TestLambdaClamped:
     def test_tau_2i(self):
@@ -203,6 +234,14 @@ class TestLambdaClamped:
         om = reduce(om_of(0.9j))
         assert om.Y.entries[0, 0] >= math.sqrt(3) / 2 - 1e-12
         assert lambda_clamped(om).agrees
+
+    @pytest.mark.parametrize("x", [-0.5, -0.3, 0.0, 0.1, 0.45, 0.5])
+    @pytest.mark.parametrize("r", [1.0, 1.0 + 1e-9, 1.01])
+    def test_agrees_near_the_unit_circle(self, x, r):
+        # reduced tau at |tau| = r, where the period tau (n = 1) is as short
+        # as, or barely longer than, the period 1 (n = 0)
+        om = om_of(complex(x, math.sqrt(r * r - x * x)))
+        assert om.is_reduced and lambda_clamped(om).agrees
 
     def test_g2_identity_both_clamped(self):
         om = validate_period_matrix(np.zeros((2, 2)), np.eye(2))

@@ -181,32 +181,26 @@ def height_lower_bound(E: EmbeddingSet, epsilon: float = 0.5) -> BoundReport:
     per = tuple(
         EmbeddingTerm(rho=r, rho_clamped=min(r, clamp), term=height_term(r, E.g)) for r in rhos
     )
-    total = sum(t.term for t in per) / E.degree
+    if not 0.0 < epsilon < 1.0:
+        raise BoundsError("epsilon must lie in (0, 1)")
+    s = sum(1.0 / (r * r) for r in rhos)
     return BoundReport(
         per_embedding=per,
-        total=total,
-        weak_total=_weakened_from_rhos(rhos, E.g, E.degree, epsilon),
+        total=sum(t.term for t in per) / E.degree,
+        weak_total=-(E.g / 2.0) * math.log(2.0 * math.pi**2 / epsilon)
+        + (1.0 - epsilon) * math.pi * s / (6.0 * E.degree),
         epsilon=epsilon,
         kappa=kappa(),
         clamp_count=sum(1 for t in per if t.rho > clamp),
     )
 
 
-def _weakened_from_rhos(rhos, g: int, degree: int, epsilon: float) -> float:
-    if not 0.0 < epsilon < 1.0:
-        raise BoundsError("epsilon must lie in (0, 1)")
-    s = sum(1.0 / (r * r) for r in rhos)
-    return -(g / 2.0) * math.log(2.0 * math.pi**2 / epsilon) + (1.0 - epsilon) * math.pi * s / (
-        6.0 * degree
-    )
-
-
 def weakened_height_bound(E: EmbeddingSet, epsilon: float) -> float:
     """Simplified lower bound
     -(g/2) ln(2 pi^2 / eps) + (1-eps) pi / (6d) * sum 1/rho_s^2,
-    with the raw (unclamped) injectivity diameters."""
-    rhos = _per_embedding(E.periods, lambda _, om: injectivity_diameter(om))
-    return _weakened_from_rhos(rhos, E.g, E.degree, epsilon)
+    with the raw (unclamped) injectivity diameters: ``height_lower_bound``'s
+    ``weak_total``."""
+    return height_lower_bound(E, epsilon).weak_total
 
 
 def log_gaussian_bound(lam: float, g: int) -> float:
@@ -240,11 +234,9 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     over the box of terms that theta caches per Y; ``seed`` is not used.
     g >= 2: ``integrate_cube``'s QMC for d = 2g (``budget`` points per
     shift, ``seed``) on ``cube_norm_batch``, which gets the points of
-    several shifts per call. A predicate
-    ``decided(I, error) -> bool`` makes ``budget`` a cap at every g: the
-    rule doubles, from 32 nodes per axis at g = 1 and from 2^5 points per
-    shift at g >= 2, until the predicate holds for the invariant and its
-    estimate. Without one the whole budget runs.
+    several shifts per call. A predicate ``decided(I, error) -> bool`` on
+    the invariant and its estimate sizes the rule by ``quadrature._refine``,
+    from 32 nodes per axis at g = 1 and from 2^5 points per shift at g >= 2.
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
@@ -305,11 +297,10 @@ def verify_chain(E: EmbeddingSet, budget: int | None = None, seed: int = 0,
     end of its value +- estimate (slack - err >= -tol or slack + err < -tol),
     so the reported log-Gaussian is only as precise as that decision needs.
 
-    ``budget`` and ``seed`` size the invariant of (c) only. ``budget`` is a
-    cap at every g: on the Gauss nodes per axis at g = 1 (clamped to
-    [4, 256]), where the rule doubles from 32, and on the QMC points per
-    shift at g >= 2, where the set doubles from 2^5. Either stops once (c)
-    is decided by the rule of (b), err the check's estimate (twice the
+    ``budget`` and ``seed`` size the invariant of (c) only: ``budget`` caps
+    the Gauss nodes per axis at g = 1 (clamped to [4, 256]), from 32, and the
+    QMC points per shift at g >= 2, from 2^5 (``quadrature._refine``), until
+    (c) is decided by the rule of (b), err the check's estimate (twice the
     invariant's), so the reported I too is only as precise as that decision
     needs. The slack of (d) is the mean of the (c) slacks.
 

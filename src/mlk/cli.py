@@ -17,12 +17,12 @@ of value +- estimate, so the reported invariant is only as precise as that
 decision needs; the chain's log-Gaussian mean stops the same way, on its
 first grid k/n that decides its check. Reports go to stdout, diagnostics
 to stderr. Exit codes: 0 success, 1 a verify check failed, 2 parse error
-(also a --random, --dim or --budget below 1, a --seed below 0, or a budget
-above 256 for a g = 1 chain), 3 invalid matrix data, 4 the input is valid
-but cannot be certified: a lattice enumeration or quadrature grid exceeded
-its cap, the period Gram matrix passed the condition limit, or a theta
-series or integrand left the range of double precision (a QuadratureError
-or ThetaError). An error 3 or 4 that comes from one embedding names it
+(also a --random, --dim or --budget below 1, a --seed below 0, an --epsilon
+outside (0, 1), or a budget above 256 for a g = 1 chain), 3 invalid matrix
+data, 4 the input is valid but cannot be certified: a lattice enumeration
+or quadrature grid exceeded its cap, the period Gram matrix passed the
+condition limit, or a theta series or integrand left the range of double
+precision (a QuadratureError or ThetaError). An error 3 or 4 that comes from one embedding names it
 ("embedding i: ..."). height_chain's error_estimate is (2/d) times the sum
 of the invariants' estimates.
 """
@@ -357,6 +357,17 @@ def _int_at_least(lowest: int):
     return parse
 
 
+def _epsilon(text: str) -> float:
+    """--epsilon as options.epsilon: a float in (0, 1), so not nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mlk", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"mlk {__version__}")
@@ -364,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="height lower bounds from a period-data file")
     p_bound.add_argument("input")
-    p_bound.add_argument("--epsilon", type=float, default=None,
+    p_bound.add_argument("--epsilon", type=_epsilon, default=None,
                          help="epsilon for the simplified bound (default: from file or 0.5)")
     p_bound.set_defaults(func=cmd_bound)
 

@@ -22,13 +22,16 @@
 * ``_tensor_gauss``, the one tensor Gauss-Legendre rule. It hands the
   integrand the nodes of one axis and takes its values on their product
   grid, so an integrand that is cheaper on a whole grid than point by point
-  is evaluated that way: the g = 1 invariant (``theta._cube_norm_grid``),
-  whose rule doubles from 32 nodes per axis until its check is decided.
+  is evaluated that way: the g = 1 invariant (``theta._cube_norm_grid``).
   ``integrate_cube`` feeds it f at the grid's points.
+
+One doubling rule, ``_refine``, serves all three: a predicate ``decided(value,
+error) -> bool`` caps the budget at every d; without one the whole budget runs.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -135,6 +138,21 @@ def _gauss_value(f_grid, d: int, n: int) -> float:
     return float(_tensor_weights(w, d) @ _checked(f_grid(x), n**d))
 
 
+def _refine(rule, first: int, cap: int, stop=None) -> QuadratureResult:
+    """The one doubling policy: ``rule(n)`` is the QuadratureResult at size n.
+    Without a predicate it runs ``rule(cap)``. With a predicate ``stop(value,
+    error) -> bool``, n starts at min(first, cap) and doubles, clamped to
+    ``cap``, until the predicate holds or n is the cap. It is asked after each
+    rule and never at the cap, so a predicate that never holds returns what
+    none returns, bit for bit (``n_points`` may count every size run)."""
+    n = cap if stop is None else min(first, cap)
+    while True:
+        r = rule(n)
+        if n == cap or stop(r.value, r.error_estimate):
+            return r
+        n = min(2 * n, cap)
+
+
 def _tensor_gauss(f_grid, d: int, budget: int | None, decided=None) -> QuadratureResult:
     """Tensor Gauss-Legendre on [0,1]^d, d <= 2, for an integrand given on the
     rule's axes: ``f_grid(x)`` gets the n nodes of one axis (every axis has
@@ -144,30 +162,21 @@ def _tensor_gauss(f_grid, d: int, budget: int | None, decided=None) -> Quadratur
     rule on n nodes is its distance to the rule on n // 2 nodes.
 
     ``budget`` caps n at min(max(budget, 4), 256) (default 256); it is None
-    or a count (``lattice._count``; else QuadratureError). Without a
-    predicate n is that cap. With a predicate ``decided(value, error) ->
-    bool``, n starts at min(32, cap) and doubles, clamped to the cap, until
-    the predicate holds or n is the cap; the coarse rule of each doubling is
-    the previous fine rule, so no rule is evaluated twice, and a predicate
-    that never holds returns what no predicate returns, bit for bit.
-    ``n_points`` counts every grid evaluated.
+    or a count (``lattice._count``; else QuadratureError). ``_refine`` sizes n
+    from 32 under ``decided(value, error) -> bool``, each doubling's coarse
+    rule the previous fine one. ``n_points`` counts every grid evaluated.
     """
     budget = _MAX_GAUSS_NODES if budget is None else _count(budget, QuadratureError)
-    cap = min(max(budget, 4), _MAX_GAUSS_NODES)
-    n = cap if decided is None else min(_FIRST_GAUSS_NODES, cap)
     rules = {}  # nodes -> the rule's value
 
-    def rule(k):
-        if k not in rules:
-            rules[k] = _gauss_value(f_grid, d, k)
-        return rules[k]
+    def rule(n):
+        for k in (n, n // 2):  # n // 2 >= 2 and < n: two distinct rules
+            if k not in rules:
+                rules[k] = _gauss_value(f_grid, d, k)
+        err = abs(rules[n] - rules[n // 2])
+        return QuadratureResult(rules[n], err, sum(k**d for k in rules), "tensor-gauss")
 
-    while True:
-        value = rule(n)
-        err = abs(value - rule(n // 2))  # n // 2 >= 2 and < n: two distinct rules
-        if n == cap or decided(value, err):
-            return QuadratureResult(value, err, sum(k**d for k in rules), "tensor-gauss")
-        n = min(2 * n, cap)
+    return _refine(rule, _FIRST_GAUSS_NODES, min(max(budget, 4), _MAX_GAUSS_NODES), decided)
 
 
 @lru_cache(maxsize=None)
@@ -207,24 +216,30 @@ def _sobol(d: int, m: int) -> np.ndarray:
     return x * 2.0 ** -_SOBOL_BITS
 
 
+def _seed(seed) -> int:
+    """``seed`` as an integer >= 0 (``operator.index``, no bool), else QuadratureError."""
+    try:
+        if not isinstance(seed, bool) and operator.index(seed) >= 0:
+            return operator.index(seed)
+    except TypeError:
+        pass
+    raise QuadratureError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
                    decided=None) -> QuadratureResult:
     """Integrate a vectorized f: (N, d) -> (N,) over [0,1]^d by a rule chosen from d.
 
     d <= 2: ``_tensor_gauss`` on f at the points of its grids, ``budget``
     nodes per axis (clamped to [4, 256], default 256), error the distance to
-    the rule on half the nodes; ``decided`` is not used. d >= 3: an
-    unscrambled Sobol set of ``budget`` points (rounded down to a power of
-    two, default 2^16) under 8 shifts drawn from ``seed``, error 3x the
-    standard deviation of the per-shift means. ``budget`` is None or a
-    count (``lattice._count``; else QuadratureError).
-
-    With a predicate ``decided(value, error) -> bool`` at d >= 3, ``budget``
-    is a cap: the set starts at min(2^5, cap) points per shift and doubles
-    until the predicate holds or the cap is reached. The first m points of
-    the 2m-point set are the m-point set, so each doubling evaluates only
-    the new points, and a predicate that never holds returns what no
-    predicate returns, bit for bit.
+    the rule on half the nodes. d >= 3: an unscrambled Sobol set of
+    ``budget`` points (rounded down to a power of two, default 2^16) under 8
+    shifts drawn from ``seed``, error 3x the standard deviation of the
+    per-shift means. ``budget`` is None or a count (``lattice._count``),
+    ``seed`` an integer >= 0 (no bool); else QuadratureError. At every d
+    ``_refine`` sizes the rule under ``decided(value, error) -> bool``, at
+    d >= 3 from 2^5 points per shift: the first m points of the 2m-point set
+    are the m-point set, so each doubling evaluates only the new points.
 
     f gets the new points of several shifts in one call, shift-major (the
     rows of shift k, then those of shift k + 1), as many shifts as keep a
@@ -234,15 +249,16 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
+    seed = _seed(seed)
     if d <= _MAX_GAUSS_DIM:
-        return _tensor_gauss(lambda x: f(_tensor_points(x, d)), d, budget)
+        return _tensor_gauss(lambda x: f(_tensor_points(x, d)), d, budget, decided)
     budget = _DEFAULT_QMC_POINTS if budget is None else _count(budget, QuadratureError)
-    m_cap = 1 << (budget.bit_length() - 1)
-    m = m_cap if decided is None else min(_FIRST_QMC_POINTS, m_cap)
     shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
     vals = np.empty((_N_SHIFTS, 0))  # row k: shift k's values, in point order
-    done = 0
-    while True:
+
+    def rule(m):
+        nonlocal vals
+        done = vals.shape[1]
         new = _sobol(d, m)[done:]
         vals, old = np.empty((_N_SHIFTS, m)), vals
         vals[:, :done] = old
@@ -251,10 +267,10 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
             P = ((new + shifts[k:k + per_call, None, :]) % 1.0).reshape(-1, d)  # shift-major
             vals[k:k + per_call, done:] = _checked(f(P), P.shape[0]).reshape(-1, new.shape[0])
         est = [float(np.mean(v)) for v in vals]
-        value, err = float(np.mean(est)), 3.0 * float(np.std(est, ddof=1))
-        if m == m_cap or decided(value, err):
-            return QuadratureResult(value, err, _N_SHIFTS * m, "qmc-shifted")
-        done, m = m, 2 * m
+        return QuadratureResult(float(np.mean(est)), 3.0 * float(np.std(est, ddof=1)),
+                                _N_SHIFTS * m, "qmc-shifted")
+
+    return _refine(rule, _FIRST_QMC_POINTS, 1 << (budget.bit_length() - 1), decided)
 
 
 def integrate_periodic(f_grid, d: int, tol: float, decided=None) -> QuadratureResult:
@@ -271,15 +287,12 @@ def integrate_periodic(f_grid, d: int, tol: float, decided=None) -> QuadratureRe
 
     The value is the mean of f on the grid k/n. The error estimate is its
     distance to the mean on the even-index subgrid, plus eps times the mean of
-    |f| (the two means can agree to the last bit). n starts at 8, as coarser
-    grids can agree by accident, or at the largest power of two whose grid
-    holds at most 2^19 points, and doubles while the estimate exceeds ``tol``
-    and the next grid fits, one call per grid. With a predicate
-    ``decided(value, error) -> bool`` it also stops once the predicate holds
-    (asked once per grid, not at the last grid that fits), so a value is
-    only as precise as the caller's decision needs; a predicate that never
-    holds returns what no predicate returns, bit for bit. ``n_points`` is
-    n^d for the final n.
+    |f| (the two means can agree to the last bit). ``_refine`` sizes n, one
+    call per grid, from 8 (coarser grids can agree by accident) up to the
+    largest power of two whose grid holds at most 2^19 points, stopping once
+    the estimate meets ``tol`` or, where it does not, ``decided(value,
+    error) -> bool`` holds, so a value is only as precise as the caller's
+    decision needs. ``n_points`` is n^d for the final n.
     """
     if d < 1:
         raise QuadratureError("dimension must be >= 1")
@@ -287,15 +300,16 @@ def integrate_periodic(f_grid, d: int, tol: float, decided=None) -> QuadratureRe
     if n_max < 2:
         raise EnumerationLimitError(f"periodic grid of 2^{d} points exceeds cap 2^19")
     even = (slice(None, None, 2),) * d
-    n = min(8, n_max)
-    while True:
+
+    def rule(n):
         vals = _checked(f_grid(n), n**d).reshape((n,) * d)
         value = float(np.mean(vals))
         coarse = float(np.mean(vals[even]))
         err = abs(value - coarse) + float(np.finfo(float).eps * np.mean(np.abs(vals)))
-        if err <= tol or 2 * n > n_max or (decided is not None and decided(value, err)):
-            return QuadratureResult(value, err, vals.size, "periodic")
-        n *= 2
+        return QuadratureResult(value, err, vals.size, "periodic")
+
+    return _refine(rule, 8, n_max,
+                   lambda value, err: err <= tol or (decided is not None and decided(value, err)))
 
 
 def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> QuadratureResult:
@@ -316,7 +330,7 @@ def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> 
         vals = psi_sq_batch(Y, (corners[:, None, :] + 0.5 * P).reshape(-1, d))
         return 0.5**d * vals.reshape(len(corners), -1).sum(axis=0)
 
-    return integrate_cube(split, d, budget)
+    return integrate_cube(split, d, budget, seed)
 
 
 def _integral_ln(f_grid, d: int, tol: float, decided=None) -> QuadratureResult:

@@ -132,6 +132,7 @@ class TestWeakenedBound:
         eps = 1 - 1e-9
         want = -(0.5) * math.log(2 * math.pi**2 / eps) + (1 - eps) * math.pi / 6.0 * 2.0
         assert weakened_height_bound(E, eps) == pytest.approx(want, abs=1e-12)
+        assert weakened_height_bound(E, eps) == height_lower_bound(E, eps).weak_total
 
     def test_rejects_bad_epsilon(self):
         E = EmbeddingSet(1, 1, [om_of(2j)])

@@ -117,6 +117,19 @@ class TestBoundCommand:
         b = json.loads(out_quarter)["simplified_lower_bound"]
         assert a != b
 
+    @pytest.mark.parametrize("value", [2.0, 0.0, 1.0, -0.5, math.nan, math.inf], ids=repr)
+    def test_epsilon_outside_the_unit_interval_exits_2(self, tmp_path, capsys, value):
+        # the flag is held to the rule of options.epsilon, not left to bounds (exit 3)
+        doc = tau_2i_doc()
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", write(tmp_path, "i.json", doc), "--epsilon", str(value)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--epsilon" in captured.err
+        doc["options"] = {"epsilon": value}  # json writes nan as NaN, which it reads back
+        code, out, err = run(capsys, ["bound", write(tmp_path, "j.json", doc)])
+        assert (code, out) == (2, "") and "options.epsilon" in err
+
 
 class TestStrictInput:
     """Fields are JSON numbers of the right kind: booleans and numeric
@@ -132,8 +145,14 @@ class TestStrictInput:
         lambda d: d["embeddings"][0].update(im=[[2.0, None]]),
         lambda d: d["embeddings"][0].update(re=["0.0"]),
         lambda d: d["embeddings"][0].update(re=[[10**400]]),
+        lambda d: d["embeddings"][0].update(re=[0.0, 0.0]),
+        lambda d: d["embeddings"][0].update(im=[[2.0, 0.0]]),
+        lambda d: d.update(options=[]),
+        lambda d: d.update(embeddings=[[[0.0]]]),
+        lambda d: d["embeddings"][0].pop("im"),
     ], ids=["g", "degree", "budget", "epsilon", "string-leaf", "bool-leaf", "null-leaf",
-            "flat-string-leaf", "huge-int-leaf"])
+            "flat-string-leaf", "huge-int-leaf", "flat-wrong-length", "not-square",
+            "options-not-object", "embedding-not-object", "im-missing"])
     @pytest.mark.parametrize("command", ["rho", "verify"])
     def test_rejected_with_exit_2(self, tmp_path, capsys, edit, command):
         doc = tau_2i_doc()
@@ -143,6 +162,18 @@ class TestStrictInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["bound", "rho"])
+    def test_top_level_list_exits_2(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, [command, write(tmp_path, "a.json", [tau_2i_doc()])])
+        assert (code, out) == (2, "") and "must be an object" in err
+
+    @pytest.mark.parametrize("command", ["bound", "rho"])
+    def test_more_embeddings_than_degree_exits_3(self, tmp_path, capsys, command):
+        doc = tau_2i_doc()
+        doc["embeddings"] *= 2
+        code, out, err = run(capsys, [command, write(tmp_path, "a.json", doc)])
+        assert (code, out) == (3, "") and "exceed degree 1" in err
 
     def test_non_finite_report_writes_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mlk.cli, "lambda_clamped",

@@ -11,8 +11,10 @@ from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_b
 from mlk.quadrature import (
     _FIRST_QMC_POINTS,
     QuadratureError,
+    QuadratureResult,
     _gauss_rule,
     _integral_ln,
+    _refine,
     _sobol,
     _tensor_gauss,
     _tensor_points,
@@ -98,6 +100,21 @@ class TestIntegrateCube:
             with pytest.raises(QuadratureError, match="budget must be"):
                 _tensor_gauss(no_values, d, budget)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True, np.int64(-2), "3"], ids=repr)
+    def test_seed_must_be_an_integer_at_least_zero(self, d, seed):
+        # None would draw OS entropy, and two identical calls would differ
+        def no_values(P):
+            raise AssertionError("integrand evaluated for a rejected seed")
+
+        with pytest.raises(QuadratureError, match="seed must be"):
+            integrate_cube(no_values, d, 64, seed)
+
+    def test_seed_zero_and_numpy_integers_accepted(self):
+        f = lambda P: np.cos(P[:, 0] + P[:, 1] * P[:, 2])
+        assert integrate_cube(f, 3, 64, np.int64(5)) == integrate_cube(f, 3, 64, 5)
+        assert integrate_cube(f, 3, 64, 0) == integrate_cube(f, 3, 64)
+
     def test_budget_zero_is_not_the_default(self):
         Y = GramMatrix(np.eye(2))
         assert integral_psi_sq(Y, np.int64(8)) == integral_psi_sq(Y, 8)
@@ -169,6 +186,45 @@ class TestSobol:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # 2^31 points of dimension 3 would be 48 GiB
+
+
+class TestRefine:
+    @staticmethod
+    def counting(sizes):
+        def rule(n):
+            sizes.append(n)
+            return QuadratureResult(float(n), 1.0 / n, n, "counting")
+
+        return rule
+
+    def test_without_a_predicate_one_rule_at_the_cap(self):
+        sizes = []
+        assert _refine(self.counting(sizes), 32, 100).n_points == 100
+        assert sizes == [100]
+
+    def test_doubles_clamped_to_the_cap_and_never_asks_there(self):
+        sizes, asked = [], []
+
+        def never(value, err):
+            asked.append((sizes[-1], value, err))
+            return False
+
+        assert _refine(self.counting(sizes), 32, 100, never).n_points == 100
+        assert sizes == [32, 64, 100]
+        assert asked == [(32, 32.0, 1 / 32), (64, 64.0, 1 / 64)]  # after each rule
+
+    def test_stops_where_the_predicate_holds(self):
+        sizes = []
+        r = _refine(self.counting(sizes), 32, 100, lambda value, err: value >= 64.0)
+        assert sizes == [32, 64] and r.n_points == 64
+
+    def test_first_above_the_cap_starts_at_the_cap(self):
+        def ask(value, err):
+            raise AssertionError("predicate asked at the cap")
+
+        sizes = []
+        assert _refine(self.counting(sizes), 32, 8, ask).n_points == 8
+        assert sizes == [8]
 
 
 class TestDecidedDoubling:
@@ -253,11 +309,25 @@ class TestDecidedDoubling:
         assert np.array_equal(psi_sq_batch(Y, P[:, :g]), parts)
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_tensor_rule_never_asks(self, d):
-        def ask(value, err):
-            raise AssertionError("predicate called on the tensor rule")
+    def test_tensor_rule_stops_when_decided(self, d):
+        # decided caps the Gauss nodes at d <= 2 as it caps the QMC points:
+        # a predicate that holds at once stops at 32 nodes per axis, and one
+        # that never holds (asked at 32, not at the cap) gives the value and
+        # estimate of the call without one
+        at_once = integrate_cube(self.smooth, d, 64, decided=lambda value, err: True)
+        assert at_once == integrate_cube(self.smooth, d, 32)
+        assert at_once.n_points == 32**d + 16**d
+        asked = []
 
-        assert integrate_cube(self.smooth, d, 64, decided=ask) == integrate_cube(self.smooth, d, 64)
+        def never(value, err):
+            asked.append((value, err))
+            return False
+
+        r = integrate_cube(self.smooth, d, 64, decided=never)
+        whole = integrate_cube(self.smooth, d, 64)
+        assert (r.value, r.error_estimate) == (whole.value, whole.error_estimate)
+        assert asked == [(at_once.value, at_once.error_estimate)]
+        assert r.n_points == 64**d + 32**d + 16**d
 
 
 def on_points(f, d):

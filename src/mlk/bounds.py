@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import LatticeError
-from .quadrature import (QuadratureError, QuadratureResult, _integral_ln, _tensor_gauss,
+from .quadrature import (QuadratureError, QuadratureResult, _integral_ln, _seed, _tensor_gauss,
                          integrate_cube)
 from .siegel import PeriodMatrix, SiegelError, injectivity_diameter
 from .theta import ThetaError, _cube_norm_grid, _f_grid, _slice_norm_sq, cube_norm_batch
@@ -231,7 +231,7 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     g = 1: tensor Gauss-Legendre on [0,1]^2 (``quadrature._tensor_gauss``,
     ``budget`` nodes per axis, clamped to [4, 256]), with ||s|| on each
     rule's whole grid from one matrix product (``theta._cube_norm_grid``)
-    over the box of terms that theta caches per Y; ``seed`` is not used.
+    over the box of terms that theta caches per Y; ``seed`` is only checked.
     g >= 2: ``integrate_cube``'s QMC for d = 2g (``budget`` points per
     shift, ``seed``) on ``cube_norm_batch``, which gets the points of
     several shifts per call. A predicate ``decided(I, error) -> bool`` on
@@ -240,6 +240,7 @@ def archimedean_invariant(om: PeriodMatrix, budget: int | None = None,
     """
     if not om.is_reduced:
         raise BoundsError("period matrix must be reduced first (see siegel.reduce)")
+    seed = _seed(seed)
     clipped = 0
 
     def clipped_log(vals):

@@ -7,24 +7,25 @@ Subcommands:
     mlk verify <file | --random N>   invariant suites (--suite lattice|
                                      integrals|chain|oracle|all)
 
-Input is a strict JSON document; unknown fields are rejected. options.budget
-(or --budget) sizes the chain's 2g-dimensional invariant, whose rule follows
-from g, and is a cap at every g: on the QMC points per shift at g >= 2,
-where the set doubles from 2^5 points, and on the tensor Gauss-Legendre
-nodes per axis at g = 1, max(budget, 4) <= 256, where the rule doubles from
-32 nodes. Either stops once the invariant's check is decided at either end
-of value +- estimate, so the reported invariant is only as precise as that
-decision needs; the chain's log-Gaussian mean stops the same way, on its
-first grid k/n that decides its check. Reports go to stdout, diagnostics
-to stderr. Exit codes: 0 success, 1 a verify check failed, 2 parse error
-(also a --random, --dim or --budget below 1, a --seed below 0, an --epsilon
-outside (0, 1), or a budget above 256 for a g = 1 chain), 3 invalid matrix
-data, 4 the input is valid but cannot be certified: a lattice enumeration
-or quadrature grid exceeded its cap, the period Gram matrix passed the
-condition limit, or a theta series or integrand left the range of double
-precision (a QuadratureError or ThetaError). An error 3 or 4 that comes from one embedding names it
-("embedding i: ..."). height_chain's error_estimate is (2/d) times the sum
-of the invariants' estimates.
+Input is a strict JSON document; unknown fields are rejected.
+options.budget (or --budget) sizes the chain's 2g-dimensional invariant,
+whose rule follows from g, and is a cap at every g: on the QMC points per
+shift at g >= 2, where the set doubles from 2^5 points, and on the tensor
+Gauss-Legendre nodes per axis at g = 1, max(budget, 4) <= 256, where the
+rule doubles from 32 nodes. Either stops once the invariant's check is
+decided at either end of value +- estimate, so the reported invariant is
+only as precise as that decision needs; the chain's log-Gaussian mean stops
+the same way, on its first grid k/n that decides its check. Reports go to
+stdout, diagnostics to stderr. Exit codes: 0 success, 1 a verify check
+failed, 2 parse error (also a NaN or Infinity in the document, a --random,
+--dim or --budget below 1, a --seed below 0, an --epsilon outside (0, 1),
+or a budget above 256 for a g = 1 chain), 3 invalid matrix data, 4 the
+input is valid but cannot be certified: a lattice enumeration or quadrature
+grid exceeded its cap, the period Gram matrix passed the condition limit,
+or a theta series or integrand left the range of double precision (a
+QuadratureError or ThetaError). An error 3 or 4 that comes from one
+embedding names it ("embedding i: ..."). height_chain's error_estimate is
+(2/d) times the sum of the invariants' estimates.
 """
 
 from __future__ import annotations
@@ -109,8 +110,11 @@ def _as_matrix(value, g: int, label: str) -> np.ndarray:
 
 
 def _parse_document(raw: bytes):
+    def no_constant(name):  # json.loads takes NaN, Infinity and -Infinity; strict JSON does not
+        raise InputError(f"invalid JSON: {name} is not a JSON value")
+
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), parse_constant=no_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

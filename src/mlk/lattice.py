@@ -29,6 +29,11 @@ two-sided enclosure. Its lower end needs only the largest psi over a point
 set, so ``mu_interval`` searches one target at a time, largest upper bound
 first, and stops once no bound can raise the max (an early exit in the
 style of Schnorr-Euchner, Math. Programming 66, 1994).
+
+The package's point sets have one builder each, here: ``_int_box`` (a box's
+integer points in C order, also a product rule's index grid),
+``_torus_points`` (points from outside) and ``_sobol``, the package's one
+low-discrepancy sequence (``mu_interval``'s points, ``quadrature``'s QMC).
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ _RADIUS_SAFETY = 1 + 1e-12  # inflation so fp rounding cannot lose the minimizer
 _ONE_TARGET_NODES = 1 << 12  # largest estimated tree that one target searches on Python floats
 _LOG_ONE_TARGET_NODES = math.log(_ONE_TARGET_NODES)
 _LOG_PI = math.log(math.pi)
+_SOBOL_BITS = 30  # points are multiples of 2^-30, so a set holds <= 2^30 of them
 
 
 class LatticeError(ValueError):
@@ -208,13 +214,19 @@ class DeepPoint(NamedTuple):
     certified_lo: float
 
 
-def norm(Y: GramMatrix, x) -> float:
-    """||x||_Y = sqrt(x^T Y x)."""
+def _vector(Y: GramMatrix, x) -> np.ndarray:
+    """x as a finite float vector of length g, else LatticeError."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != Y.g:
         raise LatticeError(f"vector of length {x.shape[0]} incompatible with g={Y.g}")
     if not np.all(np.isfinite(x)):
         raise LatticeError("vector entries must be finite")
+    return x
+
+
+def norm(Y: GramMatrix, x) -> float:
+    """||x||_Y = sqrt(x^T Y x)."""
+    x = _vector(Y, x)
     q = float(x @ Y.entries @ x)
     return math.sqrt(q) if q > 0.0 else 0.0
 
@@ -527,11 +539,7 @@ def closest_vector(Y: GramMatrix, x) -> ClosestVector:
     Ellipsoid enumeration on the LLL-reduced basis within the nearest-plane
     distance of x (``_closest_row``); psi_Y(x) = the value is Z^g-periodic.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != Y.g:
-        raise LatticeError(f"vector of length {x.shape[0]} incompatible with g={Y.g}")
-    if not np.all(np.isfinite(x)):
-        raise LatticeError("vector entries must be finite")
+    x = _vector(Y, x)
     red = Y._reduced()
     t = x.reshape(1, -1) @ red["Uinv"].T.astype(float)
     m = red["U"] @ np.array(_closest_row(red, t[0].tolist()), dtype=np.int64)
@@ -672,16 +680,6 @@ def _psi_sq_max(Y: GramMatrix, P: np.ndarray) -> float:
     return float(np.maximum(np.einsum("ij,ij->i", D, D @ Y.entries), 0.0).max())
 
 
-def _first_primes(d: int) -> np.ndarray:
-    primes = []
-    k = 2
-    while len(primes) < d:
-        if all(k % p for p in primes):
-            primes.append(k)
-        k += 1
-    return np.array(primes)
-
-
 def _count(budget, error) -> int:
     """A budget as an integer >= 1 (``operator.index``, no bool), else ``error``."""
     if isinstance(budget, bool):
@@ -695,34 +693,98 @@ def _count(budget, error) -> int:
     return budget
 
 
+# Sobol dimensions 2-64 of Joe & Kuo's table new-joe-kuo-6.21201 (the first 63
+# rows after the first of scipy's stats/_sobol_direction_numbers.npz): the
+# primitive polynomial as an integer whose binary digits are its coefficients,
+# and its initial direction numbers m_1 .. m_s, s the degree. Dimension 1 is
+# the van der Corput sequence (every m_j = 1).
+_SOBOL_POLY = (
+    3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109, 115, 131, 137,
+    143, 145, 157, 167, 171, 185, 191, 193, 203, 211, 213, 229, 239, 241, 247, 253, 285,
+    299, 301, 333, 351, 355, 357, 361, 369, 391, 397, 425, 451, 463, 487, 501, 529, 539,
+    545, 557, 563, 601, 607, 617, 623, 631, 637,
+)
+_SOBOL_MINIT = (
+    (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17),
+    (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11), (1, 3, 5, 5, 31),
+    (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5),
+    (1, 3, 1, 15, 13, 25), (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103),
+    (1, 3, 7, 13, 13, 15, 69), (1, 1, 3, 13, 7, 35, 63), (1, 3, 5, 9, 1, 25, 53),
+    (1, 3, 1, 13, 9, 35, 107), (1, 3, 1, 5, 27, 61, 31), (1, 1, 5, 11, 19, 41, 61),
+    (1, 3, 5, 3, 3, 13, 69), (1, 1, 7, 13, 1, 19, 1), (1, 3, 7, 5, 13, 19, 59),
+    (1, 1, 3, 9, 25, 29, 41), (1, 3, 5, 13, 23, 1, 55), (1, 3, 7, 3, 13, 59, 17),
+    (1, 3, 1, 3, 5, 53, 69), (1, 1, 5, 5, 23, 33, 13), (1, 1, 7, 7, 1, 61, 123),
+    (1, 1, 7, 9, 13, 61, 49), (1, 3, 3, 5, 3, 55, 33), (1, 3, 1, 15, 31, 13, 49, 245),
+    (1, 3, 5, 15, 31, 59, 63, 97), (1, 3, 1, 11, 11, 11, 77, 249), (1, 3, 1, 11, 27, 43, 71, 9),
+    (1, 1, 7, 15, 21, 11, 81, 45), (1, 3, 7, 3, 25, 31, 65, 79), (1, 3, 1, 1, 19, 11, 3, 205),
+    (1, 1, 5, 9, 19, 21, 29, 157), (1, 3, 7, 11, 1, 33, 89, 185), (1, 3, 3, 3, 15, 9, 79, 71),
+    (1, 3, 7, 11, 15, 39, 119, 27), (1, 1, 3, 1, 11, 31, 97, 225), (1, 1, 1, 3, 23, 43, 57, 177),
+    (1, 3, 7, 7, 17, 17, 37, 71), (1, 3, 1, 5, 27, 63, 123, 213), (1, 1, 3, 5, 11, 43, 53, 133),
+    (1, 3, 5, 5, 29, 17, 47, 173, 479), (1, 3, 3, 11, 3, 1, 109, 9, 69),
+    (1, 1, 1, 5, 17, 39, 23, 5, 343), (1, 3, 1, 5, 25, 15, 31, 103, 499),
+    (1, 1, 1, 11, 11, 17, 63, 105, 183), (1, 1, 5, 11, 9, 29, 97, 231, 363),
+    (1, 1, 5, 15, 19, 45, 41, 7, 383), (1, 3, 7, 7, 31, 19, 83, 137, 221),
+    (1, 1, 1, 3, 23, 15, 111, 223, 83), (1, 1, 5, 13, 31, 15, 55, 25, 161),
+    (1, 1, 3, 13, 25, 47, 39, 87, 257),
+)
+_SOBOL_MAX_DIM = 1 + len(_SOBOL_POLY)
+
+
+@lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """Direction numbers V (d, 30), uint32: V[i, k] = m_{k+1} 2^(29 - k) in
+    dimension i + 1, the m_j beyond the initial ones from the polynomial's
+    recurrence (Bratley & Fox 1988, eq. 2)."""
+    rows = [[1] * _SOBOL_BITS]
+    for p, minit in zip(_SOBOL_POLY[:d - 1], _SOBOL_MINIT):
+        s, m = len(minit), list(minit)
+        for j in range(s, _SOBOL_BITS):
+            new = m[j - s]
+            for k in range(s):
+                if p >> (s - 1 - k) & 1:
+                    new ^= m[j - k - 1] << (k + 1)
+            m.append(new)
+        rows.append(m)
+    return np.array(rows, dtype=np.uint32) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+def _sobol(d: int, m: int) -> np.ndarray:
+    """The first m points (0 included) of the unscrambled d-dimensional Sobol
+    sequence in Gray-code order (Bratley & Fox, ACM TOMS 14, 1988) on the
+    Joe-Kuo direction numbers (SIAM J. Sci. Comput. 30, 2008): scipy's
+    ``qmc.Sobol(d, scramble=False)``, bit for bit. By reflection, points
+    2^k .. 2^(k+1) - 1 are points 2^k - 1 .. 0 XOR the k-th direction numbers."""
+    if d > _SOBOL_MAX_DIM:
+        raise EnumerationLimitError(
+            f"Sobol dimension {d} exceeds the {_SOBOL_MAX_DIM} of the direction-number table")
+    if m > 1 << _SOBOL_BITS:
+        raise EnumerationLimitError(f"Sobol set of {m} points exceeds cap 2^{_SOBOL_BITS}")
+    V = _sobol_directions(d)
+    x = np.zeros((m, d), dtype=np.uint32)
+    n, k = 1, 0
+    while n < m:
+        step = min(n, m - n)
+        x[n:n + step] = x[n - 1::-1][:step] ^ V[:, k]
+        n, k = 2 * n, k + 1
+    return x * 2.0 ** -_SOBOL_BITS
+
+
 @lru_cache(maxsize=16)  # keyed by (g, budget); the CLI uses one budget
-def _halton(d: int, n: int) -> np.ndarray:
-    """The first n points (index 0 included) of the unscrambled Halton
-    sequence (Halton, Numer. Math. 2, 1960): the radical inverse of the index
-    in each of the first d primes, as a read-only (n, d) array. The digits
-    are summed in the order of scipy's ``qmc.Halton(d, scramble=False)``, so
-    the points are the same to the last bit."""
-    bases = _first_primes(d)
-    q = np.repeat(np.arange(n)[:, None], d, axis=1)
-    v = np.zeros((n, d))
-    b2r = 1.0 / bases
-    for _ in range(max(n - 1, 1).bit_length()):  # the base-2 digits bound all others
-        q, digit = np.divmod(q, bases)
-        v += digit * b2r
-        b2r /= bases
-    v.setflags(write=False)
-    return v
+def _sobol_cached(d: int, m: int) -> np.ndarray:
+    """``_sobol(d, m)``, read-only, for ``mu_interval``; the QMC's sets are not kept."""
+    x = _sobol(d, m)
+    x.setflags(write=False)
+    return x
 
 
 def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:
     """Certified enclosure of the inhomogeneous minimum mu(Y).
 
     lo: the best psi_Y value over the Bezout deep point, every half-integer
-    corner (g <= 4), and the first ``budget`` points of the Halton sequence
-    in the first g primes (``_halton``, cached per (g, budget)); always a
-    true lower bound. It has the bits of the max of ``psi_sq_batch`` over
-    those points, but ``_psi_sq_max`` searches only the few that can hold
-    the max, one at a time.
+    corner (g <= 4) and the first ``budget`` Sobol points (``_sobol``, cached
+    per (g, budget)); always a true lower bound. It has the bits of the max of
+    ``psi_sq_batch`` over those points, but ``_psi_sq_max`` searches only the
+    few that can hold the max, one at a time.
     hi: the nearest-plane covering bound on an LLL-reduced basis.
 
     ``budget`` is a count (``_count``; else LatticeError) up to _BOX_CAP; a
@@ -734,8 +796,8 @@ def mu_interval(Y: GramMatrix, budget: int = 512) -> IntervalEstimate:
     g = Y.g
     pts = [bezout_deep_point(Y).x.reshape(1, -1)]
     if g <= 4:
-        pts.append(_int_box(np.zeros(g), np.ones(g)).astype(float) / 2.0)
-    pts.append(_halton(g, budget))
+        pts.append(_int_box([0] * g, [1] * g) / 2.0)
+    pts.append(_sobol_cached(g, budget))
     P = np.vstack(pts)
     lo = math.sqrt(_psi_sq_max(Y, P - np.floor(P))) * (1 - 1e-12)
     return IntervalEstimate(lo=lo, hi=Y.covering_upper())

@@ -12,18 +12,17 @@
   d <= 2 (psi_Y^2 at g <= 2, split at the half-integers, where the rule is
   exact for diagonal Y) and shifted Sobol QMC at d >= 3 (Dick, Kuo & Sloan,
   Acta Numerica 22, 2013): psi_Y^2 at g >= 3 and the 2g-dimensional
-  archimedean invariant at g >= 2. The Sobol points are the unscrambled
-  Gray-code sequence (Bratley & Fox, ACM TOMS 14, 1988) on the Joe-Kuo
-  direction numbers (SIAM J. Sci. Comput. 30, 2008) of dimensions 1-64, as
-  scipy ships them, so they match ``qmc.Sobol(d, scramble=False)`` bit for
-  bit. The integrand gets the shifted copies of a point set together, up to
-  2^16 rows per call, so its per-call set-up (the theta box and bounds) is
-  paid once per set, not once per shift.
+  archimedean invariant at g >= 2. The Sobol points are the package's one
+  low-discrepancy sequence, ``lattice._sobol``. The integrand gets the
+  shifted copies of a point set together, up to 2^16 rows per call, so
+  its per-call set-up (the theta box and bounds) is paid once per set, not
+  once per shift.
 * ``_tensor_gauss``, the one tensor Gauss-Legendre rule. It hands the
   integrand the nodes of one axis and takes its values on their product
   grid, so an integrand that is cheaper on a whole grid than point by point
   is evaluated that way: the g = 1 invariant (``theta._cube_norm_grid``).
-  ``integrate_cube`` feeds it f at the grid's points.
+  ``integrate_cube`` feeds it f at the grid's points (``lattice._int_box``
+  of the node indices).
 
 One doubling rule, ``_refine``, serves all three: a predicate ``decided(value,
 error) -> bool`` caps the budget at every d; without one the whole budget runs.
@@ -37,7 +36,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .lattice import EnumerationLimitError, GramMatrix, _count, psi_sq_batch
+from .lattice import EnumerationLimitError, GramMatrix, _count, _int_box, _sobol, psi_sq_batch
 from .theta import _f_grid
 
 __all__ = [
@@ -56,43 +55,6 @@ _DEFAULT_QMC_POINTS = 1 << 16
 _FIRST_QMC_POINTS = 1 << 5  # points per shift before the first doubling
 _N_SHIFTS = 8
 _LOG2_MAX_GRID = 19  # periodic grids hold <= 2^19 points, one default QMC integral
-_SOBOL_BITS = 30     # points are multiples of 2^-30, so a set holds <= 2^30 of them
-
-# Sobol dimensions 2-64 of Joe & Kuo's table new-joe-kuo-6.21201 (the first 63
-# rows after the first of scipy's stats/_sobol_direction_numbers.npz): the
-# primitive polynomial as an integer whose binary digits are its coefficients,
-# and its initial direction numbers m_1 .. m_s, s the degree. Dimension 1 is
-# the van der Corput sequence (every m_j = 1).
-_SOBOL_POLY = (
-    3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109, 115, 131, 137,
-    143, 145, 157, 167, 171, 185, 191, 193, 203, 211, 213, 229, 239, 241, 247, 253, 285,
-    299, 301, 333, 351, 355, 357, 361, 369, 391, 397, 425, 451, 463, 487, 501, 529, 539,
-    545, 557, 563, 601, 607, 617, 623, 631, 637,
-)
-_SOBOL_MINIT = (
-    (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17),
-    (1, 1, 5, 5, 5), (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11), (1, 3, 5, 5, 31),
-    (1, 3, 3, 9, 7, 49), (1, 1, 1, 15, 21, 21), (1, 3, 1, 13, 27, 49), (1, 1, 1, 15, 7, 5),
-    (1, 3, 1, 15, 13, 25), (1, 1, 5, 5, 19, 61), (1, 3, 7, 11, 23, 15, 103),
-    (1, 3, 7, 13, 13, 15, 69), (1, 1, 3, 13, 7, 35, 63), (1, 3, 5, 9, 1, 25, 53),
-    (1, 3, 1, 13, 9, 35, 107), (1, 3, 1, 5, 27, 61, 31), (1, 1, 5, 11, 19, 41, 61),
-    (1, 3, 5, 3, 3, 13, 69), (1, 1, 7, 13, 1, 19, 1), (1, 3, 7, 5, 13, 19, 59),
-    (1, 1, 3, 9, 25, 29, 41), (1, 3, 5, 13, 23, 1, 55), (1, 3, 7, 3, 13, 59, 17),
-    (1, 3, 1, 3, 5, 53, 69), (1, 1, 5, 5, 23, 33, 13), (1, 1, 7, 7, 1, 61, 123),
-    (1, 1, 7, 9, 13, 61, 49), (1, 3, 3, 5, 3, 55, 33), (1, 3, 1, 15, 31, 13, 49, 245),
-    (1, 3, 5, 15, 31, 59, 63, 97), (1, 3, 1, 11, 11, 11, 77, 249), (1, 3, 1, 11, 27, 43, 71, 9),
-    (1, 1, 7, 15, 21, 11, 81, 45), (1, 3, 7, 3, 25, 31, 65, 79), (1, 3, 1, 1, 19, 11, 3, 205),
-    (1, 1, 5, 9, 19, 21, 29, 157), (1, 3, 7, 11, 1, 33, 89, 185), (1, 3, 3, 3, 15, 9, 79, 71),
-    (1, 3, 7, 11, 15, 39, 119, 27), (1, 1, 3, 1, 11, 31, 97, 225), (1, 1, 1, 3, 23, 43, 57, 177),
-    (1, 3, 7, 7, 17, 17, 37, 71), (1, 3, 1, 5, 27, 63, 123, 213), (1, 1, 3, 5, 11, 43, 53, 133),
-    (1, 3, 5, 5, 29, 17, 47, 173, 479), (1, 3, 3, 11, 3, 1, 109, 9, 69),
-    (1, 1, 1, 5, 17, 39, 23, 5, 343), (1, 3, 1, 5, 25, 15, 31, 103, 499),
-    (1, 1, 1, 11, 11, 17, 63, 105, 183), (1, 1, 5, 11, 9, 29, 97, 231, 363),
-    (1, 1, 5, 15, 19, 45, 41, 7, 383), (1, 3, 7, 7, 31, 19, 83, 137, 221),
-    (1, 1, 1, 3, 23, 15, 111, 223, 83), (1, 1, 5, 13, 31, 15, 55, 25, 161),
-    (1, 1, 3, 13, 25, 47, 39, 87, 257),
-)
-_SOBOL_MAX_DIM = 1 + len(_SOBOL_POLY)
 
 
 class QuadratureError(ValueError):
@@ -123,19 +85,9 @@ def _gauss_rule(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _tensor_points(x: np.ndarray, d: int) -> np.ndarray:
-    """The points of x^d as rows, in C order (the last coordinate runs fastest)."""
-    return np.stack(np.meshgrid(*(d * [x]), indexing="ij"), axis=-1).reshape(-1, d)
-
-
 def _tensor_weights(w: np.ndarray, d: int) -> np.ndarray:
-    """The weights of w^d, in the C order of ``_tensor_points``."""
+    """The weights of w^d, in C order (the last coordinate runs fastest)."""
     return reduce(np.multiply.outer, d * [w]).ravel()
-
-
-def _gauss_value(f_grid, d: int, n: int) -> float:
-    x, w = _gauss_rule(n)
-    return float(_tensor_weights(w, d) @ _checked(f_grid(x), n**d))
 
 
 def _refine(rule, first: int, cap: int, stop=None) -> QuadratureResult:
@@ -158,8 +110,8 @@ def _tensor_gauss(f_grid, d: int, budget: int | None, decided=None) -> Quadratur
     rule's axes: ``f_grid(x)`` gets the n nodes of one axis (every axis has
     the same) and returns the n^d values on their product grid in C order,
     as an array of shape (n,) * d whose axis k runs over coordinate k (or
-    flat, as at the points of ``_tensor_points(x, d)``). The error of the
-    rule on n nodes is its distance to the rule on n // 2 nodes.
+    flat). The error of the rule on n nodes is its distance to the rule on
+    n // 2 nodes.
 
     ``budget`` caps n at min(max(budget, 4), 256) (default 256); it is None
     or a count (``lattice._count``; else QuadratureError). ``_refine`` sizes n
@@ -172,48 +124,12 @@ def _tensor_gauss(f_grid, d: int, budget: int | None, decided=None) -> Quadratur
     def rule(n):
         for k in (n, n // 2):  # n // 2 >= 2 and < n: two distinct rules
             if k not in rules:
-                rules[k] = _gauss_value(f_grid, d, k)
+                x, w = _gauss_rule(k)
+                rules[k] = float(_tensor_weights(w, d) @ _checked(f_grid(x), k**d))
         err = abs(rules[n] - rules[n // 2])
         return QuadratureResult(rules[n], err, sum(k**d for k in rules), "tensor-gauss")
 
     return _refine(rule, _FIRST_GAUSS_NODES, min(max(budget, 4), _MAX_GAUSS_NODES), decided)
-
-
-@lru_cache(maxsize=None)
-def _sobol_directions(d: int) -> np.ndarray:
-    """Direction numbers V (d, 30), uint32: V[i, k] = m_{k+1} 2^(29 - k) in
-    dimension i + 1, the m_j beyond the initial ones from the polynomial's
-    recurrence (Bratley & Fox 1988, eq. 2)."""
-    rows = [[1] * _SOBOL_BITS]
-    for p, minit in zip(_SOBOL_POLY[:d - 1], _SOBOL_MINIT):
-        s, m = len(minit), list(minit)
-        for j in range(s, _SOBOL_BITS):
-            new = m[j - s]
-            for k in range(s):
-                if p >> (s - 1 - k) & 1:
-                    new ^= m[j - k - 1] << (k + 1)
-            m.append(new)
-        rows.append(m)
-    return np.array(rows, dtype=np.uint32) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
-
-
-def _sobol(d: int, m: int) -> np.ndarray:
-    """The first m points (0 included) of the unscrambled d-dimensional Sobol
-    sequence in Gray-code order, built by reflection: the points 2^k .. 2^(k+1) - 1
-    are the points 2^k - 1 .. 0 XOR the k-th direction numbers."""
-    if d > _SOBOL_MAX_DIM:
-        raise EnumerationLimitError(
-            f"Sobol dimension {d} exceeds the {_SOBOL_MAX_DIM} of the direction-number table")
-    if m > 1 << _SOBOL_BITS:
-        raise EnumerationLimitError(f"Sobol set of {m} points exceeds cap 2^{_SOBOL_BITS}")
-    V = _sobol_directions(d)
-    x = np.zeros((m, d), dtype=np.uint32)
-    n, k = 1, 0
-    while n < m:
-        step = min(n, m - n)
-        x[n:n + step] = x[n - 1::-1][:step] ^ V[:, k]
-        n, k = 2 * n, k + 1
-    return x * 2.0 ** -_SOBOL_BITS
 
 
 def _seed(seed) -> int:
@@ -251,7 +167,8 @@ def integrate_cube(f, d: int, budget: int | None = None, seed: int = 0, *,
         raise QuadratureError("dimension must be >= 1")
     seed = _seed(seed)
     if d <= _MAX_GAUSS_DIM:
-        return _tensor_gauss(lambda x: f(_tensor_points(x, d)), d, budget, decided)
+        return _tensor_gauss(lambda x: f(x[_int_box([0] * d, [len(x) - 1] * d)]), d, budget,
+                             decided)
     budget = _DEFAULT_QMC_POINTS if budget is None else _count(budget, QuadratureError)
     shifts = np.random.default_rng(seed).random((_N_SHIFTS, d))
     vals = np.empty((_N_SHIFTS, 0))  # row k: shift k's values, in point order
@@ -324,7 +241,7 @@ def integral_psi_sq(Y: GramMatrix, budget: int | None = None, seed: int = 0) -> 
     d = Y.g
     if d > _MAX_GAUSS_DIM:
         return integrate_cube(lambda P: psi_sq_batch(Y, P), d, budget, seed)
-    corners = _tensor_points(np.array([0.0, 0.5]), d)
+    corners = _int_box([0] * d, [1] * d) / 2.0
 
     def split(P):
         vals = psi_sq_batch(Y, (corners[:, None, :] + 0.5 * P).reshape(-1, d))

@@ -69,6 +69,10 @@ class TestConstants:
         assert rho_clamp(1) == pytest.approx(math.sqrt(math.pi / 3.0), rel=1e-15)
         assert rho_clamp(2) == pytest.approx(0.7236012545582676, rel=1e-14)
 
+    def test_clamp_needs_a_dimension(self):
+        with pytest.raises(BoundsError, match="dimension"):
+            rho_clamp(0)
+
 
 class TestHeightTerm:
     def test_clamp_point_is_half_log_two_pi_sq(self):
@@ -98,6 +102,8 @@ class TestEmbeddingSet:
             EmbeddingSet(2, 1, [om])
         with pytest.raises(BoundsError):
             EmbeddingSet(1, 1, [])
+        with pytest.raises(BoundsError, match="dimension and degree"):
+            EmbeddingSet(0, 1, [])
 
     def test_bound_requires_all_embeddings(self):
         with pytest.raises(BoundsError, match="incomplete embedding data"):
@@ -271,6 +277,22 @@ class TestArchimedeanInvariant:
     def test_requires_reduced(self):
         with pytest.raises(BoundsError, match="reduced"):
             archimedean_invariant(om_of(0.7 + 2j))
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True], ids=repr)
+    def test_seed_is_checked_at_every_g(self, g, seed):
+        # at g = 1 the Gauss rule draws no shift, but the seed follows one rule
+        om = validate_period_matrix(np.zeros((g, g)), np.eye(g))
+        with pytest.raises(mlk.quadrature.QuadratureError, match="seed must be"):
+            archimedean_invariant(om, 64, seed)
+        with pytest.raises(mlk.quadrature.QuadratureError, match="seed must be"):
+            verify_chain(EmbeddingSet(g, 1, [om]), 64, seed)
+
+    def test_g1_value_does_not_depend_on_a_valid_seed(self):
+        r = archimedean_invariant(om_of(1j), 64)
+        assert r.value == pytest.approx(0.0901796504383722, rel=1e-13)
+        assert archimedean_invariant(om_of(1j), 64, seed=0) == r
+        assert archimedean_invariant(om_of(1j), 64, seed=np.int64(3)) == r
 
     @pytest.mark.parametrize("g, rule, budget", [(1, "tensor-gauss", 32),
                                                  (2, "qmc-shifted", 256)])

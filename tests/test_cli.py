@@ -126,9 +126,17 @@ class TestBoundCommand:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--epsilon" in captured.err
-        doc["options"] = {"epsilon": value}  # json writes nan as NaN, which it reads back
+        doc["options"] = {"epsilon": value}  # json writes nan as NaN: no longer JSON
         code, out, err = run(capsys, ["bound", write(tmp_path, "j.json", doc)])
-        assert (code, out) == (2, "") and "options.epsilon" in err
+        assert (code, out) == (2, "")
+        assert ("options.epsilon" if math.isfinite(value) else "is not a JSON value") in err
+
+    def test_epsilon_that_is_not_a_number_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", write(tmp_path, "i.json", tau_2i_doc()), "--epsilon", "abc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not a number: 'abc'" in captured.err
 
 
 class TestStrictInput:
@@ -162,6 +170,20 @@ class TestStrictInput:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("im", math.nan), ("re", math.inf), ("im", -math.inf),
+    ], ids=["nan-im", "infinity-re", "minus-infinity-im"])
+    @pytest.mark.parametrize("command", ["bound", "rho", "verify"])
+    def test_non_finite_literal_exits_2(self, tmp_path, capsys, command, field, value):
+        # json.loads reads NaN and +-Infinity, which strict JSON does not have;
+        # they are refused while parsing, not as matrix data (exit 3)
+        doc = tau_2i_doc()
+        doc["embeddings"][0][field] = [[value]]
+        argv = [command, write(tmp_path, "a.json", doc)]
+        code, out, err = run(capsys, argv + (["--suite", "chain"] if command == "verify" else []))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: ") and "is not a JSON value" in err
 
     @pytest.mark.parametrize("command", ["bound", "rho"])
     def test_top_level_list_exits_2(self, tmp_path, capsys, command):

@@ -160,6 +160,11 @@ class TestNorm:
         with pytest.raises(LatticeError, match="length"):
             norm(GramMatrix(np.eye(2)), [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(LatticeError, match="finite"):
+            norm(GramMatrix(np.eye(2)), [1.0, bad])
+
 
 class TestShortestVector:
     def test_identity(self):
@@ -259,6 +264,14 @@ class TestClosestVector:
         m, psi = closest_vector(GramMatrix([[4.0]]), [0.3])
         assert psi == pytest.approx(0.6, rel=1e-14)
         assert m[0] == 0
+
+    def test_rejects_wrong_length_and_non_finite_targets(self):
+        # norm's checks, with norm's messages
+        Y = GramMatrix(np.eye(2))
+        with pytest.raises(LatticeError, match="length 3 incompatible with g=2"):
+            closest_vector(Y, [0.1, 0.2, 0.3])
+        with pytest.raises(LatticeError, match="entries must be finite"):
+            closest_vector(Y, [0.1, -math.inf])
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_matches_brute_force(self, g, rng):
@@ -541,7 +554,7 @@ class TestMuInterval:
         def no_points(*args):
             raise AssertionError("points made for a rejected budget")
 
-        monkeypatch.setattr(lattice, "_halton", no_points)
+        monkeypatch.setattr(lattice, "_sobol", no_points)
         with pytest.raises(LatticeError) as info:
             mu_interval(GramMatrix(np.eye(3)), budget=budget)
         assert type(info.value) is error
@@ -553,12 +566,12 @@ class TestMuInterval:
     @staticmethod
     def points(Y, budget):
         """mu_interval's points, reduced mod Z^g: the deep point, the
-        half-integer corners (g <= 4) and the Halton points."""
+        half-integer corners (g <= 4) and the Sobol points."""
         g = Y.g
         pts = [bezout_deep_point(Y).x.reshape(1, -1)]
         if g <= 4:
             pts.append(np.array(np.meshgrid(*[[0.0, 0.5]] * g, indexing="ij")).reshape(g, -1).T)
-        pts.append(lattice._halton(g, budget))
+        pts.append(lattice._sobol(g, budget))
         P = np.vstack(pts)
         return P - np.floor(P)
 
@@ -579,6 +592,26 @@ class TestMuInterval:
             budget = (64, 128, 512)[k % 3]
             want = math.sqrt(float(psi_sq_batch(Y, self.points(Y, budget)).max())) * (1 - 1e-12)
             assert mu_interval(Y, budget=budget).lo == want, (Y.g, k)
+
+    def test_sobol_set_is_cached_read_only_per_g_and_budget(self, monkeypatch):
+        made, sobol = [], lattice._sobol
+
+        def spy(d, m):
+            made.append((d, m))
+            return sobol(d, m)
+
+        monkeypatch.setattr(lattice, "_sobol", spy)
+        lattice._sobol_cached.cache_clear()
+        Y3 = GramMatrix(np.eye(3))
+        first = mu_interval(Y3, budget=64)
+        assert mu_interval(Y3, budget=64) == first
+        mu_interval(Y3, budget=128)
+        mu_interval(GramMatrix(np.eye(2)), budget=64)
+        assert made == [(3, 64), (3, 128), (2, 64)]  # one set per (g, budget), made once
+        pts = lattice._sobol_cached(3, 64)
+        assert lattice._sobol_cached(3, 64) is pts and len(made) == 3
+        assert not pts.flags.writeable
+        assert pts.tobytes() == sobol(3, 64).tobytes()
 
     def test_cap_still_fires(self, monkeypatch):
         # a point of Z^8's first 32 has a tree past 32 nodes, in the batch too
@@ -637,21 +670,6 @@ class TestIntBox:
             lattice._int_box(np.zeros(2), np.full(2, 2047.0))  # 2^22 points
         with pytest.raises(LatticeError, match="empty"):
             lattice._int_box(np.zeros(2), np.array([1.0, -1.0]))
-
-
-class TestHalton:
-    @pytest.mark.parametrize("d", range(1, 17))
-    def test_matches_scipy_bit_for_bit(self, d):
-        from scipy.stats import qmc  # oracle only: mlk itself does not import scipy
-
-        for n in (1, 2, 128, 1000, 4096):
-            want = qmc.Halton(d=d, scramble=False).random(n)
-            assert lattice._halton(d, n).tobytes() == want.tobytes()
-
-    def test_cached_read_only(self):
-        pts = lattice._halton(3, 64)
-        assert lattice._halton(3, 64) is pts
-        assert not pts.flags.writeable
 
 
 class TestReduction:

@@ -57,6 +57,16 @@ class TestDeltaModular:
         with pytest.raises(OracleError):
             log_abs_delta(0.3)
 
+    @pytest.mark.parametrize("tau, tol, message", [
+        (complex(math.nan, 1.0), 1e-12, "finite"),
+        (complex(0.0, math.inf), 1e-12, "finite"),
+        (1j, 0.0, "tol must be positive"),
+        (0.1 + 1e-9j, 1e-12, "too close to the real axis"),
+    ], ids=["nan", "inf", "tol-0", "near-real-axis"])
+    def test_log_abs_delta_rejects(self, tau, tol, message):
+        with pytest.raises(OracleError, match=message):
+            log_abs_delta(tau, tol)
+
     def test_log_form_handles_huge_imaginary_part(self):
         # |Delta| underflows near Im tau ~ 113; the log form keeps going
         assert delta_modular(150j) == 0.0

@@ -7,7 +7,8 @@ import pytest
 
 from mlk import theta
 from mlk.bounds import _parseval_samples
-from mlk.lattice import EnumerationLimitError, GramMatrix, mu_interval, psi_sq_batch
+from mlk.lattice import (EnumerationLimitError, GramMatrix, _int_box, _sobol, mu_interval,
+                         psi_sq_batch)
 from mlk.quadrature import (
     _FIRST_QMC_POINTS,
     QuadratureError,
@@ -15,9 +16,7 @@ from mlk.quadrature import (
     _gauss_rule,
     _integral_ln,
     _refine,
-    _sobol,
     _tensor_gauss,
-    _tensor_points,
     _tensor_weights,
     integral_ln_f,
     integral_psi_sq,
@@ -124,7 +123,7 @@ class TestIntegrateCube:
     @pytest.mark.parametrize("d", [1, 2])
     def test_tensor_grid_matches_product_form(self, d):
         x, w = _gauss_rule(256)
-        pts, wts = _tensor_points(x, d), _tensor_weights(w, d)
+        pts, wts = x[_int_box(np.zeros(d), np.full(d, len(x) - 1))], _tensor_weights(w, d)
         assert np.array_equal(pts, np.array(list(product(x, repeat=d))))
         assert np.array_equal(wts, np.array([math.prod(c) for c in product(w, repeat=d)]))
 
@@ -407,6 +406,13 @@ class TestIntegratePeriodic:
         r = integrate_periodic(f_grid, 3, -1.0)
         assert calls == [8, 16, 32, 64]
         assert r.n_points == 64**3 and r.value == pytest.approx(0.5, abs=1e-14)
+
+    def test_dimension_must_be_positive(self):
+        def never(n):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(QuadratureError, match="dimension"):
+            integrate_periodic(never, 0, 1e-10)
 
     @staticmethod
     def aliased(n):  # frequencies 12 and 24 reach the subgrids of n = 8 and 16

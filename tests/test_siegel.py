@@ -74,6 +74,10 @@ class TestValidation:
         with pytest.raises(SiegelError):
             validate_period_matrix(np.zeros((2, 2)), np.eye(3))
 
+    def test_direct_construction_refused(self):
+        with pytest.raises(SiegelError, match="validate_period_matrix"):
+            mlk.siegel.PeriodMatrix(np.zeros((1, 1)), np.eye(1))
+
     def test_inputs_not_mutated(self):
         X = np.zeros((2, 2))
         Y = np.eye(2)

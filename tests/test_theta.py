@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from mlk import theta
 from mlk.bounds import EmbeddingSet, verify_chain
 from mlk.lattice import GramMatrix, LatticeError, closest_vector, psi_sq_batch
-from mlk.quadrature import _gauss_rule, _tensor_points, integrate_cube
+from mlk.quadrature import _gauss_rule, integrate_cube
 from mlk.siegel import validate_period_matrix
 from mlk.theta import (
     _DENORMAL,
@@ -192,6 +193,15 @@ class TestThetaSiegel:
         want = complex(mp.jtheta(3, mp.pi * z, mp.exp(1j * mp.pi * tau)))
         assert got == pytest.approx(want, rel=1e-11)
 
+    def test_rejects_z_it_cannot_evaluate(self):
+        om = om_of(1j)
+        with pytest.raises(ThetaError, match="too large"):
+            theta_siegel(om, [20j])  # pi (Im z)^2 / Im tau = 400 pi, past the exp cap
+        with pytest.raises(ThetaError, match="dimension 2 incompatible"):
+            theta_siegel(om, [0.1, 0.2])
+        with pytest.raises(ThetaError, match="finite"):
+            theta_siegel(om, [complex(0.1, math.nan)])
+
     def test_tail_bound_contract(self, rng):
         om = om_of(0.1 + 0.9j)
         z = complex(rng.uniform(0, 1), rng.uniform(0, 1))
@@ -328,7 +338,7 @@ class TestContractionOracle:
         om = om_of(tau)
         x, _ = _gauss_rule(32)
         got = _cube_norm_grid(om, x)
-        ref = oracle_cube_norm(om, _tensor_points(x, 2)).reshape(32, 32)
+        ref = oracle_cube_norm(om, np.array(list(product(x, repeat=2)))).reshape(32, 32)
         normal = ref >= np.finfo(float).tiny
         assert got.shape == (32, 32) and normal.any()
         assert np.all(np.abs(np.log(got[normal]) - np.log(ref[normal])) <= 1e-12)
